@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +67,15 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecFileError(f"unknown algorithm {a!r} (have {', '.join(ALGORITHMS)})")
+        finite = {"eta": self.etas, "kappa": self.kappa,
+                  "tol_rel_err": (self.tol_rel_err,),
+                  "diverge_threshold": (self.diverge_threshold,)}
+        finite.update((f"pprojgd.{key}", (getattr(self.pprojgd, key),))
+                      for key in _SCHEMA["pprojgd"])
+        for name, values in finite.items():
+            bad = [v for v in values if v is not None and not math.isfinite(v)]
+            if bad:
+                raise SpecFileError(f"{name} must be finite, got {bad[0]!r}")
         if any(e <= 0 for e in self.etas):
             raise SpecFileError("eta values must be positive")
         if any(k < 1 for k in self.kappa):
@@ -187,6 +197,13 @@ def spec_to_text(spec: ExperimentSpec) -> str:
     lines.append("algorithms = " + " ".join(spec.algorithms))
     lines.append("eta = " + " ".join(_fmt(v) for v in spec.etas))
     lines.append("")
+    if spec.pprojgd != PprojgdParams():
+        lines.append("[pprojgd]")
+        for key in _SCHEMA["pprojgd"]:
+            value = getattr(spec.pprojgd, key)
+            if value is not None:
+                lines.append(f"{key} = {value if isinstance(value, int) else _fmt(value)}")
+        lines.append("")
     lines.append("[run]")
     if spec.seeds is not None:
         lines.append("seeds = " + " ".join(str(s) for s in spec.seeds))

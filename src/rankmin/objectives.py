@@ -38,7 +38,8 @@ def haar_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 class Objective:
     """Minimal interface the solvers need: value, gradient, and (optionally)
-    restricted smoothness/convexity constants (L, mu, rho)."""
+    the fused value_and_grad and restricted smoothness/convexity constants
+    (L, mu, rho)."""
 
     symmetric_psd = False
 
@@ -47,6 +48,10 @@ class Objective:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_grad(self, x: np.ndarray):
+        """(value(x), gradient(x)); subclasses override it to share work."""
+        return self.value(x), self.gradient(x)
 
     def smoothness_constants(self):
         return None
@@ -72,6 +77,10 @@ class QuadraticObjective(Objective):
 
     def gradient(self, x) -> np.ndarray:
         return x - self.target
+
+    def value_and_grad(self, x):
+        d = x - self.target
+        return 0.5 * float(np.sum(d * d)), d
 
     def smoothness_constants(self):
         return (1.0, 1.0, 0.0)
@@ -101,9 +110,11 @@ class SensingProblem:
     """A matrix-sensing instance: y_i = <A_i, X*> with Gaussian A_i.
 
     operators has shape (m, n, n) with i.i.d. N(0, 1/m) entries, so
-    sum_i y_i A_i is already an unbiased estimate of X*.  The tuple
-    (n, r, r_star, kappa, m, seed, symmetric_psd) regenerates the instance
-    exactly; the tensors are kept for convenience.
+    sum_i y_i A_i is already an unbiased estimate of X*.  apply and adjoint
+    use it as the C-contiguous (m, n*n) matrix it is in memory: one
+    matrix-vector product each, bit-identical to the tensor contraction.
+    The tuple (n, r, r_star, kappa, m, seed, symmetric_psd) regenerates the
+    instance exactly; the tensors are kept for convenience.
     """
 
     n: int
@@ -118,10 +129,10 @@ class SensingProblem:
     ground_truth: FactoredMatrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.operators, x, axes=([1, 2], [0, 1]))
+        return self.operators.reshape(self.m, -1) @ x.ravel()
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        return np.tensordot(w, self.operators, axes=(0, 0))
+        return (w @ self.operators.reshape(self.m, -1)).reshape(self.n, self.n)
 
     def params(self) -> dict:
         return {
@@ -165,7 +176,7 @@ def generate_sensing(n: int, r: int, r_star: int, kappa: float, m: int | None = 
     rng = make_rng(seed)
     x_star = random_ground_truth(n, r_star, kappa, rng, symmetric_psd=symmetric_psd)
     operators = rng.standard_normal((m, n, n)) / np.sqrt(m)
-    observations = np.tensordot(operators, x_star.dense(), axes=([1, 2], [0, 1]))
+    observations = operators.reshape(m, -1) @ x_star.dense().ravel()
     operators.flags.writeable = False
     observations.flags.writeable = False
     return SensingProblem(
@@ -198,11 +209,15 @@ class SensingObjective(Objective):
         return 0.5 * float(res @ res)
 
     def gradient(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x):
+        """value(x) and gradient(x) from one residual: one apply, one adjoint."""
         res = self.problem.apply(x) - self.problem.observations
         g = self.problem.adjoint(res)
         if self.symmetric_psd:
             g = 0.5 * (g + g.T)
-        return g
+        return 0.5 * float(res @ res), g
 
 
 def sensing_objective(problem: SensingProblem) -> SensingObjective:

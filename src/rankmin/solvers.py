@@ -87,6 +87,10 @@ class SolverConfig:
     precgd_f_floor: float = 0.0
 
     def __post_init__(self):
+        for name in ("eta", "diverge_threshold", "tol_rel_err", "precgd_reg", "precgd_f_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_iters < 0:
@@ -120,7 +124,6 @@ class SolverTrace:
     status: str = STATUS_MAX_ITERS
     wall_time: float = 0.0
     checkpoints: list = field(default_factory=list)   # (iteration, dense X)
-    final_x: Optional[np.ndarray] = None
     gram_breakdown: bool = False
     gram_cond_max: float = float("nan")
 
@@ -160,76 +163,103 @@ class SolverTrace:
             fh.write(self.csv_text())
 
 
+def _value_and_grad(f, x: np.ndarray):
+    """(f(X), grad f(X)) from f's fused value_and_grad when it has one,
+    else from its separate value and gradient."""
+    fused = getattr(f, "value_and_grad", None)
+    fv, g = fused(x) if fused is not None else (f.value(x), f.gradient(x))
+    return float(fv), np.asarray(g, dtype=float)
+
+
+def _gradient(f, x: np.ndarray, grad) -> np.ndarray:
+    return np.asarray(f.gradient(x) if grad is None else grad, dtype=float)
+
+
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
-                psd: Optional[bool] = None) -> FactoredMatrix:
+                psd: Optional[bool] = None, grad: Optional[np.ndarray] = None) -> FactoredMatrix:
     """One projected gradient step: rank-r (or PSD rank-r) truncation of
-    X - eta * grad f(X)."""
+    X - eta * grad f(X).  grad, when given, is grad f(X) already computed
+    by the caller."""
     rank = x.rank if rank is None else int(rank)
     psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
-    z = xd - eta * np.asarray(f.gradient(xd), dtype=float)
+    z = xd - eta * _gradient(f, xd, grad)
     return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
 
 
-def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
+def fgd_step(x: FactoredMatrix, f, eta: float,
+             grad: Optional[np.ndarray] = None) -> FactoredMatrix:
     """One factored gradient step on balanced factors L = U sqrt(S),
     R = V sqrt(S): L+ = L - eta grad f(X) R, R+ = R - eta grad f(X)^T L,
     then refactor L+ R+^T by SVD for storage.  Stationary points of f are
-    exact fixed points."""
+    exact fixed points.  grad, when given, is grad f(X)."""
     if x.rank == 0:
         return x
     lf, rf = x.balanced_factors()
-    g = np.asarray(f.gradient(x.dense()), dtype=float)
+    g = _gradient(f, x.dense(), grad)
     lf2 = lf - eta * (g @ rf)
     rf2 = rf - eta * (g.T @ lf)
     return project_rank_r(lf2 @ rf2.T, x.rank)
 
 
-def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, reg: float):
+def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, reg: float,
+                        sv: Optional[np.ndarray] = None) -> np.ndarray:
     """rhs @ (gram + reg I)^{-1} with a pseudo-inverse fallback on numerically
-    singular Gram matrices.  Returns (result, breakdown_flag)."""
+    singular matrices.  sv, when given, are the singular values of gram."""
     k = gram.shape[0]
     if k == 0:
-        return rhs, False
+        return rhs
+    if sv is None:
+        sv = np.linalg.svd(gram, compute_uv=False)
     mat = gram + reg * np.eye(k) if reg != 0.0 else gram
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= GRAM_BREAKDOWN_RATIO * sv[0]:
-        return rhs @ np.linalg.pinv(mat), True
-    return np.linalg.solve(mat.T, rhs.T).T, False
+    # gram is symmetric PSD, so the singular values of gram + reg I are |sv + reg|
+    shifted = np.abs(sv + reg)
+    top = shifted.max()
+    if top <= 0.0 or shifted.min() <= GRAM_BREAKDOWN_RATIO * top:
+        return rhs @ np.linalg.pinv(mat)
+    return np.linalg.solve(mat.T, rhs.T).T
 
 
-def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float):
+def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float,
+                grad: Optional[np.ndarray] = None, gram_sv=None):
     """One preconditioned factored step with ridge term reg:
 
         L+ = L - eta grad f(L R^T) R (R^T R + reg I)^{-1}
         R+ = R - eta grad f(L R^T)^T L (L^T L + reg I)^{-1}
 
     Both Gram matrices come from the pre-update factors.  reg = 0 is exactly
-    the scaled gradient step."""
-    g = np.asarray(f.gradient(lf @ rf.T), dtype=float)
-    gl, _ = _gram_apply_inverse(g @ rf, rf.T @ rf, reg)
-    gr, _ = _gram_apply_inverse(g.T @ lf, lf.T @ lf, reg)
+    the scaled gradient step.  grad, when given, is grad f(L R^T); gram_sv,
+    when given, is the (L^T L, R^T R) singular-value pair that
+    gram_condition returns."""
+    g = _gradient(f, lf @ rf.T, grad)
+    sv_l, sv_r = (None, None) if gram_sv is None else gram_sv
+    gl = _gram_apply_inverse(g @ rf, rf.T @ rf, reg, sv_r)
+    gr = _gram_apply_inverse(g.T @ lf, lf.T @ lf, reg, sv_l)
     lf2 = lf - eta * gl
     rf2 = rf - eta * gr
     return lf2, rf2
 
 
-def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float):
+def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float,
+                  grad: Optional[np.ndarray] = None, gram_sv=None):
     """One scaled gradient step: the reg = 0 preconditioned step.  A singular
     Gram matrix falls back to the pseudo-inverse (the driver records the
     breakdown)."""
-    return precgd_step(lf, rf, f, eta, 0.0)
+    return precgd_step(lf, rf, f, eta, 0.0, grad, gram_sv)
 
 
-def gram_condition(lf: np.ndarray, rf: np.ndarray) -> float:
-    """max over both factors of cond(F^T F); inf when a Gram matrix is singular."""
+def gram_condition(lf: np.ndarray, rf: np.ndarray):
+    """(max over both factors of cond(F^T F), (sv(L^T L), sv(R^T R))).  The
+    condition number is inf when a Gram matrix is singular; the singular
+    values let precgd_step skip decomposing the same Gram matrices again."""
     worst = 1.0
+    svs = []
     for fac in (lf, rf):
-        if fac.shape[1] == 0:
-            continue
-        sv = np.linalg.svd(fac.T @ fac, compute_uv=False)
-        worst = max(worst, float("inf") if sv[-1] <= 0 else float(sv[0] / sv[-1]))
-    return worst
+        sv = np.linalg.svd(fac.T @ fac, compute_uv=False) if fac.shape[1] else np.zeros(0)
+        svs.append(sv)
+        if sv.size:
+            worst = max(worst, float("inf") if sv[-1] <= 0 else float(sv[0] / sv[-1]))
+    return worst, tuple(svs)
 
 
 def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:
@@ -279,20 +309,10 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     return retract(x, s)
 
 
-def _rel_metrics(f, xd, f_star, xs_dense, xs_norm):
-    fv = float(f.value(xd))
-    if xs_dense is None:
-        return fv, float("nan"), float("nan")
-    gap = fv - f_star
-    rel = float(np.linalg.norm(xd - xs_dense) / xs_norm)
-    return fv, gap, rel
-
-
 class _TraceBuilder:
     """Shared bookkeeping for the drivers: records, checkpoints, stopping."""
 
     def __init__(self, algorithm, f, cfg, x_star, shape):
-        self.f = f
         self.cfg = cfg
         self.xs_dense = x_star.dense() if isinstance(x_star, FactoredMatrix) else x_star
         if self.xs_dense is not None:
@@ -306,8 +326,14 @@ class _TraceBuilder:
         self.trace = SolverTrace(algorithm=algorithm, records=[])
         self.start = time.perf_counter()
 
-    def record(self, iteration, xd, sigma_r, step_norm, branch):
-        fv, gap, rel = _rel_metrics(self.f, xd, self.f_star, self.xs_dense, self.xs_norm)
+    def record(self, iteration, xd, fv, sigma_r, step_norm, branch):
+        """Append the record of iterate xd, whose f value fv the caller
+        computed, and return the stop status it triggers (or None)."""
+        if self.xs_dense is None:
+            gap = rel = float("nan")
+        else:
+            gap = fv - self.f_star
+            rel = float(np.linalg.norm(xd - self.xs_dense) / self.xs_norm)
         self.trace.records.append(TraceRecord(
             iteration=iteration, f_value=fv, f_gap=gap, rel_err=rel,
             step_norm=step_norm, sigma_r=sigma_r, branch=branch,
@@ -326,7 +352,6 @@ class _TraceBuilder:
     def finish(self, status, xd):
         self.trace.status = status
         self.trace.wall_time = time.perf_counter() - self.start
-        self.trace.final_x = np.array(xd, copy=True)
         if self.trace.checkpoints and self.trace.checkpoints[-1][0] != self.trace.records[-1].iteration:
             self.trace.checkpoints.append((self.trace.records[-1].iteration, np.array(xd, copy=True)))
         return self.trace
@@ -360,41 +385,46 @@ def run_solver(algo: str, f, x0: FactoredMatrix, cfg: SolverConfig,
     if factored:
         lf, rf = x0.balanced_factors()
         xd = lf @ rf.T
+        sigma_r = _sigma_r_dense(xd, rank)
         conds = []
     else:
         x = x0
         xd = x.dense()
-    status = builder.record(0, xd, _sigma_r_dense(xd, rank) if factored else x0.sigma_r(rank),
-                            float("nan"), BRANCH_INIT)
+        sigma_r = x0.sigma_r(rank)
+    # one objective pass per iterate: its value goes into the record, its
+    # gradient into the next step
+    fv, g = _value_and_grad(f, xd)
+    status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
     final_status = STATUS_MAX_ITERS
     if status is not None:
         final_status = status
     else:
         for it in range(1, cfg.max_iters + 1):
             if factored:
-                cond = gram_condition(lf, rf)
+                cond, gram_sv = gram_condition(lf, rf)
                 conds.append(cond)
                 if not np.isfinite(cond) or cond > 1.0 / GRAM_BREAKDOWN_RATIO:
                     builder.trace.gram_breakdown = True
                 if algo == "precgd":
                     reg = cfg.precgd_reg
                     if reg is None:
-                        reg = math.sqrt(max(float(f.value(xd)) - cfg.precgd_f_floor, 0.0))
-                    lf, rf = precgd_step(lf, rf, f, cfg.eta, reg)
+                        reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
+                    lf, rf = precgd_step(lf, rf, f, cfg.eta, reg, g, gram_sv)
                 else:
-                    lf, rf = scaledgd_step(lf, rf, f, cfg.eta)
+                    lf, rf = scaledgd_step(lf, rf, f, cfg.eta, g, gram_sv)
                 new_xd = lf @ rf.T
                 sigma_r = _sigma_r_dense(new_xd, rank) if np.all(np.isfinite(new_xd)) else float("nan")
             else:
                 if algo == "projgd":
-                    x = projgd_step(x, f, cfg.eta, rank=rank, psd=psd)
+                    x = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
                 else:
-                    x = fgd_step(x, f, cfg.eta)
+                    x = fgd_step(x, f, cfg.eta, grad=g)
                 new_xd = x.dense()
                 sigma_r = x.sigma_r(rank)
             step_norm = float(np.linalg.norm(new_xd - xd))
             xd = new_xd
-            status = builder.record(it, xd, sigma_r, step_norm, BRANCH_GRADIENT)
+            fv, g = _value_and_grad(f, xd)
+            status = builder.record(it, xd, fv, sigma_r, step_norm, BRANCH_GRADIENT)
             if status is not None:
                 final_status = status
                 break
@@ -423,16 +453,15 @@ def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
     builder = _TraceBuilder("pprojgd", f, cfg, x_star, x0.shape)
     x = x0
     xd = x.dense()
-    status = builder.record(0, xd, x.sigma_r(rank), float("nan"), BRANCH_INIT)
+    fv, g = _value_and_grad(f, xd)
+    status = builder.record(0, xd, fv, x.sigma_r(rank), float("nan"), BRANCH_INIT)
     final_status = STATUS_MAX_ITERS
     if status is not None:
         final_status = status
     else:
         grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
         for it in range(1, cfg.max_iters + 1):
-            g = np.asarray(f.gradient(xd), dtype=float)
-            z = xd - cfg.eta * g
-            x_plus = project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
+            x_plus = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
             delta = float(np.linalg.norm(x_plus.dense() - xd))
             if delta >= grad_floor:
                 x = x_plus
@@ -446,11 +475,12 @@ def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
                 branch = BRANCH_TANGENT
                 step_norm = float(np.linalg.norm(x.dense() - xd))
             else:
-                builder.record(it, xd, x.sigma_r(rank), delta, BRANCH_TERMINATE)
+                builder.record(it, xd, fv, x.sigma_r(rank), delta, BRANCH_TERMINATE)
                 final_status = STATUS_SECOND_ORDER
                 break
             xd = x.dense()
-            status = builder.record(it, xd, x.sigma_r(rank), step_norm, branch)
+            fv, g = _value_and_grad(f, xd)
+            status = builder.record(it, xd, fv, x.sigma_r(rank), step_norm, branch)
             if status is not None:
                 final_status = status
                 break

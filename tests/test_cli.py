@@ -76,6 +76,17 @@ def test_run_bad_config_is_usage_error(tmp_path, capsys):
     assert "etas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, name", [("kappa = 1", "kappa = inf", "kappa"),
+                                             ("eta = 0.4", "eta = nan", "eta")])
+def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
+    cfg = write(tmp_path / "grid.ini", CFG.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{name} must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_and_format_overrides(tmp_path):
     cfg = write(tmp_path / "grid.ini", CFG)
     out = tmp_path / "results"

@@ -3,9 +3,12 @@ layout, byte determinism, and the SVG renderer's structural guarantees."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankmin
 from rankmin import svgplot
@@ -21,7 +24,7 @@ from rankmin.harness import (
     run_filename,
     spec_to_text,
 )
-from rankmin.solvers import CSV_COLUMNS
+from rankmin.solvers import CSV_COLUMNS, PprojgdParams
 
 TINY = """
 [problem]
@@ -94,6 +97,70 @@ def test_validation_errors():
         parse_spec_text("[output]\nformats = csv png\n")
     with pytest.raises(SpecFileError, match="positive"):
         parse_spec_text("[solvers]\neta = 0.4 -0.1\n")
+
+
+def test_validation_rejects_non_finite_numbers():
+    for text, name in (("[problem]\nkappa = 1 inf\n", "kappa"),
+                       ("[solvers]\neta = nan\n", "eta"),
+                       ("[run]\ntol_rel_err = nan\n", "tol_rel_err"),
+                       ("[run]\ndiverge_threshold = inf\n", "diverge_threshold"),
+                       ("[pprojgd]\nepsilon = inf\n", "pprojgd.epsilon")):
+        with pytest.raises(SpecFileError, match=f"{name} must be finite"):
+            parse_spec_text(text)
+
+
+def test_pprojgd_params_round_trip_through_manifest_text():
+    spec = replace(PRESETS["fig1"](), pprojgd=PprojgdParams(epsilon=1e-3))
+    assert "[pprojgd]" in spec_to_text(spec)
+    assert parse_spec_text(spec_to_text(spec)) == spec
+    assert "[pprojgd]" not in spec_to_text(PRESETS["fig1"]())
+
+
+_positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _specs(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, n))
+    pprojgd = PprojgdParams(
+        epsilon=draw(_positive),
+        epsilon_t=draw(st.none() | _positive),
+        eta_t=draw(st.none() | _positive),
+        perturb_radius=draw(st.none() | _positive),
+        max_tangent_iters=draw(st.none() | st.integers(1, 10**18)),
+    )
+    seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple))
+    return ExperimentSpec(
+        n=n, r=r,
+        r_star=tuple(draw(st.lists(st.integers(1, r), min_size=1, max_size=3))),
+        kappa=tuple(draw(st.lists(st.floats(1.0, 1e8), min_size=1, max_size=3))),
+        m_factor=draw(st.integers(1, 10)),
+        psd=draw(st.booleans()),
+        algorithms=tuple(draw(st.lists(st.sampled_from(rankmin.ALGORITHMS), min_size=1, max_size=3))),
+        etas=tuple(draw(st.lists(_positive, min_size=1, max_size=4))),
+        pprojgd=pprojgd,
+        seed_count=draw(st.integers(1, 20)),
+        master_seed=draw(st.integers(0, 10**6)),
+        seeds=seeds,
+        max_iters=draw(st.integers(1, 10**6)),
+        tol_rel_err=draw(st.floats(-1e3, 1e3)),
+        diverge_threshold=draw(_positive),
+        formats=tuple(draw(st.lists(st.sampled_from(("csv", "svg", "json")), min_size=1, max_size=3))),
+        checkpoint_stride=draw(st.none() | st.integers(1, 1000)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs())
+def test_spec_text_round_trip_property(spec):
+    text = spec_to_text(spec)
+    back = parse_spec_text(text)
+    if spec.seeds is None:
+        assert back == spec
+    else:
+        # explicit seeds win; the seed count and master seed are not written
+        assert back == replace(spec, seed_count=back.seed_count, master_seed=back.master_seed)
 
 
 def test_run_filename_formatting():

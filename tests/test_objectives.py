@@ -178,6 +178,35 @@ def test_psd_sensing_gradient_symmetric():
     assert np.allclose(g, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("psd", [False, True])
+def test_sensing_value_and_grad_matches_separate_calls(psd):
+    p = generate_sensing(n=7, r=3, r_star=2, kappa=4.0, seed=16, symmetric_psd=psd)
+    f = sensing_objective(p)
+    rng = make_rng(17)
+    for _ in range(5):
+        x = rng.standard_normal((7, 7))
+        if psd:
+            x = x @ x.T
+        fv, g = f.value_and_grad(x)
+        assert fv == f.value(x)
+        assert np.array_equal(g, f.gradient(x))
+        # the flat (m, n*n) operator gives the tensor contraction's bits
+        res = np.tensordot(p.operators, x, axes=([1, 2], [0, 1])) - p.observations
+        ref = np.tensordot(res, p.operators, axes=(0, 0))
+        if psd:
+            ref = 0.5 * (ref + ref.T)
+        assert fv == 0.5 * float(res @ res)
+        assert np.array_equal(g, ref)
+
+
+def test_quadratic_value_and_grad_matches_separate_calls():
+    f = quadratic_objective(random_ground_truth(6, 3, 2.0, 18))
+    x = make_rng(19).standard_normal((6, 6))
+    fv, g = f.value_and_grad(x)
+    assert fv == f.value(x)
+    assert np.array_equal(g, f.gradient(x))
+
+
 # -------------------------------------------------- spectral initialization
 
 

@@ -256,6 +256,68 @@ def test_run_solver_divergence_abort():
     assert len(tr.records) < 2001
 
 
+class SeparateCalls:
+    """Duck-typed objective with value and gradient but no value_and_grad."""
+
+    def __init__(self, f):
+        self.f = f
+        self.symmetric_psd = f.symmetric_psd
+
+    def value(self, x):
+        return self.f.value(x)
+
+    def gradient(self, x):
+        return self.f.gradient(x)
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
+def test_run_solver_falls_back_without_value_and_grad(algo):
+    p, f, x0 = sensing_setup(2, 3.0, 12)
+    cfg = SolverConfig(eta=0.4, max_iters=15, tol_rel_err=None, checkpoint_stride=15)
+    fused = run_solver(algo, f, x0, cfg, x_star=p.ground_truth, rng=make_rng(1))
+    duck = run_solver(algo, SeparateCalls(f), x0, cfg, x_star=p.ground_truth, rng=make_rng(1))
+    assert duck.csv_text() == fused.csv_text()
+
+
+def test_run_solver_runs_constant_gradient_objective():
+    rng = make_rng(213)
+    x0 = random_ground_truth(6, 2, 2.0, rng)
+    cfg = SolverConfig(eta=0.1, max_iters=5, tol_rel_err=None, checkpoint_stride=5)
+    tr = run_solver("projgd", LinearPull(rng.standard_normal((6, 6)), 1.0), x0, cfg)
+    assert len(tr.records) == 6
+    assert np.all(np.diff(tr.column("f_value")) < 0)
+
+
+@pytest.mark.parametrize("algo, svds", [("projgd", 1), ("fgd", 1), ("scaledgd", 3), ("precgd", 3)])
+def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
+    # each iterate costs one apply and one adjoint (one fused value_and_grad)
+    # and, in the factored preconditioned solvers, one SVD per Gram matrix
+    # plus the sigma_r SVD; run set-up adds a constant
+    from rankmin.objectives import SensingProblem
+    calls = {"apply": 0, "adjoint": 0, "svd": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("apply", "adjoint"):
+        monkeypatch.setattr(SensingProblem, name, counting(name, getattr(SensingProblem, name)))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    p, f, x0 = sensing_setup(4, 1.0, 13)
+    totals = []
+    for iters in (10, 20):
+        before = dict(calls)
+        cfg = SolverConfig(eta=0.4, max_iters=iters, tol_rel_err=None, checkpoint_stride=iters)
+        tr = run_solver(algo, f, x0, cfg, x_star=p.ground_truth)
+        assert tr.final_record.iteration == iters
+        totals.append({k: calls[k] - before[k] for k in calls})
+    assert totals[1]["apply"] - totals[0]["apply"] == 10
+    assert totals[1]["adjoint"] - totals[0]["adjoint"] == 10
+    assert totals[1]["svd"] - totals[0]["svd"] == 10 * svds
+
+
 # -------------------------------------------------- pprojgd branches
 
 
