@@ -15,7 +15,6 @@ file names a directory.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -108,30 +107,23 @@ _PROBE_DEFAULTS = {
     "psd": False, "m_factor": 3, "seed": 0, "starts": 64, "iters": 3000,
     "budget": 10_000_000, "eps": 1e-6, "gamma": 0.0,
 }
-_PROBE_PARSERS = {
-    "objective": str, "n": int, "r": int, "r_star": int, "kappa": float,
-    "psd": harness._parse_bool, "m_factor": int, "seed": int, "starts": int,
-    "iters": int, "budget": int, "eps": float, "gamma": float,
-}
+# each key parses as the type of its default
+_PROBE_SCHEMA = {"probe": {key: harness._parse_bool if isinstance(v, bool) else type(v)
+                           for key, v in _PROBE_DEFAULTS.items()}}
 
 
 def parse_probe_file(path) -> dict:
-    cp = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        cp.read_file(fh)
-    cfg = dict(_PROBE_DEFAULTS)
-    for section in cp.sections():
-        if section != "probe":
-            raise SpecFileError(f"unknown section [{section}] (expected [probe])")
-        for key, raw in cp.items(section):
-            if key not in cfg:
-                raise SpecFileError(f"unknown key '{key}' in [probe]")
-            try:
-                cfg[key] = _PROBE_PARSERS[key](raw)
-            except ValueError as exc:
-                raise SpecFileError(f"bad value for '{key}': {raw!r}") from exc
+        sections = harness.read_schema_text(fh.read(), _PROBE_SCHEMA, str(path))
+    cfg = dict(_PROBE_DEFAULTS, **sections.get("probe", {}))
     if cfg["objective"] not in ("quadratic", "sensing"):
         raise SpecFileError("objective must be 'quadratic' or 'sensing'")
+    if cfg["n"] > 4 or cfg["r"] > 2:
+        raise SpecFileError("the probe is for n <= 4, r <= 2 only")
+    if not 1 <= cfg["r_star"] <= cfg["r"] <= cfg["n"]:
+        raise SpecFileError("need 1 <= r_star <= r <= n")
+    if cfg["starts"] < 1 or cfg["iters"] < 1:
+        raise SpecFileError("starts and iters must be >= 1")
     return cfg
 
 

@@ -225,9 +225,6 @@ class CornerDecomposition:
             + b.u_perp @ self.outer @ b.v_perp.T
         )
 
-    def block_norms(self):
-        return tuple(float(np.linalg.norm(m)) for m in (self.core, self.left, self.right, self.outer))
-
 
 def corner_decompose(z, base: FactoredMatrix) -> CornerDecomposition:
     z = np.asarray(z, dtype=float)
@@ -395,6 +392,14 @@ def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> 
     return FactoredMatrix(qa @ uc[:, :keep], sc[:keep], qb @ vct[:keep].T, validate=False)
 
 
+def _value_and_grad(f, x: np.ndarray):
+    """(f(X), grad f(X)) from f's fused value_and_grad when it has one,
+    else from its separate value and gradient."""
+    fused = getattr(f, "value_and_grad", None)
+    fv, g = fused(x) if fused is not None else (f.value(x), f.gradient(x))
+    return float(fv), np.asarray(g, dtype=float)
+
+
 def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | None = None):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
@@ -410,9 +415,7 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
     """
     _require_full_rank(base, rank)
     y = retract(base, s)
-    yd = y.dense()
-    val = float(f.value(yd))
-    g = np.asarray(f.gradient(yd), dtype=float)
+    val, g = _value_and_grad(f, y.dense())
     d = corner_decompose(g, base)
     w = np.diag(base.sigma) + s.core
     winv_t = np.linalg.inv(w).T

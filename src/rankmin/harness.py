@@ -52,7 +52,6 @@ class ExperimentSpec:
     diverge_threshold: float = 1e2
     out_dir: str | None = None
     formats: tuple = ("csv", "svg", "json")
-    checkpoint_stride: int | None = None
 
     def resolved_seeds(self) -> tuple:
         if self.seeds is not None:
@@ -60,6 +59,11 @@ class ExperimentSpec:
         return tuple(self.master_seed + i for i in range(self.seed_count))
 
     def validate(self):
+        lists = {"r_star": self.r_star, "kappa": self.kappa,
+                 "algorithms": self.algorithms, "eta": self.etas}
+        for name, values in lists.items():
+            if not values:
+                raise SpecFileError(f"{name} needs at least one value")
         if not (1 <= min(self.r_star) and max(self.r_star) <= self.r <= self.n):
             raise SpecFileError("need 1 <= r_star <= r <= n")
         if self.m_factor < 1:
@@ -131,50 +135,47 @@ _SCHEMA = {
         "max_iters": int, "tol_rel_err": float, "diverge_threshold": float,
     },
     "output": {
-        "directory": str, "formats": _parse_words, "checkpoint_stride": int,
+        "directory": str, "formats": _parse_words,
     },
 }
 
-_FIELD_BY_KEY = {
-    ("problem", "n"): "n", ("problem", "r"): "r",
-    ("problem", "r_star"): "r_star", ("problem", "kappa"): "kappa",
-    ("problem", "m_factor"): "m_factor", ("problem", "psd"): "psd",
-    ("solvers", "algorithms"): "algorithms", ("solvers", "eta"): "etas",
-    ("run", "seeds"): "seeds", ("run", "seed_count"): "seed_count",
-    ("run", "master_seed"): "master_seed", ("run", "max_iters"): "max_iters",
-    ("run", "tol_rel_err"): "tol_rel_err",
-    ("run", "diverge_threshold"): "diverge_threshold",
-    ("output", "directory"): "out_dir", ("output", "formats"): "formats",
-    ("output", "checkpoint_stride"): "checkpoint_stride",
-}
+# keys outside [pprojgd] name the ExperimentSpec field of the same name,
+# except these
+_FIELD_RENAMES = {"eta": "etas", "directory": "out_dir"}
 
 
-def parse_spec_text(text: str, source: str = "<string>") -> ExperimentSpec:
+def read_schema_text(text: str, schema: dict, source: str = "<string>") -> dict:
+    """Parse INI text against schema, a {section: {key: parser}} table, into
+    {section: {key: parsed value}} for the keys present.  A syntax error,
+    an unknown section or key, or a value its parser rejects raises
+    SpecFileError with a one-line message."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text, source=source)
     except configparser.Error as e:
-        raise SpecFileError(f"{source}: {e}") from e
-    kwargs = {}
-    pp = {}
+        raise SpecFileError(f"{source}: {' '.join(str(e).split())}") from e
+    values = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise SpecFileError(f"{source}: unknown section [{section}]")
         for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in schema[section]:
                 raise SpecFileError(f"{source}: unknown key {key!r} in [{section}]")
             try:
-                val = _SCHEMA[section][key](raw)
+                values.setdefault(section, {})[key] = schema[section][key](raw)
             except ValueError as e:
                 raise SpecFileError(f"{source}: bad value for {section}.{key}: {e}") from e
-            if section == "pprojgd":
-                pp[key] = val
-            else:
-                kwargs[_FIELD_BY_KEY[(section, key)]] = val
-    if pp:
-        kwargs["pprojgd"] = PprojgdParams(**pp)
-    spec = ExperimentSpec(**kwargs)
-    return spec.validate()
+    return values
+
+
+def parse_spec_text(text: str, source: str = "<string>") -> ExperimentSpec:
+    sections = read_schema_text(text, _SCHEMA, source)
+    kwargs = {_FIELD_RENAMES.get(key, key): val
+              for section, items in sections.items() if section != "pprojgd"
+              for key, val in items.items()}
+    if "pprojgd" in sections:
+        kwargs["pprojgd"] = PprojgdParams(**sections["pprojgd"])
+    return ExperimentSpec(**kwargs).validate()
 
 
 def parse_spec_file(path) -> ExperimentSpec:
@@ -184,44 +185,31 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 def spec_to_text(spec: ExperimentSpec) -> str:
     """Round-trippable config text (embedded in the manifest so a run
-    directory is self-describing)."""
-    lines = ["[problem]"]
-    lines.append(f"n = {spec.n}")
-    lines.append(f"r = {spec.r}")
-    lines.append("r_star = " + " ".join(str(v) for v in spec.r_star))
-    lines.append("kappa = " + " ".join(_fmt(v) for v in spec.kappa))
-    lines.append(f"m_factor = {spec.m_factor}")
-    lines.append(f"psd = {'true' if spec.psd else 'false'}")
-    lines.append("")
-    lines.append("[solvers]")
-    lines.append("algorithms = " + " ".join(spec.algorithms))
-    lines.append("eta = " + " ".join(_fmt(v) for v in spec.etas))
-    lines.append("")
-    if spec.pprojgd != PprojgdParams():
-        lines.append("[pprojgd]")
-        for key in _SCHEMA["pprojgd"]:
-            value = getattr(spec.pprojgd, key)
-            if value is not None:
-                lines.append(f"{key} = {value if isinstance(value, int) else _fmt(value)}")
+    directory is self-describing), in _SCHEMA order.  Unset values are
+    left out, and so is a [pprojgd] section equal to the defaults."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        if section == "pprojgd":
+            if spec.pprojgd == PprojgdParams():
+                continue
+            values = {key: getattr(spec.pprojgd, key) for key in keys}
+        else:
+            values = {key: getattr(spec, _FIELD_RENAMES.get(key, key)) for key in keys}
+        if section == "run" and spec.seeds is not None:
+            # explicit seeds win; the count and master seed are not written
+            del values["seed_count"], values["master_seed"]
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_fmt_value(v)}" for key, v in values.items() if v not in (None, "")]
         lines.append("")
-    lines.append("[run]")
-    if spec.seeds is not None:
-        lines.append("seeds = " + " ".join(str(s) for s in spec.seeds))
-    else:
-        lines.append(f"seed_count = {spec.seed_count}")
-        lines.append(f"master_seed = {spec.master_seed}")
-    lines.append(f"max_iters = {spec.max_iters}")
-    lines.append(f"tol_rel_err = {_fmt(spec.tol_rel_err)}")
-    lines.append(f"diverge_threshold = {_fmt(spec.diverge_threshold)}")
-    lines.append("")
-    lines.append("[output]")
-    if spec.out_dir:
-        lines.append(f"directory = {spec.out_dir}")
-    lines.append("formats = " + " ".join(spec.formats))
-    if spec.checkpoint_stride is not None:
-        lines.append(f"checkpoint_stride = {spec.checkpoint_stride}")
-    lines.append("")
     return "\n".join(lines)
+
+
+def _fmt_value(v) -> str:
+    if isinstance(v, (tuple, list)):
+        return " ".join(_fmt_value(x) for x in v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _fmt(x) -> str:
@@ -298,12 +286,9 @@ def _execute_one(args):
     )
     f = sensing_objective(problem)
     x0 = spectral_init(problem)
-    stride = spec.checkpoint_stride
     cfg = SolverConfig(
         eta=eta, max_iters=spec.max_iters, tol_rel_err=spec.tol_rel_err,
-        diverge_threshold=spec.diverge_threshold,
-        checkpoint_stride=stride if stride is not None else spec.max_iters,
-        pprojgd=spec.pprojgd,
+        diverge_threshold=spec.diverge_threshold, pprojgd=spec.pprojgd,
     )
     rng = make_rng(seed, stream=idx)
     trace = run_solver(algo, f, x0, cfg, x_star=problem.ground_truth, rng=rng)
@@ -313,7 +298,8 @@ def _execute_one(args):
         "seed": seed, "status": trace.status,
         "final_rel_err": last.rel_err, "iterations": last.iteration,
     }
-    return run_filename(algo, kappa, r_star, eta, seed), trace.csv_text(), summary
+    return (run_filename(algo, kappa, r_star, eta, seed), trace.csv_text(), summary,
+            trace.column("rel_err"))
 
 
 def _atomic_write(path, data: str):
@@ -352,14 +338,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
     files = []
     rows.sort(key=lambda r: r[0])
     if "csv" in spec.formats:
-        for name, csv_text, _ in rows:
+        for name, csv_text, _, _ in rows:
             _atomic_write(os.path.join(out_dir, name), csv_text)
             files.append(name)
         sweep = _sweep_table([r[2] for r in rows])
         _atomic_write(os.path.join(out_dir, "eta_sweep.csv"), sweep)
         files.append("eta_sweep.csv")
     if "svg" in spec.formats:
-        files += _render_svgs(spec, out_dir, rows)
+        files += _render_svgs(spec, out_dir, {_run_key(s): rel for _, _, s, rel in rows})
     summaries = [r[2] for r in rows]
     if "json" in spec.formats:
         manifest = {
@@ -406,11 +392,12 @@ def _log_clip(vals):
                             REL_CLIP_LO, REL_CLIP_HI))
 
 
-def _render_svgs(spec, out_dir, rows) -> list:
-    by_run = {}
-    for name, csv_text, s in rows:
-        rel = _trace_column(csv_text, "rel_err")
-        by_run[(s["algo"], s["kappa"], s["r_star"], s["eta"], s["seed"])] = rel
+def _run_key(summary) -> tuple:
+    return tuple(summary[k] for k in ("algo", "kappa", "r_star", "eta", "seed"))
+
+
+def _render_svgs(spec, out_dir, by_run) -> list:
+    """Panels from by_run, a {_run_key: rel_err column} map over the grid."""
     written = []
     seeds = spec.resolved_seeds()
     for kappa in spec.kappa:
@@ -457,13 +444,6 @@ def _render_svgs(spec, out_dir, rows) -> list:
     return written
 
 
-def _trace_column(csv_text: str, column: str):
-    lines = csv_text.strip().split("\n")
-    cols = lines[0].split(",")
-    j = cols.index(column)
-    return [float(line.split(",")[j]) for line in lines[1:]]
-
-
 def read_trace_csv(path):
     """Columns of one run trace as a dict of lists (floats except branch)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -485,9 +465,8 @@ def render_dir(path) -> list:
     with open(mpath, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     spec = parse_spec_text(manifest["config"], source=mpath)
-    rows = []
+    by_run = {}
     for s in manifest["runs"]:
-        name = run_filename(s["algo"], s["kappa"], s["r_star"], s["eta"], s["seed"])
-        with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            rows.append((name, fh.read(), s))
-    return _render_svgs(spec, path, rows)
+        key = _run_key(s)
+        by_run[key] = read_trace_csv(os.path.join(path, run_filename(*key)))["rel_err"]
+    return _render_svgs(spec, path, by_run)

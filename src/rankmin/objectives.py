@@ -140,19 +140,16 @@ class SensingProblem:
             "m": self.m, "seed": self.seed, "symmetric_psd": self.symmetric_psd,
         }
 
-    def save(self, path, include_tensors: bool = False):
-        """Write the instance as an .npz bundle; parameters alone regenerate
-        it exactly, tensors are optional ballast for offline inspection."""
-        payload = {
-            "params": np.array([self.n, self.r, self.r_star, self.m, self.seed,
-                                int(self.symmetric_psd)], dtype=np.int64),
-            "kappa": np.array([self.kappa]),
-            "format_version": np.array([1], dtype=np.int64),
-        }
-        if include_tensors:
-            payload["operators"] = self.operators
-            payload["observations"] = self.observations
-        np.savez(path, **payload)
+    def save(self, path):
+        """Write the instance parameters as an .npz bundle; load regenerates
+        the instance from them exactly."""
+        np.savez(
+            path,
+            params=np.array([self.n, self.r, self.r_star, self.m, self.seed,
+                             int(self.symmetric_psd)], dtype=np.int64),
+            kappa=np.array([self.kappa]),
+            format_version=np.array([1], dtype=np.int64),
+        )
 
     @staticmethod
     def load(path) -> "SensingProblem":

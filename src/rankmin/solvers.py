@@ -1,10 +1,9 @@
 """Iterative solvers for min f(X) subject to rank(X) = r.
 
-Four single-step kernels (projected gradient, factored gradient, two
-preconditioned factored variants) share one driver, run_solver, which
-records a uniform per-iteration trace.  pprojgd is the two-branch variant
-that escapes strict saddles through randomized tangent-space descent and
-certifiable termination.
+Five algorithms share one driver loop, which records a uniform
+per-iteration trace; each supplies only a step kernel.  pprojgd is the
+projected gradient step plus a branch that escapes strict saddles through
+randomized tangent-space descent, and a certifiable stop.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import numpy as np
 from .geometry import (
     FactoredMatrix,
     TangentVector,
+    _value_and_grad,
     project_psd_rank_r,
     project_rank_r,
     pullback_value_grad,
@@ -81,7 +81,6 @@ class SolverConfig:
     max_iters: int = 1000
     tol_rel_err: Optional[float] = 1e-14
     diverge_threshold: float = 1e2
-    checkpoint_stride: Optional[int] = None   # None: 1 for n <= 20, else 10
     pprojgd: PprojgdParams = field(default_factory=PprojgdParams)
     precgd_reg: Optional[float] = None        # None: sqrt(f - f_floor) schedule
     precgd_f_floor: float = 0.0
@@ -123,7 +122,6 @@ class SolverTrace:
     records: list
     status: str = STATUS_MAX_ITERS
     wall_time: float = 0.0
-    checkpoints: list = field(default_factory=list)   # (iteration, dense X)
     gram_breakdown: bool = False
     gram_cond_max: float = float("nan")
 
@@ -157,18 +155,6 @@ class SolverTrace:
                 rec.branch,
             )))
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
-
-
-def _value_and_grad(f, x: np.ndarray):
-    """(f(X), grad f(X)) from f's fused value_and_grad when it has one,
-    else from its separate value and gradient."""
-    fused = getattr(f, "value_and_grad", None)
-    fv, g = fused(x) if fused is not None else (f.value(x), f.gradient(x))
-    return float(fv), np.asarray(g, dtype=float)
 
 
 def _gradient(f, x: np.ndarray, grad) -> np.ndarray:
@@ -310,9 +296,9 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
 
 
 class _TraceBuilder:
-    """Shared bookkeeping for the drivers: records, checkpoints, stopping."""
+    """Records and stop rules of one run."""
 
-    def __init__(self, algorithm, f, cfg, x_star, shape):
+    def __init__(self, algorithm, f, cfg, x_star):
         self.cfg = cfg
         self.xs_dense = x_star.dense() if isinstance(x_star, FactoredMatrix) else x_star
         if self.xs_dense is not None:
@@ -321,8 +307,6 @@ class _TraceBuilder:
         else:
             self.xs_norm = float("nan")
             self.f_star = float("nan")
-        stride = cfg.checkpoint_stride
-        self.stride = (1 if max(shape) <= 20 else 10) if stride is None else max(1, int(stride))
         self.trace = SolverTrace(algorithm=algorithm, records=[])
         self.start = time.perf_counter()
 
@@ -338,8 +322,6 @@ class _TraceBuilder:
             iteration=iteration, f_value=fv, f_gap=gap, rel_err=rel,
             step_norm=step_norm, sigma_r=sigma_r, branch=branch,
         ))
-        if iteration % self.stride == 0:
-            self.trace.checkpoints.append((iteration, np.array(xd, copy=True)))
         if not np.isfinite(fv) or not np.isfinite(np.linalg.norm(xd)):
             return STATUS_DIVERGED
         if np.isfinite(rel):
@@ -349,17 +331,117 @@ class _TraceBuilder:
                 return STATUS_CONVERGED
         return None
 
-    def finish(self, status, xd):
+    def finish(self, status):
         self.trace.status = status
         self.trace.wall_time = time.perf_counter() - self.start
-        if self.trace.checkpoints and self.trace.checkpoints[-1][0] != self.trace.records[-1].iteration:
-            self.trace.checkpoints.append((self.trace.records[-1].iteration, np.array(xd, copy=True)))
         return self.trace
 
 
 def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
     sv = np.linalg.svd(xd, compute_uv=False)
     return float(sv[rank - 1]) if sv.size >= rank else 0.0
+
+
+# A step kernel gets (f, x0, cfg, search rank, rng, trace) and returns the
+# initial state, its dense form and sigma_r, and step(state, X_t dense,
+# f(X_t), grad f(X_t)) -> (next state, its dense form, its sigma_r, branch).
+# A terminate step keeps the state and returns the step it rejected.
+
+
+def _point_kernel(f, x0, cfg, rank, rng, trace):
+    """projgd and fgd, on the factored point."""
+    psd = bool(getattr(f, "symmetric_psd", False))
+
+    def step(x, xd, fv, g):
+        if trace.algorithm == "projgd":
+            x = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
+        else:
+            x = fgd_step(x, f, cfg.eta, grad=g)
+        return x, x.dense(), x.sigma_r(rank), BRANCH_GRADIENT
+
+    return x0, x0.dense(), x0.sigma_r(rank), step
+
+
+def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
+    """scaledgd and precgd, on the balanced factors (L, R) of x0."""
+
+    def step(factors, xd, fv, g):
+        lf, rf = factors
+        cond, gram_sv = gram_condition(lf, rf)
+        # running max over the steps (fmax skips the initial nan); cond is
+        # inf for a singular Gram matrix, which then pins the max at inf
+        trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
+        if not math.isfinite(cond) or cond > 1.0 / GRAM_BREAKDOWN_RATIO:
+            trace.gram_breakdown = True
+        if trace.algorithm == "precgd":
+            reg = cfg.precgd_reg
+            if reg is None:
+                reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
+            lf, rf = precgd_step(lf, rf, f, cfg.eta, reg, g, gram_sv)
+        else:
+            lf, rf = scaledgd_step(lf, rf, f, cfg.eta, g, gram_sv)
+        new_xd = lf @ rf.T
+        sigma_r = _sigma_r_dense(new_xd, rank) if np.all(np.isfinite(new_xd)) else float("nan")
+        return (lf, rf), new_xd, sigma_r, BRANCH_GRADIENT
+
+    lf, rf = x0.balanced_factors()
+    xd = lf @ rf.T
+    return (lf, rf), xd, _sigma_r_dense(xd, rank), step
+
+
+def _perturbed_kernel(f, x0, cfg, rank, rng, trace):
+    """pprojgd's gradient, tangent-escape and terminate branches."""
+    params = cfg.pprojgd.resolve(cfg.eta)
+    rng = make_rng(0, stream=7) if rng is None else rng
+    psd = bool(getattr(f, "symmetric_psd", False))
+    grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
+
+    def step(x, xd, fv, g):
+        x_plus = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
+        plus_d = x_plus.dense()
+        if np.linalg.norm(plus_d - xd) >= grad_floor:
+            return x_plus, plus_d, x_plus.sigma_r(rank), BRANCH_GRADIENT
+        if x.sigma_r(rank) > 2.0 * params.epsilon_t:
+            y = tangent_space_steps(x, f, params.perturb_radius, params.eta_t,
+                                    params.epsilon_t, params.max_tangent_iters, rng)
+            return y, y.dense(), y.sigma_r(rank), BRANCH_TANGENT
+        return x, plus_d, x.sigma_r(rank), BRANCH_TERMINATE
+
+    return x0, x0.dense(), x0.sigma_r(rank), step
+
+
+_KERNELS = {
+    "projgd": _point_kernel,
+    "fgd": _point_kernel,
+    "scaledgd": _preconditioned_kernel,
+    "precgd": _preconditioned_kernel,
+    "pprojgd": _perturbed_kernel,
+}
+
+
+def _drive(algo, f, x0, cfg, x_star, rank, rng):
+    """The iteration loop of every solver: one objective pass per iterate
+    (its value goes into the record, its gradient into the next step) and
+    one record per iteration.  Returns (final state, trace)."""
+    rank = x0.rank if rank is None else int(rank)
+    builder = _TraceBuilder(algo, f, cfg, x_star)
+    state, xd, sigma_r, step = _KERNELS[algo](f, x0, cfg, rank, rng, builder.trace)
+    fv, g = _value_and_grad(f, xd)
+    status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
+    it = 0
+    while status is None and it < cfg.max_iters:
+        it += 1
+        new_state, new_xd, sigma_r, branch = step(state, xd, fv, g)
+        step_norm = float(np.linalg.norm(new_xd - xd))
+        if branch == BRANCH_TERMINATE:
+            # X_t is kept; its row carries the norm of the rejected step
+            builder.record(it, xd, fv, sigma_r, step_norm, branch)
+            status = STATUS_SECOND_ORDER
+        else:
+            state, xd = new_state, new_xd
+            fv, g = _value_and_grad(f, xd)
+            status = builder.record(it, xd, fv, sigma_r, step_norm, branch)
+    return state, builder.finish(status or STATUS_MAX_ITERS)
 
 
 def run_solver(algo: str, f, x0: FactoredMatrix, cfg: SolverConfig,
@@ -375,64 +457,8 @@ def run_solver(algo: str, f, x0: FactoredMatrix, cfg: SolverConfig,
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     if algo == "pprojgd":
-        _, trace = pprojgd(f, x0, cfg, rng=rng, x_star=x_star, rank=rank)
-        return trace
-    rank = x0.rank if rank is None else int(rank)
-    psd = bool(getattr(f, "symmetric_psd", False))
-
-    builder = _TraceBuilder(algo, f, cfg, x_star, x0.shape)
-    factored = algo in ("scaledgd", "precgd")
-    if factored:
-        lf, rf = x0.balanced_factors()
-        xd = lf @ rf.T
-        sigma_r = _sigma_r_dense(xd, rank)
-        conds = []
-    else:
-        x = x0
-        xd = x.dense()
-        sigma_r = x0.sigma_r(rank)
-    # one objective pass per iterate: its value goes into the record, its
-    # gradient into the next step
-    fv, g = _value_and_grad(f, xd)
-    status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
-    final_status = STATUS_MAX_ITERS
-    if status is not None:
-        final_status = status
-    else:
-        for it in range(1, cfg.max_iters + 1):
-            if factored:
-                cond, gram_sv = gram_condition(lf, rf)
-                conds.append(cond)
-                if not np.isfinite(cond) or cond > 1.0 / GRAM_BREAKDOWN_RATIO:
-                    builder.trace.gram_breakdown = True
-                if algo == "precgd":
-                    reg = cfg.precgd_reg
-                    if reg is None:
-                        reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
-                    lf, rf = precgd_step(lf, rf, f, cfg.eta, reg, g, gram_sv)
-                else:
-                    lf, rf = scaledgd_step(lf, rf, f, cfg.eta, g, gram_sv)
-                new_xd = lf @ rf.T
-                sigma_r = _sigma_r_dense(new_xd, rank) if np.all(np.isfinite(new_xd)) else float("nan")
-            else:
-                if algo == "projgd":
-                    x = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
-                else:
-                    x = fgd_step(x, f, cfg.eta, grad=g)
-                new_xd = x.dense()
-                sigma_r = x.sigma_r(rank)
-            step_norm = float(np.linalg.norm(new_xd - xd))
-            xd = new_xd
-            fv, g = _value_and_grad(f, xd)
-            status = builder.record(it, xd, fv, sigma_r, step_norm, BRANCH_GRADIENT)
-            if status is not None:
-                final_status = status
-                break
-    trace = builder.finish(final_status, xd)
-    if factored and conds:
-        finite = [c for c in conds if np.isfinite(c)]
-        trace.gram_cond_max = float("inf") if len(finite) < len(conds) else max(finite)
-    return trace
+        return pprojgd(f, x0, cfg, rng=rng, x_star=x_star, rank=rank)[1]
+    return _drive(algo, f, x0, cfg, x_star, rank, rng)[1]
 
 
 def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
@@ -445,44 +471,4 @@ def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
     with sigma_r(X) > 2 eps_t triggers randomized tangent-space descent to
     escape a potential strict saddle; otherwise the point is returned with
     status second-order-stop.  Returns (final point, trace)."""
-    rank = x0.rank if rank is None else int(rank)
-    params = cfg.pprojgd.resolve(cfg.eta)
-    rng = make_rng(0, stream=7) if rng is None else rng
-    psd = bool(getattr(f, "symmetric_psd", False))
-
-    builder = _TraceBuilder("pprojgd", f, cfg, x_star, x0.shape)
-    x = x0
-    xd = x.dense()
-    fv, g = _value_and_grad(f, xd)
-    status = builder.record(0, xd, fv, x.sigma_r(rank), float("nan"), BRANCH_INIT)
-    final_status = STATUS_MAX_ITERS
-    if status is not None:
-        final_status = status
-    else:
-        grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
-        for it in range(1, cfg.max_iters + 1):
-            x_plus = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
-            delta = float(np.linalg.norm(x_plus.dense() - xd))
-            if delta >= grad_floor:
-                x = x_plus
-                branch = BRANCH_GRADIENT
-                step_norm = delta
-            elif x.sigma_r(rank) > 2.0 * params.epsilon_t:
-                x = tangent_space_steps(
-                    x, f, params.perturb_radius, params.eta_t,
-                    params.epsilon_t, params.max_tangent_iters, rng,
-                )
-                branch = BRANCH_TANGENT
-                step_norm = float(np.linalg.norm(x.dense() - xd))
-            else:
-                builder.record(it, xd, fv, x.sigma_r(rank), delta, BRANCH_TERMINATE)
-                final_status = STATUS_SECOND_ORDER
-                break
-            xd = x.dense()
-            fv, g = _value_and_grad(f, xd)
-            status = builder.record(it, xd, fv, x.sigma_r(rank), step_norm, branch)
-            if status is not None:
-                final_status = status
-                break
-    trace = builder.finish(final_status, xd)
-    return x, trace
+    return _drive("pprojgd", f, x0, cfg, x_star, rank, rng)

@@ -65,14 +65,13 @@ class CriterionResult:
 
 
 def _sensing_trace(algo, *, r_star, kappa, eta, seed, m_factor, max_iters,
-                   n=10, r=4, tol=1e-14, psd=False, stride=None):
+                   n=10, r=4, tol=1e-14, psd=False):
     problem = generate_sensing(n=n, r=r, r_star=r_star, kappa=kappa,
                                m=m_factor * n * r, seed=seed, symmetric_psd=psd)
     f = sensing_objective(problem)
     x0 = spectral_init(problem)
     cfg = SolverConfig(eta=eta, max_iters=max_iters, tol_rel_err=tol,
-                       diverge_threshold=ABORT_REL,
-                       checkpoint_stride=stride if stride is not None else max_iters)
+                       diverge_threshold=ABORT_REL)
     return run_solver(algo, f, x0, cfg, x_star=problem.ground_truth)
 
 
@@ -215,8 +214,7 @@ def criterion_local_rate(level: str = "full") -> CriterionResult:
         x0 = random_ground_truth(n, r, 4.0, 10_000 + s)
         for eta in etas:
             bound = 1.0 - (4.0 / 27.0) * (eta - eta * eta) + 1e-10
-            cfg = SolverConfig(eta=eta, max_iters=3000, tol_rel_err=1e-13,
-                               checkpoint_stride=3000)
+            cfg = SolverConfig(eta=eta, max_iters=3000, tol_rel_err=1e-13)
             tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
             gaps = tr.column("f_gap")
             inside = False
@@ -257,17 +255,16 @@ def criterion_global_window(level: str = "full") -> CriterionResult:
         b = rng.standard_normal((n, r))
         x0 = project_rank_r(scales[i % 3] * a @ b.T, r)
         for eta in etas:
-            stride = 1 if eta < 0.5 else 2000
             # scale-10 starts sit ~100x from the target, over the default
             # abort level; raise it so the run is judged on convergence only
             cfg = SolverConfig(eta=eta, max_iters=2000, tol_rel_err=1e-11,
-                               diverge_threshold=1e9, checkpoint_stride=stride)
+                               diverge_threshold=1e9)
             tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
             if _iters_to(tr, 1e-10) > 2000:
                 failures.append({"init": i, "eta": eta,
                                  "final": tr.final_record.rel_err})
             if eta < 0.5:
-                rep = check_descent_lemma(tr, f, 1.0, eta)
+                rep = check_descent_lemma(tr, 1.0, eta)
                 if rep.applicable:
                     descent_violations += rep.violations
     passed = not failures and descent_violations == 0
@@ -294,10 +291,9 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
     f = quadratic_objective(x_star)
     for eta in (0.3, 0.45):
         x0 = random_ground_truth(10, 3, 2.0, 77)
-        cfg = SolverConfig(eta=eta, max_iters=1000 if full else 300,
-                           tol_rel_err=1e-15, checkpoint_stride=1)
+        cfg = SolverConfig(eta=eta, max_iters=1000 if full else 300, tol_rel_err=1e-15)
         tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
-        rep = check_descent_lemma(tr, f, 1.0, eta)
+        rep = check_descent_lemma(tr, 1.0, eta)
         descent_ok = descent_ok and rep.applicable and rep.violations == 0
         descent_worst = min(descent_worst, rep.worst_margin)
 
@@ -322,8 +318,7 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
                             validate=False)
         fq = quadratic_objective(xs)
         x0 = project_rank_r(xs.dense() + 5e-3 * rng.standard_normal((8, 8)), 3)
-        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None,
-                           checkpoint_stride=400, pprojgd=params)
+        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None, pprojgd=params)
         x_end, tr = pprojgd(fq, x0, cfg, rng=make_rng(901, stream=s), x_star=xs)
         gnorm = float(np.linalg.norm(fq.gradient(x_end.dense()), 2))
         stop_worst = max(stop_worst, gnorm)
@@ -462,16 +457,14 @@ def criterion_saddle_escape(level: str = "full") -> CriterionResult:
     margin = escape_margin(f_saddle, params.epsilon, params.epsilon_t)
 
     # plain projected descent is pinned: the saddle is an exact fixed point
-    cfg_stay = SolverConfig(eta=eta, max_iters=1000, tol_rel_err=None,
-                            checkpoint_stride=1000)
+    cfg_stay = SolverConfig(eta=eta, max_iters=1000, tol_rel_err=None)
     tr = run_solver("projgd", f, saddle, cfg_stay, x_star=saddle)
     stay_worst = float(np.max(tr.column("rel_err")[1:]))
     stays = stay_worst <= 1e-12
 
     escapes = 0
     for s in seeds:
-        cfg = SolverConfig(eta=eta, max_iters=8, tol_rel_err=None,
-                           checkpoint_stride=8)
+        cfg = SolverConfig(eta=eta, max_iters=8, tol_rel_err=None)
         _, tre = pprojgd(f, saddle, cfg, rng=make_rng(4000 + s, stream=2),
                          x_star=x_star)
         if float(np.min(tre.column("f_value"))) < f_saddle - margin / 2.0:
@@ -489,8 +482,7 @@ def criterion_saddle_escape(level: str = "full") -> CriterionResult:
                             validate=False)
         fq = quadratic_objective(xs)
         x0 = project_rank_r(xs.dense() + 5e-3 * rng.standard_normal((8, 8)), 3)
-        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None,
-                           checkpoint_stride=400)
+        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None)
         x_end, trq = pprojgd(fq, x0, cfg, rng=make_rng(701, stream=s), x_star=xs)
         dist = float(np.linalg.norm(x_end.dense() - xs.dense()))
         cor_worst = max(cor_worst, dist)

@@ -76,6 +76,32 @@ def test_run_bad_config_is_usage_error(tmp_path, capsys):
     assert "etas" in capsys.readouterr().err
 
 
+def test_run_checkpoint_stride_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path / "grid.ini", CFG + "\n[output]\ncheckpoint_stride = 1\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "checkpoint_stride" in capsys.readouterr().err
+
+
+def test_run_config_without_section_header_is_one_line_error(tmp_path, capsys):
+    cfg = write(tmp_path / "grid.ini", "n = 6\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "section" in err
+
+
+@pytest.mark.parametrize("old, name", [("r_star = 2", "r_star"), ("kappa = 1", "kappa"),
+                                       ("algorithms = projgd", "algorithms"),
+                                       ("eta = 0.4", "eta")], ids=lambda v: v.split()[0])
+def test_run_empty_list_is_usage_error(tmp_path, capsys, old, name):
+    cfg = write(tmp_path / "grid.ini", CFG.replace(old, f"{name} ="))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{name} needs at least one value" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("old, new, name", [("kappa = 1", "kappa = inf", "kappa"),
                                              ("eta = 0.4", "eta = nan", "eta")])
 def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
@@ -168,6 +194,25 @@ def test_probe_unknown_key(tmp_path, capsys):
     cfg = write(tmp_path / "probe.ini", "[probe]\nnn = 3\n")
     assert cli.main(["probe", cfg]) == 2
     assert "nn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, needle", [
+    (PROBE.replace("\nn = 3\n", "\nn = 5\n"), "n <= 4"),
+    (PROBE.replace("\nr = 1\n", "\nr = 3\n"), "r <= 2"),
+    (PROBE.replace("\nr_star = 1\n", "\nr_star = 2\n"), "r_star <= r"),
+    (PROBE.replace("\nr_star = 1\n", "\nr_star = 0\n"), "r_star <= r"),
+    (PROBE.replace("\nstarts = 18\n", "\nstarts = 0\n"), "starts"),
+    (PROBE.replace("\niters = 1500\n", "\niters = 0\n"), "iters"),
+    ("n = 3\n", "section"),
+    (PROBE + "n = 3\n", "already exists"),
+], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
+        "duplicate_key"])
+def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
+    cfg = write(tmp_path / "probe.ini", text)
+    assert cli.main(["probe", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
 
 
 def test_probe_budget_guard(tmp_path, capsys):

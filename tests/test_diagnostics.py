@@ -145,36 +145,60 @@ def quadratic_run(eta, max_iters=300):
     x_star = random_ground_truth(8, 3, 2.0, rng)
     f = quadratic_objective(x_star)
     x0 = random_ground_truth(8, 3, 4.0, rng)
-    cfg = SolverConfig(eta=eta, max_iters=max_iters, tol_rel_err=None,
-                       checkpoint_stride=1)
+    cfg = SolverConfig(eta=eta, max_iters=max_iters, tol_rel_err=None)
     return f, run_solver("projgd", f, x0, cfg, x_star=x_star)
 
 
 def test_descent_lemma_holds_for_small_steps():
-    f, tr = quadratic_run(0.3)
-    rep = check_descent_lemma(tr, f, 1.0, 0.3)
+    _, tr = quadratic_run(0.3)
+    rep = check_descent_lemma(tr, 1.0, 0.3)
     assert rep.applicable and rep.passed
     assert rep.steps_checked >= 100
     assert rep.violations == 0
 
 
 def test_descent_lemma_large_step_not_applicable():
-    f, tr = quadratic_run(0.3)
-    rep = check_descent_lemma(tr, f, 1.0, 1.5)
+    _, tr = quadratic_run(0.3)
+    rep = check_descent_lemma(tr, 1.0, 1.5)
     assert not rep.applicable
     assert "1/L" in rep.reason
 
 
-def test_descent_lemma_requires_stride_one():
+def test_descent_lemma_from_trace_matches_dense_iterates():
+    # oracle: margins from dense iterates and fresh f values; n = 25 is
+    # past the size at which a run stored only every tenth iterate
     rng = make_rng(9)
     x_star = random_ground_truth(25, 3, 2.0, rng)
     f = quadratic_objective(x_star)
     x0 = random_ground_truth(25, 3, 4.0, rng)
-    cfg = SolverConfig(eta=0.3, max_iters=60, tol_rel_err=None, checkpoint_stride=25)
-    tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
-    rep = check_descent_lemma(tr, f, 1.0, 0.3)
-    assert not rep.applicable
-    assert "stride" in rep.reason
+    eta, l_const, iters = 0.3, 1.0, 60
+    cfg = SolverConfig(eta=eta, max_iters=iters, tol_rel_err=None)
+    rep = check_descent_lemma(run_solver("projgd", f, x0, cfg, x_star=x_star), l_const, eta)
+    coeff = 0.5 * (1.0 / eta - l_const)
+    x, margins = x0, []
+    for _ in range(iters):
+        y = projgd_step(x, f, eta, rank=3)
+        xa, xb = x.dense(), y.dense()
+        margins.append(float(f.value(xa)) - float(f.value(xb))
+                       - coeff * float(np.sum((xa - xb) ** 2)))
+        x = y
+    assert rep.applicable and rep.violations == 0
+    assert rep.steps_checked == len(margins)
+    assert abs(rep.worst_margin - min(margins)) <= 1e-12 * abs(min(margins))
+
+
+def test_descent_lemma_checks_gradient_rows_only():
+    # an escape that raises f and a terminate row with a large rejected
+    # step would both violate the bound; neither is a projected step
+    rows = [(0, 1.0, float("nan"), "init"), (1, 0.5, 0.1, "gradient"),
+            (2, 0.9, 1.0, "tangent-escape"), (3, 0.9, 1.0, "terminate")]
+    tr = SolverTrace("pprojgd", [TraceRecord(i, fv, 0.0, 0.0, step, 1.0, branch)
+                                 for i, fv, step, branch in rows])
+    rep = check_descent_lemma(tr, 1.0, 0.5)
+    assert rep.passed and rep.steps_checked == 1
+    assert rep.worst_margin == 0.5 - 0.5 * (2.0 - 1.0) * 0.1 ** 2
+    no_steps = check_descent_lemma(SolverTrace("pprojgd", tr.records[:1]), 1.0, 0.5)
+    assert not no_steps.applicable
 
 
 # -------------------------------------------------- projection lemma

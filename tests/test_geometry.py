@@ -329,6 +329,45 @@ def test_pullback_value_is_composition():
     assert abs(val - f.value(retract(base, s).dense())) < 1e-14 * max(1.0, abs(val))
 
 
+class SeparateCalls:
+    """The objective without its fused value_and_grad."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def value(self, x):
+        return self.f.value(x)
+
+    def gradient(self, x):
+        return self.f.gradient(x)
+
+
+def test_pullback_makes_one_operator_pass_pair_per_call(monkeypatch):
+    from rankmin.objectives import SensingProblem, generate_sensing, sensing_objective, spectral_init
+    problem = generate_sensing(n=10, r=4, r_star=4, kappa=1.0, m=120, seed=0)
+    f = sensing_objective(problem)
+    base = spectral_init(problem)
+    rng = make_rng(125)
+    steps = [TangentVector.from_coords(1e-2 * rng.standard_normal(tangent_dim(base)), base)
+             for _ in range(10)]
+    separate = [pullback_value_grad(SeparateCalls(f), base, s) for s in steps]
+    calls = {"apply": 0, "adjoint": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(SensingProblem, name, counting(name, getattr(SensingProblem, name)))
+    fused = [pullback_value_grad(f, base, s) for s in steps]
+    assert calls == {"apply": 10, "adjoint": 10}
+    for (v0, g0), (v1, g1) in zip(separate, fused):
+        assert v1 == v0
+        assert np.array_equal(g1.coords(), g0.coords())
+
+
 def test_pullback_hessian_symmetric_before_symmetrization():
     rng = make_rng(124)
     for _ in range(5):

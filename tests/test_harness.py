@@ -147,7 +147,6 @@ def _specs(draw):
         tol_rel_err=draw(st.floats(-1e3, 1e3)),
         diverge_threshold=draw(_positive),
         formats=tuple(draw(st.lists(st.sampled_from(("csv", "svg", "json")), min_size=1, max_size=3))),
-        checkpoint_stride=draw(st.none() | st.integers(1, 1000)),
     )
 
 

@@ -105,8 +105,7 @@ def test_fgd_well_conditioned_sensing_fast():
     counts = []
     for seed in range(5):
         p, f, x0 = sensing_setup(4, 1.0, seed, m_factor=10)
-        cfg = SolverConfig(eta=0.4, max_iters=500, tol_rel_err=1e-14,
-                           checkpoint_stride=500)
+        cfg = SolverConfig(eta=0.4, max_iters=500, tol_rel_err=1e-14)
         tr = run_solver("fgd", f, x0, cfg, x_star=p.ground_truth)
         it = tr.iterations_to(1e-10)
         assert it is not None
@@ -119,8 +118,7 @@ def test_fgd_rank_deficient_stalls_sublinearly():
     rates = []
     for seed in range(5):
         p, f, x0 = sensing_setup(2, 20.0, seed)
-        cfg = SolverConfig(eta=0.4, max_iters=400, tol_rel_err=1e-15,
-                           checkpoint_stride=400)
+        cfg = SolverConfig(eta=0.4, max_iters=400, tol_rel_err=1e-15)
         tr = run_solver("fgd", f, x0, cfg, x_star=p.ground_truth)
         # per-iteration relative-error ratio over iterations 200..400
         rates.append(estimate_linear_rate(tr, window=200, column="rel_err"))
@@ -144,8 +142,7 @@ def test_scaledgd_iterations_insensitive_to_kappa():
         counts = []
         for seed in range(5):
             p, f, x0 = sensing_setup(4, kappa, seed)
-            cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14,
-                               checkpoint_stride=1000)
+            cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14)
             tr = run_solver("scaledgd", f, x0, cfg, x_star=p.ground_truth)
             it = tr.iterations_to(1e-10)
             assert it is not None
@@ -159,8 +156,7 @@ def test_scaledgd_gram_breakdown_flag_on_rank_deficient():
     flagged = 0
     for seed in range(20):
         p, f, x0 = sensing_setup(2, 20.0, seed)
-        cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14,
-                           checkpoint_stride=1000)
+        cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14)
         tr = run_solver("scaledgd", f, x0, cfg, x_star=p.ground_truth)
         if tr.gram_cond_max > 1e8:
             assert tr.gram_breakdown
@@ -170,8 +166,7 @@ def test_scaledgd_gram_breakdown_flag_on_rank_deficient():
 
 def test_precgd_huge_reg_freezes_iterate():
     p, f, x0 = sensing_setup(4, 2.0, 7)
-    cfg = SolverConfig(eta=0.4, max_iters=1, tol_rel_err=None,
-                       checkpoint_stride=1, precgd_reg=1e12)
+    cfg = SolverConfig(eta=0.4, max_iters=1, tol_rel_err=None, precgd_reg=1e12)
     tr = run_solver("precgd", f, x0, cfg, x_star=p.ground_truth)
     assert tr.records[1].step_norm < 1e-8
 
@@ -194,8 +189,7 @@ def test_precgd_converges_on_flagged_psd_rank_deficient():
     # regularization keeps the preconditioner bounded and the run converges
     for seed in range(3):
         p, f, x0 = sensing_setup(2, 20.0, seed, psd=True)
-        cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14,
-                           checkpoint_stride=1000)
+        cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14)
         trp = run_solver("precgd", f, x0, cfg, x_star=p.ground_truth)
         trs = run_solver("scaledgd", f, x0, cfg, x_star=p.ground_truth)
         assert trs.gram_breakdown
@@ -207,7 +201,7 @@ def test_precgd_converges_on_flagged_psd_rank_deficient():
 
 def test_run_solver_zero_iterations():
     p, f, x0 = sensing_setup(4, 1.0, 9)
-    cfg = SolverConfig(eta=0.4, max_iters=0, tol_rel_err=None, checkpoint_stride=1)
+    cfg = SolverConfig(eta=0.4, max_iters=0, tol_rel_err=None)
     tr = run_solver("projgd", f, x0, cfg, x_star=p.ground_truth)
     assert len(tr.records) == 1
     assert tr.records[0].iteration == 0
@@ -219,7 +213,7 @@ def test_run_solver_monotone_quadratic_descent():
     x_star = random_ground_truth(8, 3, 2.0, rng)
     f = quadratic_objective(x_star)
     x0 = random_ground_truth(8, 3, 5.0, rng)
-    cfg = SolverConfig(eta=0.4, max_iters=500, tol_rel_err=1e-12, checkpoint_stride=500)
+    cfg = SolverConfig(eta=0.4, max_iters=500, tol_rel_err=1e-12)
     tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
     assert tr.status == "converged"
     fv = tr.column("f_value")
@@ -228,7 +222,7 @@ def test_run_solver_monotone_quadratic_descent():
 
 def test_run_solver_trace_invariants():
     p, f, x0 = sensing_setup(4, 1.0, 10)
-    cfg = SolverConfig(eta=0.4, max_iters=50, tol_rel_err=None, checkpoint_stride=10)
+    cfg = SolverConfig(eta=0.4, max_iters=50, tol_rel_err=None)
     tr = run_solver("projgd", f, x0, cfg, x_star=p.ground_truth)
     its = tr.column("iter")
     assert len(tr.records) <= 51
@@ -250,7 +244,7 @@ def test_run_solver_divergence_abort():
     f = quadratic_objective(x_star)
     x0 = random_ground_truth(6, 2, 1.0, rng)
     cfg = SolverConfig(eta=2.5, max_iters=2000, tol_rel_err=None,
-                       diverge_threshold=1e2, checkpoint_stride=2000)
+                       diverge_threshold=1e2)
     tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
     assert tr.status == "diverged"
     assert len(tr.records) < 2001
@@ -273,7 +267,7 @@ class SeparateCalls:
 @pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
 def test_run_solver_falls_back_without_value_and_grad(algo):
     p, f, x0 = sensing_setup(2, 3.0, 12)
-    cfg = SolverConfig(eta=0.4, max_iters=15, tol_rel_err=None, checkpoint_stride=15)
+    cfg = SolverConfig(eta=0.4, max_iters=15, tol_rel_err=None)
     fused = run_solver(algo, f, x0, cfg, x_star=p.ground_truth, rng=make_rng(1))
     duck = run_solver(algo, SeparateCalls(f), x0, cfg, x_star=p.ground_truth, rng=make_rng(1))
     assert duck.csv_text() == fused.csv_text()
@@ -282,7 +276,7 @@ def test_run_solver_falls_back_without_value_and_grad(algo):
 def test_run_solver_runs_constant_gradient_objective():
     rng = make_rng(213)
     x0 = random_ground_truth(6, 2, 2.0, rng)
-    cfg = SolverConfig(eta=0.1, max_iters=5, tol_rel_err=None, checkpoint_stride=5)
+    cfg = SolverConfig(eta=0.1, max_iters=5, tol_rel_err=None)
     tr = run_solver("projgd", LinearPull(rng.standard_normal((6, 6)), 1.0), x0, cfg)
     assert len(tr.records) == 6
     assert np.all(np.diff(tr.column("f_value")) < 0)
@@ -309,7 +303,7 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     totals = []
     for iters in (10, 20):
         before = dict(calls)
-        cfg = SolverConfig(eta=0.4, max_iters=iters, tol_rel_err=None, checkpoint_stride=iters)
+        cfg = SolverConfig(eta=0.4, max_iters=iters, tol_rel_err=None)
         tr = run_solver(algo, f, x0, cfg, x_star=p.ground_truth)
         assert tr.final_record.iteration == iters
         totals.append({k: calls[k] - before[k] for k in calls})
@@ -325,7 +319,7 @@ def test_pprojgd_tangent_branch_at_optimum_keeps_value():
     rng = make_rng(207)
     x_star = random_ground_truth(8, 3, 2.0, rng)   # sigma_r = 0.5 > 2 eps_t
     f = quadratic_objective(x_star)
-    cfg = SolverConfig(eta=0.4, max_iters=1, tol_rel_err=None, checkpoint_stride=1)
+    cfg = SolverConfig(eta=0.4, max_iters=1, tol_rel_err=None)
     x_end, tr = pprojgd(f, x_star, cfg, rng=make_rng(1, stream=5), x_star=x_star)
     assert tr.records[1].branch == "tangent-escape"
     eps = cfg.pprojgd.resolve(cfg.eta).epsilon
@@ -339,14 +333,26 @@ def test_pprojgd_immediate_second_order_stop():
     xs = FactoredMatrix(haar_frame(rng, 8, 3), np.array([1.0, 0.5, 0.005]),
                         haar_frame(rng, 8, 3), validate=False)
     f = quadratic_objective(xs)
-    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=50, tol_rel_err=None,
-                       checkpoint_stride=50, pprojgd=params)
+    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=50, tol_rel_err=None, pprojgd=params)
     x_end, tr = pprojgd(f, xs, cfg, rng=make_rng(2, stream=5), x_star=xs)
     assert tr.status == "second-order-stop"
     assert tr.records[-1].branch == "terminate"
     r = params.resolve(cfg.eta)
     bound = (8.0 / 3.0) * (r.epsilon + r.epsilon_t / cfg.eta) + 1e-8
     assert np.linalg.norm(f.gradient(x_end.dense()), 2) <= bound
+
+
+def test_run_solver_pprojgd_matches_pprojgd():
+    rng = make_rng(208)
+    xs = FactoredMatrix(haar_frame(rng, 8, 3), np.array([1.0, 0.5, 0.005]),
+                        haar_frame(rng, 8, 3), validate=False)
+    f = quadratic_objective(xs)
+    x0 = project_rank_r(xs.dense() + 1e-2 * rng.standard_normal((8, 8)), 3)
+    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=50, tol_rel_err=None)
+    _, tr = pprojgd(f, x0, cfg, rng=make_rng(2, stream=5), x_star=xs)
+    assert {"gradient", "terminate"} <= {rec.branch for rec in tr.records}
+    via_driver = run_solver("pprojgd", f, x0, cfg, x_star=xs, rng=make_rng(2, stream=5))
+    assert via_driver.csv_text() == tr.csv_text()
 
 
 def test_pprojgd_escapes_swap_saddle():
@@ -357,7 +363,7 @@ def test_pprojgd_escapes_swap_saddle():
     f = quadratic_objective(target)
     saddle = swapped_direction_saddle(target, 3)
     f_saddle = f.value(saddle.dense())
-    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=6, tol_rel_err=None, checkpoint_stride=6)
+    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=6, tol_rel_err=None)
     for seed in (0, 1):
         x_end, tr = pprojgd(f, saddle, cfg, rng=make_rng(300 + seed, stream=2))
         assert float(np.min(tr.column("f_value"))) < f_saddle - 1e-6
@@ -368,7 +374,7 @@ def test_pprojgd_gradient_branch_on_plain_descent():
     x_star = random_ground_truth(8, 3, 2.0, rng)
     f = quadratic_objective(x_star)
     x0 = random_ground_truth(8, 3, 1.5, rng)
-    cfg = SolverConfig(eta=0.4, max_iters=30, tol_rel_err=None, checkpoint_stride=30)
+    cfg = SolverConfig(eta=0.4, max_iters=30, tol_rel_err=None)
     _, tr = pprojgd(f, x0, cfg, rng=make_rng(3, stream=5), x_star=x_star)
     assert tr.records[1].branch == "gradient"
 
