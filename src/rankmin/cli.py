@@ -124,6 +124,10 @@ def parse_probe_file(path) -> dict:
         raise SpecFileError("need 1 <= r_star <= r <= n")
     if cfg["starts"] < 1 or cfg["iters"] < 1:
         raise SpecFileError("starts and iters must be >= 1")
+    if not (np.isfinite(cfg["kappa"]) and cfg["kappa"] >= 1):
+        raise SpecFileError("kappa must be finite and >= 1")
+    if cfg["m_factor"] < 1:
+        raise SpecFileError("m_factor must be >= 1")
     return cfg
 
 

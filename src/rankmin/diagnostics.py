@@ -292,15 +292,18 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
     Multi-start projected gradient with a small step runs each start to a
     step-norm fixed point, terminal points are clustered, and each cluster
     representative is refined and certified.  Returns StationaryPoint
-    records sorted by objective value."""
+    records sorted by objective value.
+
+    The planned objective evaluations are, per start, iters descent steps,
+    500 refinement steps and a certificate: the exact Hessian's gradient
+    and stacked Hessian-vector product plus 4 value and gradient calls."""
     if n > 4 or r > 2:
         raise ValueError("landscape probe is for n <= 4, r <= 2 only")
     consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
     l_const = consts[0] if consts else 1.0
     if eta is None:
         eta = 0.25 / max(l_const, 1e-12)
-    hessian_evals = 2 * r * (2 * n - r) + 4
-    planned = starts * (iters + 500 + hessian_evals)
+    planned = starts * (iters + 500 + 2 + 4)
     if planned > budget:
         raise BudgetExceededError(
             f"planned {planned} objective evaluations exceed budget {budget}")

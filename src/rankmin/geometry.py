@@ -23,8 +23,6 @@ ORTHONORMALITY_TOL = 1e-10
 SINGULAR_VALUE_DROP = 1e-13
 # relative floor for inverting the retraction core
 RETRACTION_CORE_FLOOR = 1e-14
-# finite-difference scale for the pullback Hessian
-HESSIAN_FD_STEP = 1e-4
 
 
 class RankProjectionError(RuntimeError):
@@ -359,6 +357,25 @@ def project_tangent(z, base: FactoredMatrix, rank: int | None = None) -> Tangent
     return TangentVector(d.core, d.left, d.right, base)
 
 
+def _retraction_factors(base: FactoredMatrix, s: TangentVector):
+    """(a, w, winv, b) with W = diag(sigma) + s.core, a = U + U_perp s.left W^{-1}
+    and b = V + V_perp (W^{-1} s.right)^T, so that Retr_base(s) = a W b^T.
+    Raises RetractionUndefinedError when W is numerically singular."""
+    if s.base is not base:
+        raise ValueError("tangent vector does not live at this base point")
+    w = np.diag(base.sigma) + s.core
+    sv = np.linalg.svd(w, compute_uv=False)
+    if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
+        raise RetractionUndefinedError(
+            f"retraction undefined: core Sigma + S_core is singular "
+            f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
+        )
+    winv = np.linalg.inv(w)
+    a = base.u + base.u_perp @ (s.left @ winv)       # n1 x k
+    b = base.v + base.v_perp @ (winv @ s.right).T    # n2 x k
+    return a, w, winv, b
+
+
 def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> FactoredMatrix:
     """Second-order retraction of tangent vector s at base.
 
@@ -371,19 +388,7 @@ def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> 
     nonsingular, otherwise the point would leave the rank-k stratum.
     """
     _require_full_rank(base, rank)
-    if s.base is not base:
-        raise ValueError("tangent vector does not live at this base point")
-    k = base.rank
-    w = np.diag(base.sigma) + s.core
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
-        raise RetractionUndefinedError(
-            f"retraction undefined: core Sigma + S_core is singular "
-            f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
-        )
-    winv = np.linalg.inv(w)
-    a = base.u + base.u_perp @ (s.left @ winv)       # n1 x k
-    b = base.v + base.v_perp @ (winv @ s.right).T    # n2 x k
+    a, w, _, b = _retraction_factors(base, s)
     qa, ra = np.linalg.qr(a)
     qb, rb = np.linalg.qr(b)
     core = ra @ w @ rb.T
@@ -403,8 +408,9 @@ def _value_and_grad(f, x: np.ndarray):
 def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | None = None):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
-    The gradient is returned in tangent coordinates at base.  With
-    G = grad f at the retracted point, split into frame blocks
+    The retracted point is formed densely as (a W) b^T (see retract), with
+    no factorisation.  The gradient is returned in tangent coordinates at
+    base.  With G = grad f at the retracted point, split into frame blocks
     (Gc, Gl, Gr, Go) and W = diag(sigma) + s.core:
 
         d core  = Gc - W^{-T} s.left^T Go s.right^T W^{-T}
@@ -414,11 +420,10 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
     At s = 0 this reduces to the tangent projection of grad f(base).
     """
     _require_full_rank(base, rank)
-    y = retract(base, s)
-    val, g = _value_and_grad(f, y.dense())
+    a, w, winv, b = _retraction_factors(base, s)
+    val, g = _value_and_grad(f, (a @ w) @ b.T)
     d = corner_decompose(g, base)
-    w = np.diag(base.sigma) + s.core
-    winv_t = np.linalg.inv(w).T
+    winv_t = winv.T
     lw = winv_t @ s.left.T          # k x (n1-k)
     rw = s.right.T @ winv_t         # (n2-k) x k
     grad = TangentVector(
@@ -430,35 +435,54 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
     return val, grad
 
 
-def pullback_hessian(f, base: FactoredMatrix, step: float | None = None,
-                     rank: int | None = None) -> np.ndarray:
-    """Finite-difference Hessian of the pullback at s = 0 over the orthonormal
-    coordinate basis of the tangent space (dimension k(n1+n2-k)).
+def _tangent_basis(base: FactoredMatrix) -> np.ndarray:
+    """The dense matrices of the orthonormal coordinate basis of the tangent
+    space, shape (d, n1, n2), in the order of TangentVector.coords."""
+    u, v, up, vp = base.u, base.v, base.u_perp, base.v_perp
+    blocks = (
+        np.einsum("ia,jb->abij", u, v),      # core (a, b):  u_a v_b^T
+        np.einsum("ip,ja->paij", up, v),     # left (p, a):  up_p v_a^T
+        np.einsum("ib,jq->bqij", u, vp),     # right (b, q): u_b vp_q^T
+    )
+    return np.concatenate([blk.reshape(-1, *base.shape) for blk in blocks])
 
-    Column j is the central difference of the pullback gradient along basis
-    direction j; the matrix is returned unsymmetrized so callers can measure
-    the self-consistency gap ||H - H^T||/||H||.
+
+def pullback_hessian(f, base: FactoredMatrix, rank: int | None = None) -> np.ndarray:
+    """Hessian of the pullback at s = 0 over the orthonormal coordinate basis
+    of the tangent space (dimension k(n1+n2-k)), in closed form.
+
+    The retraction is second order, so this is the Riemannian Hessian: the
+    tangent part of the Euclidean Hessian, <e_i, hess f(X)[e_j]>, from one
+    stacked f.hessian_vector call, plus the Weingarten coupling of the left
+    and right blocks through the outer block Go of grad f(X):
+
+        d left = Go xi.right^T Sigma^{-1}      d right = Sigma^{-1} xi.left^T Go
+
+    f must provide hessian_vector(x, z).  The matrix is returned as computed,
+    not symmetrized.
     """
     _require_full_rank(base, rank)
-    d = tangent_dim(base)
-    h = HESSIAN_FD_STEP * max(1.0, base.spectral_norm()) if step is None else float(step)
-    hess = np.empty((d, d))
-    e = np.zeros(d)
-    for j in range(d):
-        e[j] = h
-        _, gp = pullback_value_grad(f, base, TangentVector.from_coords(e, base))
-        e[j] = -h
-        _, gm = pullback_value_grad(f, base, TangentVector.from_coords(e, base))
-        e[j] = 0.0
-        hess[:, j] = (gp.coords() - gm.coords()) / (2.0 * h)
+    x = base.dense()
+    basis = _tangent_basis(base)
+    d = basis.shape[0]
+    flat = basis.reshape(d, -1)
+    hess = flat @ np.asarray(f.hessian_vector(x, basis), dtype=float).reshape(d, -1).T
+    k = base.rank
+    n1, n2 = base.shape
+    go = corner_decompose(f.gradient(x), base).outer
+    # left coordinate (p, a) against right coordinate (b, q): Go[p, q] [a == b] / sigma_a
+    coupling = np.einsum("pq,ab->pabq", go, np.diag(1.0 / base.sigma))
+    coupling = coupling.reshape((n1 - k) * k, k * (n2 - k))
+    lo, hi = k * k, k * k + (n1 - k) * k
+    hess[lo:hi, hi:] += coupling
+    hess[hi:, lo:hi] += coupling.T
     return hess
 
 
-def pullback_hessian_min_eig(f, base: FactoredMatrix, step: float | None = None,
-                             rank: int | None = None):
+def pullback_hessian_min_eig(f, base: FactoredMatrix, rank: int | None = None):
     """Smallest eigenvalue of the (symmetrized) pullback Hessian at s = 0 and
     the corresponding tangent direction."""
-    hess = pullback_hessian(f, base, step=step, rank=rank)
+    hess = pullback_hessian(f, base, rank=rank)
     sym = 0.5 * (hess + hess.T)
     w, q = np.linalg.eigh(sym)
     return float(w[0]), TangentVector.from_coords(q[:, 0], base)

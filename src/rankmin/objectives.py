@@ -38,8 +38,9 @@ def haar_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 class Objective:
     """Minimal interface the solvers need: value, gradient, and (optionally)
-    the fused value_and_grad and restricted smoothness/convexity constants
-    (L, mu, rho)."""
+    the fused value_and_grad, the Hessian-vector product that the
+    second-order certificate needs, and restricted smoothness/convexity
+    constants (L, mu, rho)."""
 
     symmetric_psd = False
 
@@ -52,6 +53,10 @@ class Objective:
     def value_and_grad(self, x: np.ndarray):
         """(value(x), gradient(x)); subclasses override it to share work."""
         return self.value(x), self.gradient(x)
+
+    def hessian_vector(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """hess f(x)[z] for one direction z or a stack of shape (..., n1, n2)."""
+        raise NotImplementedError
 
     def smoothness_constants(self):
         return None
@@ -81,6 +86,9 @@ class QuadraticObjective(Objective):
     def value_and_grad(self, x):
         d = x - self.target
         return 0.5 * float(np.sum(d * d)), d
+
+    def hessian_vector(self, x, z):
+        return z
 
     def smoothness_constants(self):
         return (1.0, 1.0, 0.0)
@@ -215,6 +223,17 @@ class SensingObjective(Objective):
         if self.symmetric_psd:
             g = 0.5 * (g + g.T)
         return 0.5 * float(res @ res), g
+
+    def hessian_vector(self, x, z):
+        """A*A z through the flat (m, n*n) operator, for one direction or a
+        stack; symmetrized in PSD mode like the gradient.  f is quadratic,
+        so x does not enter."""
+        z = np.asarray(z, dtype=float)
+        ops = self.problem.operators.reshape(self.problem.m, -1)
+        hz = ((z.reshape(-1, ops.shape[1]) @ ops.T) @ ops).reshape(z.shape)
+        if self.symmetric_psd:
+            hz = 0.5 * (hz + np.swapaxes(hz, -1, -2))
+        return hz
 
 
 def sensing_objective(problem: SensingProblem) -> SensingObjective:

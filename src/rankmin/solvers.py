@@ -275,10 +275,18 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     by eta_t; take gradient steps; the first step that would leave the ball
     is shrunk to land exactly on the boundary and the retraction is returned
     immediately.  If no step escapes within max_iters, the final in-ball
-    point is retracted."""
+    point is retracted.
+
+    On a symmetric PSD objective the perturbation is symmetrized (core
+    symmetric, right = left^T) before it is scaled, so that with the
+    symmetric gradient every inner point stays symmetric."""
     rng = make_rng(0, stream=7) if rng is None else rng
     d = tangent_dim(x)
     raw = rng.standard_normal(d)
+    if getattr(f, "symmetric_psd", False):
+        t = TangentVector.from_coords(raw, x)
+        left = 0.5 * (t.left + t.right.T)
+        raw = TangentVector(0.5 * (t.core + t.core.T), left, left.T, x).coords()
     nrm = float(np.linalg.norm(raw))
     if nrm == 0.0:
         raw = np.ones(d)

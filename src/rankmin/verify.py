@@ -53,6 +53,7 @@ SUCCESS_REL = 1e-14     # sweep classification: run converged
 ABORT_REL = 1e2         # sweep classification: run aborted
 STALL_REL = 1e-1        # no-recovery level (spectral init starts near 3e-1)
 WITNESS_WINDOW = (0.55, 0.9)
+HESSIAN_FD_STEP = 1e-4  # finite-difference scale of the pullback Hessian oracle
 
 
 @dataclass
@@ -346,6 +347,25 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
 # 6. geometry oracle suite
 
 
+def _fd_pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
+    """Oracle for geometry.pullback_hessian: column j is the central
+    difference of the pullback gradient along coordinate direction j,
+    returned unsymmetrized so its self-consistency gap ||H - H^T||/||H||
+    can be measured."""
+    d = tangent_dim(base)
+    h = HESSIAN_FD_STEP * max(1.0, base.spectral_norm())
+    hess = np.empty((d, d))
+    e = np.zeros(d)
+    for j in range(d):
+        e[j] = h
+        _, gp = pullback_value_grad(f, base, TangentVector.from_coords(e, base))
+        e[j] = -h
+        _, gm = pullback_value_grad(f, base, TangentVector.from_coords(e, base))
+        e[j] = 0.0
+        hess[:, j] = (gp.coords() - gm.coords()) / (2.0 * h)
+    return hess
+
+
 def criterion_geometry_oracles(level: str = "full") -> CriterionResult:
     t0 = time.perf_counter()
     full = level == "full"
@@ -401,22 +421,28 @@ def criterion_geometry_oracles(level: str = "full") -> CriterionResult:
             fd_worst = max(fd_worst, abs(num - ana) / max(abs(num), 1e-12))
     fd_ok = fd_worst < 1e-5
 
-    # finite-difference Hessian is symmetric to tolerance
+    # finite-difference Hessian is symmetric to tolerance, and the exact
+    # Hessian agrees with it
     sym_worst = 0.0
+    hess_worst = 0.0
     for _ in range(6 if full else 2):
         base = rand_base()
         f = quadratic_objective(random_ground_truth(n, r, 2.0, rng))
-        h = pullback_hessian(f, base)
-        sym_worst = max(sym_worst, float(np.linalg.norm(h - h.T) / max(np.linalg.norm(h), 1e-12)))
+        h = _fd_pullback_hessian(f, base)
+        h_norm = max(np.linalg.norm(h), 1e-12)
+        sym_worst = max(sym_worst, float(np.linalg.norm(h - h.T) / h_norm))
+        hess_worst = max(hess_worst, float(np.linalg.norm(pullback_hessian(f, base) - h) / h_norm))
     sym_ok = sym_worst < 1e-4
+    hess_ok = hess_worst <= 1e-6
 
     elapsed = time.perf_counter() - t0
-    passed = ey_ok and retr_ok and fd_ok and sym_ok and elapsed < 60.0
+    passed = ey_ok and retr_ok and fd_ok and sym_ok and hess_ok and elapsed < 60.0
     details = {"eckart_young_ok": ey_ok, "retraction_worst": retr_worst,
                "fd_gradient_worst_rel": fd_worst, "hessian_asymmetry_worst": sym_worst,
-               "elapsed": elapsed}
+               "hessian_fd_worst_rel": hess_worst, "elapsed": elapsed}
     summary = (f"candidate dominance={ey_ok}; retraction {retr_worst:.1e}; "
-               f"fd gradient {fd_worst:.1e}; hessian asymmetry {sym_worst:.1e}; {elapsed:.1f}s")
+               f"fd gradient {fd_worst:.1e}; hessian asymmetry {sym_worst:.1e}; "
+               f"exact vs fd hessian {hess_worst:.1e}; {elapsed:.1f}s")
     return CriterionResult("geometry_oracles", passed, summary, _jsonable(details), elapsed)
 
 

@@ -205,8 +205,12 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE.replace("\niters = 1500\n", "\niters = 0\n"), "iters"),
     ("n = 3\n", "section"),
     (PROBE + "n = 3\n", "already exists"),
+    (PROBE.replace("\nkappa = 1\n", "\nkappa = 0.5\n"), "kappa"),
+    (PROBE.replace("\nkappa = 1\n", "\nkappa = inf\n"), "kappa"),
+    (PROBE.replace("objective = quadratic", "objective = sensing") + "m_factor = 0\n",
+     "m_factor"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
-        "duplicate_key"])
+        "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2

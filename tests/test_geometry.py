@@ -415,3 +415,97 @@ def test_min_eig_direction_certifies_descent():
         # remove the linear term, look at curvature only
         quad = plus - v0 - t * g0.inner(direction)
         assert quad < 0
+
+
+# -------------------------------------------------- closed-form pullback point, exact Hessian
+
+
+def _hessian_cases():
+    from rankmin.objectives import generate_sensing, sensing_objective
+    rng = make_rng(128)
+    yield quadratic_objective(random_ground_truth(7, 4, 3.0, rng)), random_base(rng, 7, 3)
+    problem = generate_sensing(n=7, r=3, r_star=2, kappa=2.0, m=63, seed=4)
+    yield sensing_objective(problem), random_base(rng, 7, 3)
+    problem = generate_sensing(n=7, r=3, r_star=2, kappa=2.0, m=63, seed=5, symmetric_psd=True)
+    q = haar_frame(rng, 7, 3)
+    yield sensing_objective(problem), FactoredMatrix(q, np.array([1.0, 0.6, 0.3]), q)
+
+
+def test_exact_hessian_matches_finite_differences():
+    from rankmin.verify import _fd_pullback_hessian
+    for f, base in _hessian_cases():
+        exact = pullback_hessian(f, base)
+        fd = _fd_pullback_hessian(f, base)
+        assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_hessian_vector_on_a_stack_matches_single_calls():
+    rng = make_rng(129)
+    for f, base in _hessian_cases():
+        x = base.dense()
+        stack = rng.standard_normal((5, 7, 7))
+        got = f.hessian_vector(x, stack)
+        assert got.shape == stack.shape
+        for z, hz in zip(stack, got):
+            assert np.allclose(hz, f.hessian_vector(x, z), rtol=0.0, atol=1e-13)
+
+
+def test_pullback_hessian_makes_no_pullback_gradient_calls(monkeypatch):
+    import rankmin.geometry as geometry
+    calls = []
+    monkeypatch.setattr(geometry, "pullback_value_grad", lambda *a, **k: calls.append(a))
+    for f, base in _hessian_cases():
+        pullback_hessian_min_eig(f, base)
+    assert calls == []
+
+
+def test_pullback_value_grad_singular_core_rejected():
+    rng = make_rng(130)
+    base = random_base(rng, 5, 2)
+    f = quadratic_objective(random_ground_truth(5, 3, 2.0, rng))
+    s = TangentVector(-np.diag(base.sigma), np.zeros((3, 2)), np.zeros((2, 3)), base)
+    with pytest.raises(RetractionUndefinedError):
+        pullback_value_grad(f, base, s)
+
+
+class RecordingQuadratic:
+    """The quadratic objective, remembering the last point it was called at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.x = None
+
+    def value_and_grad(self, x):
+        self.x = x
+        return self.f.value_and_grad(x)
+
+
+def test_pullback_point_is_the_retraction():
+    rng = make_rng(131)
+    for _ in range(20):
+        base = random_base(rng, 7, 3, sigma_min=0.2)
+        f = RecordingQuadratic(quadratic_objective(random_ground_truth(7, 4, 2.0, rng)))
+        s = TangentVector.from_coords(0.1 * rng.standard_normal(tangent_dim(base)), base)
+        pullback_value_grad(f, base, s)
+        assert np.linalg.norm(f.x - retract(base, s).dense()) < 1e-12
+
+
+def test_pullback_value_grad_factors_nothing_larger_than_the_core(monkeypatch):
+    rng = make_rng(132)
+    base = random_base(rng, 8, 3)
+    base.u_perp, base.v_perp    # cached frame completions, as in an escape loop
+    f = quadratic_objective(random_ground_truth(8, 4, 2.0, rng))
+    s = TangentVector.from_coords(0.1 * rng.standard_normal(tangent_dim(base)), base)
+    shapes = {"qr": [], "svd": []}
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    pullback_value_grad(f, base, s)
+    assert shapes["qr"] == []
+    assert all(shape == (3, 3) for shape in shapes["svd"])

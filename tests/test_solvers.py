@@ -379,6 +379,21 @@ def test_pprojgd_gradient_branch_on_plain_descent():
     assert tr.records[1].branch == "gradient"
 
 
+def test_pprojgd_psd_survives_tangent_escapes():
+    # at a PSD ground truth every projected step is tiny, so each iteration
+    # escapes; the symmetrized perturbation keeps the escaped point symmetric
+    # for the next PSD projection
+    problem, f, _ = sensing_setup(3, 2.0, 3, n=8, r=3, psd=True)
+    x_star = problem.ground_truth
+    cfg = SolverConfig(eta=0.3, max_iters=6, tol_rel_err=None,
+                       pprojgd=PprojgdParams(max_tangent_iters=20))
+    x_end, tr = pprojgd(f, x_star, cfg, rng=make_rng(6, stream=5), x_star=x_star)
+    assert tr.status == "max-iters"
+    assert sum(rec.branch == "tangent-escape" for rec in tr.records) >= 1
+    xd = x_end.dense()
+    assert np.linalg.norm(xd - xd.T) <= 1e-12 * np.linalg.norm(xd)
+
+
 # -------------------------------------------------- tangent_space_steps
 
 
