@@ -13,6 +13,7 @@ hundred); nothing here is sparse or randomized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,17 @@ class FactoredMatrix:
         return self.u * root, self.v * root
 
     @classmethod
+    def _frozen(cls, u, sigma, v) -> "FactoredMatrix":
+        """Wrap fresh float arrays that no caller holds, read-only and
+        without the copies and shape checks of __init__."""
+        for a in (u, sigma, v):
+            a.flags.writeable = False
+        self = object.__new__(cls)
+        self.u, self.sigma, self.v = u, sigma, v
+        self._u_perp = self._v_perp = None
+        return self
+
+    @classmethod
     def zero(cls, n1: int, n2: int) -> "FactoredMatrix":
         return cls(np.zeros((n1, 0)), np.zeros(0), np.zeros((n2, 0)), validate=False)
 
@@ -145,7 +157,7 @@ def _check_projection_input(z, r) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("projection input must be a matrix")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("projection input has non-finite entries")
     if not 1 <= r <= min(z.shape):
         raise ValueError(f"rank r={r} outside [1, min(shape)={min(z.shape)}]")
@@ -169,8 +181,8 @@ def project_rank_r(z, r: int) -> FactoredMatrix:
         ) from exc
     if s[0] <= 0.0:
         return FactoredMatrix.zero(*z.shape)
-    keep = min(r, int(np.sum(s > SINGULAR_VALUE_DROP * s[0])))
-    return FactoredMatrix(u[:, :keep], s[:keep], vt[:keep].T, validate=False)
+    keep = min(r, np.count_nonzero(s > SINGULAR_VALUE_DROP * s[0]))
+    return FactoredMatrix._frozen(u[:, :keep], s[:keep], vt[:keep].T)
 
 
 def project_psd_rank_r(z, r: int) -> FactoredMatrix:
@@ -193,9 +205,10 @@ def project_psd_rank_r(z, r: int) -> FactoredMatrix:
     lam = np.clip(w[:r], 0.0, None)
     if lam.size == 0 or lam[0] <= 0.0:
         return FactoredMatrix.zero(*z.shape)
-    keep = int(np.sum(lam > SINGULAR_VALUE_DROP * lam[0]))
-    qk = q[:, :keep]
-    return FactoredMatrix(qk, lam[:keep], qk, validate=False)
+    keep = np.count_nonzero(lam > SINGULAR_VALUE_DROP * lam[0])
+    # u = v: one C-ordered copy of the reversed eigenvector columns
+    qk = np.ascontiguousarray(q[:, :keep])
+    return FactoredMatrix._frozen(qk, lam[:keep], qk)
 
 
 @dataclass(frozen=True)
@@ -264,9 +277,8 @@ class TangentVector:
         self.base = base
 
     def norm(self) -> float:
-        return float(np.sqrt(
-            np.sum(self.core ** 2) + np.sum(self.left ** 2) + np.sum(self.right ** 2)
-        ))
+        v = self.coords()
+        return math.sqrt(v.dot(v))
 
     def dense(self) -> np.ndarray:
         b = self.base
@@ -364,13 +376,13 @@ def _retraction_factors(base: FactoredMatrix, s: TangentVector):
     if s.base is not base:
         raise ValueError("tangent vector does not live at this base point")
     w = np.diag(base.sigma) + s.core
-    sv = np.linalg.svd(w, compute_uv=False)
+    uw, sv, vwt = np.linalg.svd(w)
     if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
         raise RetractionUndefinedError(
             f"retraction undefined: core Sigma + S_core is singular "
             f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
         )
-    winv = np.linalg.inv(w)
+    winv = vwt.T @ (uw.T / sv[:, None])              # V_w Sigma_w^{-1} U_w^T
     a = base.u + base.u_perp @ (s.left @ winv)       # n1 x k
     b = base.v + base.v_perp @ (winv @ s.right).T    # n2 x k
     return a, w, winv, b

@@ -82,6 +82,14 @@ class ExperimentSpec:
                 raise SpecFileError(f"{name} must be finite, got {bad[0]!r}")
         if any(e <= 0 for e in self.etas):
             raise SpecFileError("eta values must be positive")
+        if self.diverge_threshold <= 0:
+            raise SpecFileError("diverge_threshold must be positive")
+        if "pprojgd" in self.algorithms:
+            for eta in self.etas:
+                try:
+                    self.pprojgd.resolve(eta)
+                except ValueError as e:
+                    raise SpecFileError(f"pprojgd.{e}") from e
         if any(k < 1 for k in self.kappa):
             raise SpecFileError("kappa must be >= 1")
         if self.max_iters < 1:

@@ -61,7 +61,7 @@ class PprojgdParams:
     def resolve(self, eta: float) -> "PprojgdParams":
         eps = float(self.epsilon)
         if eps <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ValueError(f"epsilon must be positive, got {eps!r}")
         eps_t = math.sqrt(eps) if self.epsilon_t is None else float(self.epsilon_t)
         eta_t = min(eps_t, eta) if self.eta_t is None else float(self.eta_t)
         radius = eps if self.perturb_radius is None else float(self.perturb_radius)
@@ -70,8 +70,11 @@ class PprojgdParams:
             if self.max_tangent_iters is None
             else int(self.max_tangent_iters)
         )
-        if eps_t <= 0 or eta_t <= 0 or radius <= 0 or j_max < 1:
-            raise ValueError("resolved pprojgd parameters must be positive")
+        resolved = {"epsilon_t": eps_t, "eta_t": eta_t, "perturb_radius": radius,
+                    "max_tangent_iters": j_max}
+        for name, value in resolved.items():
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         return PprojgdParams(eps, eps_t, eta_t, radius, j_max)
 
 
@@ -112,8 +115,11 @@ class TraceRecord:
     branch: str
 
 
-def _csv_num(x) -> str:
-    return repr(float(x))
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm, computed as np.linalg.norm computes it for ord=None
+    (the same bits), without its per-call overhead."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -138,27 +144,28 @@ class SolverTrace:
     def iterations_to(self, rel_err: float) -> Optional[int]:
         """First iteration index at which rel_err drops below the threshold."""
         for rec in self.records:
-            if np.isfinite(rec.rel_err) and rec.rel_err < rel_err:
+            if math.isfinite(rec.rel_err) and rec.rel_err < rel_err:
                 return rec.iteration
         return None
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for rec in self.records:
-            lines.append(",".join((
-                str(rec.iteration),
-                _csv_num(rec.f_value),
-                _csv_num(rec.f_gap),
-                _csv_num(rec.rel_err),
-                _csv_num(rec.step_norm),
-                _csv_num(rec.sigma_r),
-                rec.branch,
-            )))
+        lines.extend(
+            f"{rec.iteration},{float(rec.f_value)!r},{float(rec.f_gap)!r},{float(rec.rel_err)!r},"
+            f"{float(rec.step_norm)!r},{float(rec.sigma_r)!r},{rec.branch}"
+            for rec in self.records)
         return "\n".join(lines) + "\n"
 
 
 def _gradient(f, x: np.ndarray, grad) -> np.ndarray:
     return np.asarray(f.gradient(x) if grad is None else grad, dtype=float)
+
+
+def _projgd_update(xd: np.ndarray, g: np.ndarray, eta: float, rank: int,
+                   psd: bool) -> FactoredMatrix:
+    """The projected step from the dense point X and its gradient."""
+    z = xd - eta * g
+    return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
@@ -169,8 +176,17 @@ def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
     rank = x.rank if rank is None else int(rank)
     psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
-    z = xd - eta * _gradient(f, xd, grad)
-    return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
+    return _projgd_update(xd, _gradient(f, xd, grad), eta, rank, psd)
+
+
+def _fgd_update(x: FactoredMatrix, g: np.ndarray, eta: float) -> FactoredMatrix:
+    """The factored step from the point and its gradient g."""
+    if x.rank == 0:
+        return x
+    lf, rf = x.balanced_factors()
+    lf2 = lf - eta * (g @ rf)
+    rf2 = rf - eta * (g.T @ lf)
+    return project_rank_r(lf2 @ rf2.T, x.rank)
 
 
 def fgd_step(x: FactoredMatrix, f, eta: float,
@@ -181,11 +197,7 @@ def fgd_step(x: FactoredMatrix, f, eta: float,
     exact fixed points.  grad, when given, is grad f(X)."""
     if x.rank == 0:
         return x
-    lf, rf = x.balanced_factors()
-    g = _gradient(f, x.dense(), grad)
-    lf2 = lf - eta * (g @ rf)
-    rf2 = rf - eta * (g.T @ lf)
-    return project_rank_r(lf2 @ rf2.T, x.rank)
+    return _fgd_update(x, _gradient(f, x.dense(), grad), eta)
 
 
 def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, reg: float,
@@ -206,6 +218,15 @@ def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, reg: float,
     return np.linalg.solve(mat.T, rhs.T).T
 
 
+def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
+                   reg: float, gram_sv=None):
+    """The preconditioned step from the factors and the gradient g at L R^T."""
+    sv_l, sv_r = (None, None) if gram_sv is None else gram_sv
+    gl = _gram_apply_inverse(g @ rf, rf.T @ rf, reg, sv_r)
+    gr = _gram_apply_inverse(g.T @ lf, lf.T @ lf, reg, sv_l)
+    return lf - eta * gl, rf - eta * gr
+
+
 def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float,
                 grad: Optional[np.ndarray] = None, gram_sv=None):
     """One preconditioned factored step with ridge term reg:
@@ -217,13 +238,7 @@ def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float,
     the scaled gradient step.  grad, when given, is grad f(L R^T); gram_sv,
     when given, is the (L^T L, R^T R) singular-value pair that
     gram_condition returns."""
-    g = _gradient(f, lf @ rf.T, grad)
-    sv_l, sv_r = (None, None) if gram_sv is None else gram_sv
-    gl = _gram_apply_inverse(g @ rf, rf.T @ rf, reg, sv_r)
-    gr = _gram_apply_inverse(g.T @ lf, lf.T @ lf, reg, sv_l)
-    lf2 = lf - eta * gl
-    rf2 = rf - eta * gr
-    return lf2, rf2
+    return _precgd_update(lf, rf, _gradient(f, lf @ rf.T, grad), eta, reg, gram_sv)
 
 
 def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float,
@@ -237,15 +252,14 @@ def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float,
 def gram_condition(lf: np.ndarray, rf: np.ndarray):
     """(max over both factors of cond(F^T F), (sv(L^T L), sv(R^T R))).  The
     condition number is inf when a Gram matrix is singular; the singular
-    values let precgd_step skip decomposing the same Gram matrices again."""
+    values let precgd_step skip decomposing the same Gram matrices again.
+    Both Gram matrices are decomposed in one stacked SVD call."""
+    svs = np.linalg.svd(np.stack((lf.T @ lf, rf.T @ rf)), compute_uv=False)
     worst = 1.0
-    svs = []
-    for fac in (lf, rf):
-        sv = np.linalg.svd(fac.T @ fac, compute_uv=False) if fac.shape[1] else np.zeros(0)
-        svs.append(sv)
+    for sv in svs:
         if sv.size:
             worst = max(worst, float("inf") if sv[-1] <= 0 else float(sv[0] / sv[-1]))
-    return worst, tuple(svs)
+    return worst, (svs[0], svs[1])
 
 
 def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:
@@ -308,9 +322,11 @@ class _TraceBuilder:
 
     def __init__(self, algorithm, f, cfg, x_star):
         self.cfg = cfg
-        self.xs_dense = x_star.dense() if isinstance(x_star, FactoredMatrix) else x_star
+        if isinstance(x_star, FactoredMatrix):
+            x_star = x_star.dense()
+        self.xs_dense = None if x_star is None else np.asarray(x_star, dtype=float)
         if self.xs_dense is not None:
-            self.xs_norm = float(np.linalg.norm(self.xs_dense))
+            self.xs_norm = _fro(self.xs_dense)
             self.f_star = float(f.value(self.xs_dense))
         else:
             self.xs_norm = float("nan")
@@ -325,14 +341,14 @@ class _TraceBuilder:
             gap = rel = float("nan")
         else:
             gap = fv - self.f_star
-            rel = float(np.linalg.norm(xd - self.xs_dense) / self.xs_norm)
+            rel = _fro(xd - self.xs_dense) / self.xs_norm
         self.trace.records.append(TraceRecord(
             iteration=iteration, f_value=fv, f_gap=gap, rel_err=rel,
             step_norm=step_norm, sigma_r=sigma_r, branch=branch,
         ))
-        if not np.isfinite(fv) or not np.isfinite(np.linalg.norm(xd)):
+        if not math.isfinite(fv) or not math.isfinite(_fro(xd)):
             return STATUS_DIVERGED
-        if np.isfinite(rel):
+        if math.isfinite(rel):
             if rel > self.cfg.diverge_threshold:
                 return STATUS_DIVERGED
             if self.cfg.tol_rel_err is not None and rel < self.cfg.tol_rel_err:
@@ -362,9 +378,9 @@ def _point_kernel(f, x0, cfg, rank, rng, trace):
 
     def step(x, xd, fv, g):
         if trace.algorithm == "projgd":
-            x = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
+            x = _projgd_update(xd, g, cfg.eta, rank, psd)
         else:
-            x = fgd_step(x, f, cfg.eta, grad=g)
+            x = _fgd_update(x, g, cfg.eta)
         return x, x.dense(), x.sigma_r(rank), BRANCH_GRADIENT
 
     return x0, x0.dense(), x0.sigma_r(rank), step
@@ -385,11 +401,11 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
             reg = cfg.precgd_reg
             if reg is None:
                 reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
-            lf, rf = precgd_step(lf, rf, f, cfg.eta, reg, g, gram_sv)
         else:
-            lf, rf = scaledgd_step(lf, rf, f, cfg.eta, g, gram_sv)
+            reg = 0.0
+        lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_sv)
         new_xd = lf @ rf.T
-        sigma_r = _sigma_r_dense(new_xd, rank) if np.all(np.isfinite(new_xd)) else float("nan")
+        sigma_r = _sigma_r_dense(new_xd, rank) if np.isfinite(new_xd).all() else float("nan")
         return (lf, rf), new_xd, sigma_r, BRANCH_GRADIENT
 
     lf, rf = x0.balanced_factors()
@@ -405,9 +421,9 @@ def _perturbed_kernel(f, x0, cfg, rank, rng, trace):
     grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
 
     def step(x, xd, fv, g):
-        x_plus = projgd_step(x, f, cfg.eta, rank=rank, psd=psd, grad=g)
+        x_plus = _projgd_update(xd, g, cfg.eta, rank, psd)
         plus_d = x_plus.dense()
-        if np.linalg.norm(plus_d - xd) >= grad_floor:
+        if _fro(plus_d - xd) >= grad_floor:
             return x_plus, plus_d, x_plus.sigma_r(rank), BRANCH_GRADIENT
         if x.sigma_r(rank) > 2.0 * params.epsilon_t:
             y = tangent_space_steps(x, f, params.perturb_radius, params.eta_t,
@@ -440,7 +456,7 @@ def _drive(algo, f, x0, cfg, x_star, rank, rng):
     while status is None and it < cfg.max_iters:
         it += 1
         new_state, new_xd, sigma_r, branch = step(state, xd, fv, g)
-        step_norm = float(np.linalg.norm(new_xd - xd))
+        step_norm = _fro(new_xd - xd)
         if branch == BRANCH_TERMINATE:
             # X_t is kept; its row carries the norm of the rejected step
             builder.record(it, xd, fv, sigma_r, step_norm, branch)

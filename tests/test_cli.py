@@ -113,6 +113,22 @@ def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("algo, extra, needle", [
+    ("projgd", "diverge_threshold = -1", "diverge_threshold must be positive"),
+    ("pprojgd", "[pprojgd]\nepsilon = -1", "pprojgd.epsilon must be positive"),
+    ("pprojgd", "[pprojgd]\nmax_tangent_iters = 0", "pprojgd.max_tangent_iters must be positive"),
+], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_max_tangent_iters"))
+def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, algo, extra, needle):
+    # extra lands in the last section of CFG, [run], or opens its own
+    text = CFG.replace("algorithms = projgd", f"algorithms = {algo}")
+    cfg = write(tmp_path / "grid.ini", f"{text}{extra}\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_and_format_overrides(tmp_path):
     cfg = write(tmp_path / "grid.ini", CFG)
     out = tmp_path / "results"

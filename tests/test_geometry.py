@@ -127,6 +127,20 @@ def test_projection_keeps_k_below_r_for_deficient_input():
     assert np.linalg.norm(p.dense() - z) < 1e-12 * np.linalg.norm(z)
 
 
+@pytest.mark.parametrize("psd", [False, True])
+def test_projection_factors_reject_writes(psd):
+    # the projections hand out their fresh SVD/eigh factors without copying
+    # them; the arrays must still be read-only
+    rng = make_rng(31)
+    z = rng.standard_normal((6, 6))
+    x = project_psd_rank_r(z + z.T, 3) if psd else project_rank_r(z, 3)
+    for name in ("u", "sigma", "v"):
+        arr = getattr(x, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_projection_rejects_nonfinite():
     z = np.zeros((4, 4))
     z[1, 2] = np.nan

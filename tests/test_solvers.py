@@ -282,11 +282,61 @@ def test_run_solver_runs_constant_gradient_objective():
     assert np.all(np.diff(tr.column("f_value")) < 0)
 
 
-@pytest.mark.parametrize("algo, svds", [("projgd", 1), ("fgd", 1), ("scaledgd", 3), ("precgd", 3)])
+def _hand_loop_csv(algo, f, x0, eta, iters, x_star):
+    """The CSV text of a run written out with the public steps, separate
+    value calls and np.linalg.norm, formatted field by field."""
+    xs = x_star.dense()
+    xs_norm = np.linalg.norm(xs)
+    f_star = f.value(xs)
+    rank = x0.rank
+    if algo in ("projgd", "fgd"):
+        state = x0
+        dense = FactoredMatrix.dense
+        sigma_r = lambda x: x.sigma_r(rank)
+    else:
+        state = x0.balanced_factors()
+        dense = lambda lr: lr[0] @ lr[1].T
+        sigma_r = lambda lr: float(np.linalg.svd(dense(lr), compute_uv=False)[rank - 1])
+    rows = ["iter,f_value,f_gap,rel_err,step_norm,sigma_r,branch"]
+
+    def row(it, xd, step_norm, branch):
+        fv = f.value(xd)
+        nums = (fv, fv - f_star, np.linalg.norm(xd - xs) / xs_norm, step_norm, sigma_r(state))
+        rows.append(",".join([str(it)] + [repr(float(v)) for v in nums] + [branch]))
+
+    xd = dense(state)
+    row(0, xd, float("nan"), "init")
+    for it in range(1, iters + 1):
+        if algo == "projgd":
+            state = projgd_step(state, f, eta)
+        elif algo == "fgd":
+            state = fgd_step(state, f, eta)
+        else:
+            state = scaledgd_step(*state, f, eta)
+        new_xd = dense(state)
+        step_norm = np.linalg.norm(new_xd - xd)
+        xd = new_xd
+        row(it, xd, step_norm, "gradient")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd"])
+def test_run_solver_trace_matches_hand_loop_over_public_steps(algo):
+    # the driver's lean path (steps from the dense point it holds, a single
+    # stacked Gram SVD, dot-product norms, f-string rows) writes the bytes
+    # the public steps and numpy's own norms give
+    p, f, x0 = sensing_setup(4, 20.0, 17)
+    cfg = SolverConfig(eta=0.4, max_iters=25, tol_rel_err=None)
+    tr = run_solver(algo, f, x0, cfg, x_star=p.ground_truth)
+    assert tr.final_record.iteration == 25
+    assert tr.csv_text() == _hand_loop_csv(algo, f, x0, 0.4, 25, p.ground_truth)
+
+
+@pytest.mark.parametrize("algo, svds", [("projgd", 1), ("fgd", 1), ("scaledgd", 2), ("precgd", 2)])
 def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     # each iterate costs one apply and one adjoint (one fused value_and_grad)
-    # and, in the factored preconditioned solvers, one SVD per Gram matrix
-    # plus the sigma_r SVD; run set-up adds a constant
+    # and, in the factored preconditioned solvers, one stacked SVD of both
+    # Gram matrices plus the sigma_r SVD; run set-up adds a constant
     from rankmin.objectives import SensingProblem
     calls = {"apply": 0, "adjoint": 0, "svd": 0}
 
