@@ -2,10 +2,13 @@
 tangent space at a rank-r point, a second-order retraction, and pullbacks.
 
 A rank-k matrix is stored as an SVD triple (u, sigma, v) with orthonormal
-frames.  Tangent vectors are kept in frame coordinates: a core r x r block,
-a left (n1-r) x r block and a right r x (n2-r) block, so that
+frames.  Tangent vectors are kept in the full frames P = [U U_perp],
+Q = [V V_perp] of the base point, as one n1 x n2 array
 
-    Z = U core V^T + U_perp left V^T + U right V_perp^T.
+    st = P^T Z Q = [[core, right], [left, 0]],
+
+with a core k x k block, a left (n1-k) x k block and a right k x (n2-k)
+block, so that Z = U core V^T + U_perp left V^T + U right V_perp^T.
 
 All kernels are written for desk-scale dense matrices (n up to a few
 hundred); nothing here is sparse or randomized.
@@ -44,18 +47,16 @@ def _readonly(a, dtype=float):
     return out
 
 
-def _orthonormal_completion(q: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of span(q); q must have orthonormal columns."""
+def _full_frame(q: np.ndarray) -> np.ndarray:
+    """[q, q_perp]: orthonormal columns q completed to a square orthogonal matrix."""
     n, k = q.shape
     if k == 0:
-        full = np.eye(n)
-        return full
+        return np.eye(n)
     if k >= n:
-        return np.zeros((n, 0))
+        return q
     full, _ = np.linalg.qr(q, mode="complete")
-    comp = full[:, k:]
-    # complete-QR columns are orthogonal to span(q) by construction
-    return comp
+    # complete-QR columns past k are orthogonal to span(q) by construction
+    return np.concatenate([q, full[:, k:]], axis=1)
 
 
 class FactoredMatrix:
@@ -63,11 +64,12 @@ class FactoredMatrix:
 
     sigma is nonincreasing and strictly positive; k may be smaller than the
     search rank used to produce the point (rank-deficient projections are
-    legal values, not errors).  Instances are immutable; the orthonormal
-    complements of the frames are computed on first use and cached.
+    legal values, not errors).  Instances are immutable; the full frames
+    P = [u u_perp] and Q = [v v_perp] are computed on first use and cached
+    (one array for both when u is v, as on the PSD set).
     """
 
-    __slots__ = ("u", "sigma", "v", "_u_perp", "_v_perp")
+    __slots__ = ("u", "sigma", "v", "_p", "_q")
 
     def __init__(self, u, sigma, v, validate: bool = True):
         u = _readonly(u)
@@ -90,8 +92,7 @@ class FactoredMatrix:
         self.u = u
         self.sigma = sigma
         self.v = v
-        self._u_perp = None
-        self._v_perp = None
+        self._p = self._q = None
 
     @property
     def shape(self):
@@ -101,17 +102,20 @@ class FactoredMatrix:
     def rank(self) -> int:
         return int(self.sigma.shape[0])
 
+    def _frames(self):
+        """(P, Q), the square orthogonal frames [u u_perp] and [v v_perp]."""
+        if self._p is None:
+            self._p = _readonly(_full_frame(self.u))
+            self._q = self._p if self.v is self.u else _readonly(_full_frame(self.v))
+        return self._p, self._q
+
     @property
     def u_perp(self) -> np.ndarray:
-        if self._u_perp is None:
-            self._u_perp = _readonly(_orthonormal_completion(self.u))
-        return self._u_perp
+        return self._frames()[0][:, self.rank:]
 
     @property
     def v_perp(self) -> np.ndarray:
-        if self._v_perp is None:
-            self._v_perp = _readonly(_orthonormal_completion(self.v))
-        return self._v_perp
+        return self._frames()[1][:, self.rank:]
 
     def dense(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
@@ -142,7 +146,7 @@ class FactoredMatrix:
             a.flags.writeable = False
         self = object.__new__(cls)
         self.u, self.sigma, self.v = u, sigma, v
-        self._u_perp = self._v_perp = None
+        self._p = self._q = None
         return self
 
     @classmethod
@@ -241,27 +245,25 @@ def corner_decompose(z, base: FactoredMatrix) -> CornerDecomposition:
     z = np.asarray(z, dtype=float)
     if z.shape != base.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs base {base.shape}")
-    u, v = base.u, base.v
-    up, vp = base.u_perp, base.v_perp
-    zu = u.T @ z
-    zup = up.T @ z
+    p, q = base._frames()
+    zt = p.T @ z @ q
+    k = base.rank
     return CornerDecomposition(
-        core=zu @ v,
-        left=zup @ v,
-        right=zu @ vp,
-        outer=zup @ vp,
-        base=base,
+        core=zt[:k, :k], left=zt[k:, :k], right=zt[:k, k:], outer=zt[k:, k:], base=base,
     )
 
 
 class TangentVector:
-    """Element of the tangent space at a rank-r base point, in frame coordinates.
+    """Element of the tangent space at a rank-k base point, stored as the
+    n1 x n2 array st = [[core, right], [left, 0]] in the base's full frames
+    (see the module docstring).  core, left and right are views into st.
 
     Supports the small amount of vector arithmetic the tangent-descent loop
-    needs; operands must share the same base object.
+    needs, each one array operation; operands must share the same base
+    object.
     """
 
-    __slots__ = ("core", "left", "right", "base")
+    __slots__ = ("st", "base")
 
     def __init__(self, core, left, right, base: FactoredMatrix):
         k = base.rank
@@ -271,22 +273,27 @@ class TangentVector:
         right = np.asarray(right, dtype=float)
         if core.shape != (k, k) or left.shape != (n1 - k, k) or right.shape != (k, n2 - k):
             raise ValueError("tangent block shapes do not match the base point")
-        self.core = core
-        self.left = left
-        self.right = right
+        self.st = np.block([[core, right], [left, np.zeros((n1 - k, n2 - k))]])
         self.base = base
 
+    @classmethod
+    def _wrap(cls, st, base: FactoredMatrix) -> "TangentVector":
+        """Wrap a fresh frame array whose outer block is zero, without checks."""
+        self = object.__new__(cls)
+        self.st = st
+        self.base = base
+        return self
+
+    core = property(lambda self: self.st[:self.base.rank, :self.base.rank])
+    left = property(lambda self: self.st[self.base.rank:, :self.base.rank])
+    right = property(lambda self: self.st[:self.base.rank, self.base.rank:])
+
     def norm(self) -> float:
-        v = self.coords()
-        return math.sqrt(v.dot(v))
+        return math.sqrt(np.vdot(self.st, self.st))
 
     def dense(self) -> np.ndarray:
-        b = self.base
-        return (
-            b.u @ self.core @ b.v.T
-            + b.u_perp @ self.left @ b.v.T
-            + b.u @ self.right @ b.v_perp.T
-        )
+        p, q = self.base._frames()
+        return p @ self.st @ q.T
 
     def coords(self) -> np.ndarray:
         return np.concatenate([self.core.ravel(), self.left.ravel(), self.right.ravel()])
@@ -309,9 +316,7 @@ class TangentVector:
 
     @classmethod
     def zero(cls, base: FactoredMatrix) -> "TangentVector":
-        k = base.rank
-        n1, n2 = base.shape
-        return cls(np.zeros((k, k)), np.zeros((n1 - k, k)), np.zeros((k, n2 - k)), base)
+        return cls._wrap(np.zeros(base.shape), base)
 
     def _match(self, other):
         if self.base is not other.base:
@@ -319,27 +324,20 @@ class TangentVector:
 
     def __add__(self, other):
         self._match(other)
-        return TangentVector(self.core + other.core, self.left + other.left,
-                             self.right + other.right, self.base)
+        return TangentVector._wrap(self.st + other.st, self.base)
 
     def __sub__(self, other):
         self._match(other)
-        return TangentVector(self.core - other.core, self.left - other.left,
-                             self.right - other.right, self.base)
+        return TangentVector._wrap(self.st - other.st, self.base)
 
     def __mul__(self, a):
-        a = float(a)
-        return TangentVector(a * self.core, a * self.left, a * self.right, self.base)
+        return TangentVector._wrap(float(a) * self.st, self.base)
 
     __rmul__ = __mul__
 
     def inner(self, other) -> float:
         self._match(other)
-        return float(
-            np.sum(self.core * other.core)
-            + np.sum(self.left * other.left)
-            + np.sum(self.right * other.right)
-        )
+        return float(np.vdot(self.st, other.st))
 
 
 def tangent_dim(base: FactoredMatrix) -> int:
@@ -369,23 +367,31 @@ def project_tangent(z, base: FactoredMatrix, rank: int | None = None) -> Tangent
     return TangentVector(d.core, d.left, d.right, base)
 
 
-def _retraction_factors(base: FactoredMatrix, s: TangentVector):
-    """(a, w, winv, b) with W = diag(sigma) + s.core, a = U + U_perp s.left W^{-1}
-    and b = V + V_perp (W^{-1} s.right)^T, so that Retr_base(s) = a W b^T.
+def _retraction_point(base: FactoredMatrix, s: TangentVector):
+    """(Retr_base(s) as a dense matrix, s.left W^{-1}, W^{-1} s.right) with
+    W = diag(sigma) + s.core, for retract and pullback_value_grad.  In the
+    base's full frames the point is
+
+        P^T Retr_base(s) Q = [[W, s.right], [s.left, s.left W^{-1} s.right]].
+
     Raises RetractionUndefinedError when W is numerically singular."""
     if s.base is not base:
         raise ValueError("tangent vector does not live at this base point")
-    w = np.diag(base.sigma) + s.core
-    uw, sv, vwt = np.linalg.svd(w)
+    k = base.rank
+    y = s.st.copy()
+    y.ravel()[:k * (y.shape[1] + 1):y.shape[1] + 1] += base.sigma   # core diagonal: W
+    uw, sv, vwt = np.linalg.svd(y[:k, :k])
     if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
         raise RetractionUndefinedError(
             f"retraction undefined: core Sigma + S_core is singular "
             f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
         )
     winv = vwt.T @ (uw.T / sv[:, None])              # V_w Sigma_w^{-1} U_w^T
-    a = base.u + base.u_perp @ (s.left @ winv)       # n1 x k
-    b = base.v + base.v_perp @ (winv @ s.right).T    # n2 x k
-    return a, w, winv, b
+    l_winv = y[k:, :k] @ winv
+    winv_r = winv @ y[:k, k:]
+    y[k:, k:] = l_winv @ y[:k, k:]
+    p, q = base._frames()
+    return p @ y @ q.T, l_winv, winv_r
 
 
 def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> FactoredMatrix:
@@ -397,16 +403,12 @@ def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> 
 
     whose tangent projection of the displacement is exactly s; the
     correction lives entirely in the (U_perp, V_perp) corner.  Requires W
-    nonsingular, otherwise the point would leave the rank-k stratum.
+    nonsingular, otherwise the point would leave the rank-k stratum.  The
+    point is formed in the base's full frames and factored by
+    project_rank_r.
     """
     _require_full_rank(base, rank)
-    a, w, _, b = _retraction_factors(base, s)
-    qa, ra = np.linalg.qr(a)
-    qb, rb = np.linalg.qr(b)
-    core = ra @ w @ rb.T
-    uc, sc, vct = np.linalg.svd(core)
-    keep = int(np.sum(sc > SINGULAR_VALUE_DROP * sc[0])) if sc[0] > 0 else 0
-    return FactoredMatrix(qa @ uc[:, :keep], sc[:keep], qb @ vct[:keep].T, validate=False)
+    return project_rank_r(_retraction_point(base, s)[0], base.rank)
 
 
 def _value_and_grad(f, x: np.ndarray):
@@ -420,10 +422,10 @@ def _value_and_grad(f, x: np.ndarray):
 def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | None = None):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
-    The retracted point is formed densely as (a W) b^T (see retract), with
-    no factorisation.  The gradient is returned in tangent coordinates at
-    base.  With G = grad f at the retracted point, split into frame blocks
-    (Gc, Gl, Gr, Go) and W = diag(sigma) + s.core:
+    The retracted point is formed densely in the base's full frames (see
+    retract), with no factorisation.  The gradient is returned as a tangent
+    vector at base.  With G = grad f at the retracted point, P^T G Q =
+    [[Gc, Gr], [Gl, Go]] and W = diag(sigma) + s.core:
 
         d core  = Gc - W^{-T} s.left^T Go s.right^T W^{-T}
         d left  = Gl + Go s.right^T W^{-T}
@@ -432,19 +434,18 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
     At s = 0 this reduces to the tangent projection of grad f(base).
     """
     _require_full_rank(base, rank)
-    a, w, winv, b = _retraction_factors(base, s)
-    val, g = _value_and_grad(f, (a @ w) @ b.T)
-    d = corner_decompose(g, base)
-    winv_t = winv.T
-    lw = winv_t @ s.left.T          # k x (n1-k)
-    rw = s.right.T @ winv_t         # (n2-k) x k
-    grad = TangentVector(
-        d.core - lw @ d.outer @ rw,
-        d.left + d.outer @ rw,
-        d.right + lw @ d.outer,
-        base,
-    )
-    return val, grad
+    y, l_winv, winv_r = _retraction_point(base, s)
+    val, g = _value_and_grad(f, y)
+    p, q = base._frames()
+    gt = p.T @ g @ q                # [[Gc, Gr], [Gl, Go]], corrected in place
+    k = base.rank
+    go = gt[k:, k:]
+    lw_go = l_winv.T @ go           # W^{-T} s.left^T Go
+    gt[:k, :k] -= lw_go @ winv_r.T
+    gt[k:, :k] += go @ winv_r.T
+    gt[:k, k:] += lw_go
+    go[...] = 0.0
+    return val, TangentVector._wrap(gt, base)
 
 
 def _tangent_basis(base: FactoredMatrix) -> np.ndarray:

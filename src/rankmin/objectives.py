@@ -148,25 +148,6 @@ class SensingProblem:
             "m": self.m, "seed": self.seed, "symmetric_psd": self.symmetric_psd,
         }
 
-    def save(self, path):
-        """Write the instance parameters as an .npz bundle; load regenerates
-        the instance from them exactly."""
-        np.savez(
-            path,
-            params=np.array([self.n, self.r, self.r_star, self.m, self.seed,
-                             int(self.symmetric_psd)], dtype=np.int64),
-            kappa=np.array([self.kappa]),
-            format_version=np.array([1], dtype=np.int64),
-        )
-
-    @staticmethod
-    def load(path) -> "SensingProblem":
-        with np.load(path) as data:
-            n, r, r_star, m, seed, psd = (int(x) for x in data["params"])
-            kappa = float(data["kappa"][0])
-        return generate_sensing(n=n, r=r, r_star=r_star, kappa=kappa, m=m,
-                                seed=seed, symmetric_psd=bool(psd))
-
 
 def generate_sensing(n: int, r: int, r_star: int, kappa: float, m: int | None = None,
                      seed: int = 0, symmetric_psd: bool = False) -> SensingProblem:
@@ -248,39 +229,3 @@ def spectral_init(problem: SensingProblem, r: int | None = None) -> FactoredMatr
     if problem.symmetric_psd:
         return project_psd_rank_r(0.5 * (m + m.T), r)
     return project_rank_r(m, r)
-
-
-def _random_low_rank(rng, n: int, rank: int, scale: float) -> np.ndarray:
-    a = rng.standard_normal((n, rank))
-    b = rng.standard_normal((n, rank))
-    x = a @ b.T
-    nrm = np.linalg.norm(x)
-    return x * (scale / nrm) if nrm > 0 else x
-
-
-def estimate_restricted_constants(f: Objective, n: int, r: int,
-                                  samples: int = 200, seed: int = 0):
-    """Empirical (L_hat, mu_hat) over random rank-<=2r probes.
-
-    L_hat is the largest gradient Lipschitz ratio over sampled pairs; mu_hat
-    is the smallest finite-difference curvature <grad f(X+hE) - grad f(X), E>/h
-    along random rank-<=2r directions.  These are estimates from below/above,
-    good enough to sanity-check step-size windows.
-    """
-    rng = make_rng(seed, stream=3)
-    l_hat = 0.0
-    mu_hat = np.inf
-    h = 1e-6
-    for _ in range(samples):
-        scale = 10.0 ** rng.uniform(-1.0, 1.0)
-        x = _random_low_rank(rng, n, 2 * r, scale)
-        x2 = _random_low_rank(rng, n, 2 * r, scale)
-        diff = x - x2
-        dn = np.linalg.norm(diff)
-        if dn > 1e-12:
-            gr = np.linalg.norm(f.gradient(x) - f.gradient(x2))
-            l_hat = max(l_hat, float(gr / dn))
-        e = _random_low_rank(rng, n, 2 * r, 1.0)
-        he = (f.gradient(x + h * e) - f.gradient(x)) / h
-        mu_hat = min(mu_hat, float(np.sum(he * e) / np.sum(e * e)))
-    return l_hat, mu_hat

@@ -295,17 +295,16 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     symmetric, right = left^T) before it is scaled, so that with the
     symmetric gradient every inner point stays symmetric."""
     rng = make_rng(0, stream=7) if rng is None else rng
-    d = tangent_dim(x)
-    raw = rng.standard_normal(d)
+    s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
     if getattr(f, "symmetric_psd", False):
-        t = TangentVector.from_coords(raw, x)
-        left = 0.5 * (t.left + t.right.T)
-        raw = TangentVector(0.5 * (t.core + t.core.T), left, left.T, x).coords()
-    nrm = float(np.linalg.norm(raw))
+        # a PSD point has u = v, so both frames are one array and the
+        # symmetric part of the frame array is the symmetric perturbation
+        s = TangentVector._wrap(0.5 * (s.st + s.st.T), x)
+    nrm = s.norm()
     if nrm == 0.0:
-        raw = np.ones(d)
-        nrm = float(np.linalg.norm(raw))
-    s = TangentVector.from_coords(raw * (eta_t * perturb_radius / nrm), x)
+        s = TangentVector.from_coords(np.ones(tangent_dim(x)), x)
+        nrm = s.norm()
+    s = (eta_t * perturb_radius / nrm) * s
     for _ in range(max_iters):
         _, grad = pullback_value_grad(f, x, s)
         s_plus = s - eta_t * grad

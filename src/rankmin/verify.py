@@ -536,9 +536,9 @@ def criterion_determinism(level: str = "full") -> CriterionResult:
     if level != "full":
         spec = replace(spec, seed_count=3, etas=(0.4,))
     digests = []
-    for _ in range(2):
+    for jobs in (1, 2):     # the bytes must not depend on --jobs
         with tempfile.TemporaryDirectory() as d:
-            res = harness.run_experiment(spec, out_dir=d)
+            res = harness.run_experiment(spec, out_dir=d, jobs=jobs)
             digest = {}
             for name in res.files:
                 with open(os.path.join(d, name), "rb") as fh:

@@ -3,6 +3,8 @@ pullback derivatives.  Oracles (random-candidate search, independent
 eigendecomposition, finite differences) come before anything that leans on
 the implementation's own formulas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,14 @@ from rankmin.geometry import (
 from rankmin.objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
 
 
-def random_base(rng, n, r, sigma_min=0.1):
+def random_base(rng, n, r, sigma_min=0.1, n2=None):
     sig = np.sort(rng.uniform(sigma_min, 1.0, r))[::-1]
     sig[0] = 1.0
-    return FactoredMatrix(haar_frame(rng, n, r), sig, haar_frame(rng, n, r), validate=False)
+    return FactoredMatrix(haar_frame(rng, n, r), sig, haar_frame(rng, n if n2 is None else n2, r),
+                          validate=False)
+
+
+SHAPES = ((7, 7, 3), (6, 9, 2), (9, 5, 4))
 
 
 # -------------------------------------------------- oracles
@@ -268,6 +274,40 @@ def test_tangent_vector_norm_identity():
     direct = np.sqrt(np.sum(s.core ** 2) + np.sum(s.left ** 2) + np.sum(s.right ** 2))
     assert abs(s.norm() - direct) < 1e-14
     assert abs(s.norm() - np.linalg.norm(s.dense())) < 1e-12
+
+
+def test_frame_array_outer_block_stays_exactly_zero():
+    rng = make_rng(133)
+    for n1, n2, k in SHAPES:
+        base = random_base(rng, n1, k, n2=n2)
+        f = quadratic_objective(rng.standard_normal((n1, n2)))
+        x = 0.1 * rng.standard_normal(tangent_dim(base))
+        s = TangentVector.from_coords(x, base)
+        t = TangentVector.from_coords(0.1 * rng.standard_normal(tangent_dim(base)), base)
+        assert np.array_equal(s.coords(), x)
+        assert np.array_equal((s + t).coords(), x + t.coords())
+        grad = pullback_value_grad(f, base, s)[1]
+        for v in (s, s + t, s - t, 2.5 * s, s * -0.3, TangentVector.zero(base), grad,
+                  project_tangent(rng.standard_normal((n1, n2)), base)):
+            assert v.st.shape == (n1, n2)
+            assert not np.any(v.st[k:, k:])
+            assert np.shares_memory(v.core, v.st) and np.shares_memory(v.right, v.st)
+
+
+def test_frame_array_inner_and_norm_match_block_sums():
+    rng = make_rng(134)
+
+    def blocks(a, b):
+        return np.sum(a.core * b.core) + np.sum(a.left * b.left) + np.sum(a.right * b.right)
+
+    for n1, n2, k in SHAPES:
+        base = random_base(rng, n1, k, n2=n2)
+        for _ in range(10):
+            s, t = (TangentVector.from_coords(rng.standard_normal(tangent_dim(base)), base)
+                    for _ in range(2))
+            assert abs(s.norm() - math.sqrt(blocks(s, s))) <= 1e-15 * s.norm()
+            # relative to ||s|| ||t||: the inner product itself may cancel
+            assert abs(s.inner(t) - blocks(s, t)) <= 1e-15 * s.norm() * t.norm()
 
 
 # -------------------------------------------------- retraction
@@ -523,3 +563,21 @@ def test_pullback_value_grad_factors_nothing_larger_than_the_core(monkeypatch):
     pullback_value_grad(f, base, s)
     assert shapes["qr"] == []
     assert all(shape == (3, 3) for shape in shapes["svd"])
+
+
+def test_retraction_and_pullback_point_match_closed_form_oracle():
+    # the closed form both are built on, written out independently of the
+    # frame-array point: (U W + U_perp S_l) W^{-1} (W V^T + S_r V_perp^T)
+    rng = make_rng(135)
+    for i in range(20):
+        n1, n2, k = SHAPES[i % len(SHAPES)]
+        base = random_base(rng, n1, k, sigma_min=0.2, n2=n2)
+        f = RecordingQuadratic(quadratic_objective(rng.standard_normal((n1, n2))))
+        s = TangentVector.from_coords(0.05 * rng.standard_normal(tangent_dim(base)), base)
+        w = np.diag(base.sigma) + s.core
+        ref = ((base.u @ w + base.u_perp @ s.left) @ np.linalg.inv(w)
+               @ (w @ base.v.T + s.right @ base.v_perp.T))
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(retract(base, s).dense() - ref) <= 1e-12 * scale
+        pullback_value_grad(f, base, s)
+        assert np.linalg.norm(f.x - ref) <= 1e-12 * scale

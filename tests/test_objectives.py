@@ -7,7 +7,6 @@ import pytest
 
 from rankmin.objectives import (
     QuadraticObjective,
-    estimate_restricted_constants,
     generate_sensing,
     haar_frame,
     make_rng,
@@ -124,16 +123,6 @@ def test_sensing_determinism_and_param_validation():
         generate_sensing(n=5, r=2, r_star=2, kappa=0.9)
 
 
-def test_sensing_save_load_roundtrip(tmp_path):
-    p = generate_sensing(n=5, r=2, r_star=1, kappa=1.0, seed=77, symmetric_psd=True)
-    path = tmp_path / "instance.npz"
-    p.save(path)
-    q = type(p).load(path)
-    assert q.params() == p.params()
-    assert np.array_equal(q.operators, p.operators)
-    assert np.array_equal(q.observations, p.observations)
-
-
 def test_adjoint_identity():
     p = generate_sensing(n=6, r=2, r_star=2, kappa=3.0, seed=8)
     rng = make_rng(9)
@@ -241,24 +230,3 @@ def test_spectral_init_psd_uses_symmetric_projection():
     assert np.array_equal(init.u, init.v)
     d = init.dense()
     assert np.linalg.norm(d - d.T) < 1e-12
-
-
-# -------------------------------------------------- constants probe
-
-
-def test_restricted_constants_quadratic_exact():
-    f = quadratic_objective(random_ground_truth(7, 3, 2.0, 20))
-    l_hat, mu_hat = estimate_restricted_constants(f, 7, 3, samples=50, seed=0)
-    assert abs(l_hat - 1.0) < 1e-6
-    assert abs(mu_hat - 1.0) < 1e-6
-
-
-def test_restricted_constants_sensing_logged():
-    p = generate_sensing(n=6, r=2, r_star=2, kappa=1.0, m=10 * 6 * 2, seed=21)
-    f = sensing_objective(p)
-    l_hat, mu_hat = estimate_restricted_constants(f, 6, 2, samples=60, seed=1)
-    print(f"sensing m=10nr estimated constants: L={l_hat:.3f} mu={mu_hat:.3f}")
-    assert mu_hat > 0.0
-    assert l_hat >= mu_hat
-    again = estimate_restricted_constants(f, 6, 2, samples=60, seed=1)
-    assert (l_hat, mu_hat) == again

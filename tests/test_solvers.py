@@ -467,6 +467,52 @@ def test_tangent_steps_boundary_exit_is_exact():
     assert abs(moved.norm() - eps_t) < 1e-10
 
 
+def _count_pullback_calls(monkeypatch):
+    import rankmin.solvers as solvers
+    calls = []
+    real = solvers.pullback_value_grad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "pullback_value_grad", counting)
+    return calls
+
+
+def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
+    # span tracers count inner steps by these calls
+    calls = _count_pullback_calls(monkeypatch)
+    rng = make_rng(213)
+    x = random_ground_truth(7, 3, 2.0, rng)
+    # budget exhausted: on a flat objective no step leaves the ball
+    tangent_space_steps(x, ZeroGradient(), 1e-4, 0.01, 0.01, 7, make_rng(6, stream=6))
+    assert len(calls) == 7
+    # boundary exit: a constant pull along a tangent direction with no core
+    # block (so W = Sigma throughout), from a negligible start; each step
+    # moves 0.01, steps 1-4 stay inside eps_t = 0.045 and step 5 leaves
+    calls.clear()
+    g = TangentVector(np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), x)
+    f = LinearPull(g.dense(), 1.0 / g.norm())
+    y = tangent_space_steps(x, f, 1e-9, 0.01, 0.045, 100, make_rng(7, stream=6))
+    assert len(calls) == 5
+    assert abs(project_tangent(y.dense() - x.dense(), x).norm() - 0.045) < 1e-10
+
+
+@pytest.mark.parametrize("psd, frames", [(False, 2), (True, 1)])
+def test_escape_completes_each_frame_once(monkeypatch, psd, frames):
+    # the full frames are cached on the base point: one complete QR per
+    # frame over the whole escape, one in all when u is v (PSD)
+    _, f, x = sensing_setup(3, 2.0, 3, n=8, r=3, psd=psd)
+    real = np.linalg.qr
+    qr_calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or real(*a, **k))
+    calls = _count_pullback_calls(monkeypatch)
+    tangent_space_steps(x, f, 1e-3, 0.01, 1e3, 50, make_rng(8, stream=6))
+    assert len(calls) == 50
+    assert len(qr_calls) == frames
+
+
 def test_boundary_root_find_matches_bisection():
     rng = make_rng(212)
     x = random_ground_truth(6, 2, 2.0, rng)
