@@ -51,16 +51,6 @@ def _dense(x) -> np.ndarray:
     return x.dense() if isinstance(x, FactoredMatrix) else np.asarray(x, dtype=float)
 
 
-def relative_error(x, x_star) -> float:
-    """||X - X*||_F / ||X*||_F.  The ground truth must be nonzero."""
-    xd = _dense(x)
-    xs = _dense(x_star)
-    denom = float(np.linalg.norm(xs))
-    if denom == 0.0:
-        raise ValueError("relative error undefined for zero ground truth")
-    return float(np.linalg.norm(xd - xs)) / denom
-
-
 @dataclass(frozen=True)
 class SecondOrderCertificate:
     grad_norm: float            # ||P_T grad f(X)||_F, nan when rank-deficient
@@ -367,7 +357,6 @@ __all__ = [
     "DescentReport",
     "ProjectionReport",
     "StationaryPoint",
-    "relative_error",
     "classify_certificate",
     "certify_second_order",
     "check_descent_lemma",

@@ -374,19 +374,27 @@ def _retraction_point(base: FactoredMatrix, s: TangentVector):
 
         P^T Retr_base(s) Q = [[W, s.right], [s.left, s.left W^{-1} s.right]].
 
-    Raises RetractionUndefinedError when W is numerically singular."""
+    Raises RetractionUndefinedError when W is numerically singular, i.e.
+    sigma_min(W) <= RETRACTION_CORE_FLOOR * max(1, sigma_max(W)).  With
+    c = ||s.core||_F, Weyl's inequality puts the singular values of W within
+    c of sigma, so when sigma_k - c clears twice the floor at sigma_1 + c
+    (the factor 2 absorbs rounding) W passes without an SVD; otherwise the
+    singular values of W are computed and tested exactly."""
     if s.base is not base:
         raise ValueError("tangent vector does not live at this base point")
     k = base.rank
     y = s.st.copy()
+    c = math.sqrt(np.vdot(y[:k, :k], y[:k, :k]))
     y.ravel()[:k * (y.shape[1] + 1):y.shape[1] + 1] += base.sigma   # core diagonal: W
-    uw, sv, vwt = np.linalg.svd(y[:k, :k])
-    if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
-        raise RetractionUndefinedError(
-            f"retraction undefined: core Sigma + S_core is singular "
-            f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
-        )
-    winv = vwt.T @ (uw.T / sv[:, None])              # V_w Sigma_w^{-1} U_w^T
+    if not (k and float(base.sigma[-1]) - c
+            > 2.0 * RETRACTION_CORE_FLOOR * max(1.0, float(base.sigma[0]) + c)):
+        sv = np.linalg.svd(y[:k, :k], compute_uv=False)
+        if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
+            raise RetractionUndefinedError(
+                f"retraction undefined: core Sigma + S_core is singular "
+                f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
+            )
+    winv = np.linalg.inv(y[:k, :k])
     l_winv = y[k:, :k] @ winv
     winv_r = winv @ y[:k, k:]
     y[k:, k:] = l_winv @ y[:k, k:]

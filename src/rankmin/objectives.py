@@ -78,14 +78,14 @@ class QuadraticObjective(Objective):
 
     def value(self, x) -> float:
         d = x - self.target
-        return 0.5 * float(np.sum(d * d))
+        return 0.5 * float(np.vdot(d, d))
 
     def gradient(self, x) -> np.ndarray:
         return x - self.target
 
     def value_and_grad(self, x):
         d = x - self.target
-        return 0.5 * float(np.sum(d * d)), d
+        return 0.5 * float(np.vdot(d, d)), d
 
     def hessian_vector(self, x, z):
         return z

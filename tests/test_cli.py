@@ -2,6 +2,7 @@
 and the documented exit codes (0 ok, 1 failed check, 2 usage, 3 I/O)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -242,9 +243,12 @@ def test_probe_budget_guard(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the same rankmin as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c",
                            "import rankmin.cli, sys; sys.exit(rankmin.cli.main(['--help']))"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     # argparse exits 0 on --help
     assert proc.returncode == 0
     for verb in ("run", "preset", "plot", "verify", "probe"):

@@ -7,12 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmin.geometry import (
+    RETRACTION_CORE_FLOOR,
     FactoredMatrix,
     RetractionUndefinedError,
     TangentSpaceUndefinedError,
     TangentVector,
+    _retraction_point,
     corner_decompose,
     project_psd_rank_r,
     project_rank_r,
@@ -522,6 +526,92 @@ def test_pullback_value_grad_singular_core_rejected():
         pullback_value_grad(f, base, s)
 
 
+def _floor_says_singular(w):
+    sv = np.linalg.svd(w, compute_uv=False)
+    return sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0]))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), extra=st.integers(0, 4),
+       extra2=st.integers(0, 4), log_delta=st.floats(-17.0, 0.0),
+       log_scale=st.floats(-3.0, 3.0), cancel=st.booleans())
+def test_retraction_raises_exactly_when_the_floor_test_says_singular(
+        seed, k, extra, extra2, log_delta, log_scale, cancel):
+    # cores C = -Sigma + delta M put sigma_min(W) anywhere from 0 to O(1),
+    # through the exact fallback; without the -Sigma the Weyl bound clears
+    # small cores before any SVD
+    rng = make_rng(seed)
+    n1, n2 = k + extra, k + extra2
+    base = random_base(rng, n1, k, n2=n2)
+    base = FactoredMatrix(base.u, 10.0 ** log_scale * base.sigma, base.v, validate=False)
+    core = 10.0 ** log_delta * rng.standard_normal((k, k))
+    if cancel:
+        core -= np.diag(base.sigma)
+    s = TangentVector(core, rng.standard_normal((n1 - k, k)), rng.standard_normal((k, n2 - k)), base)
+    if _floor_says_singular(np.diag(base.sigma) + core):
+        with pytest.raises(RetractionUndefinedError, match="sigma_min"):
+            _retraction_point(base, s)
+    else:
+        _retraction_point(base, s)
+
+
+@pytest.mark.parametrize("ratio, singular", [(10.0, False), (0.1, True)])
+def test_retraction_floor_on_fixed_cores(ratio, singular):
+    # W = [[0, 3], [t, 0]] exactly, sigma(W) = (3, t), floor 3e-14
+    base = FactoredMatrix(np.eye(4)[:, :2], np.array([2.0, 1.0]), np.eye(5)[:, :2])
+    t = ratio * RETRACTION_CORE_FLOOR * 3.0
+    s = TangentVector(np.array([[-2.0, 3.0], [t, -1.0]]), np.ones((2, 2)), np.ones((2, 3)), base)
+    assert _floor_says_singular(np.diag(base.sigma) + s.core) == singular
+    if singular:
+        with pytest.raises(RetractionUndefinedError, match="sigma_min"):
+            _retraction_point(base, s)
+    else:
+        y = _retraction_point(base, s)[0]
+        assert np.all(np.isfinite(y))
+
+
+def _count_linalg(monkeypatch, names):
+    shapes = {name: [] for name in names}
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return shapes
+
+
+def test_retraction_core_svd_only_when_the_bound_cannot_clear(monkeypatch):
+    rng = make_rng(133)
+    base = random_base(rng, 8, 3, sigma_min=0.5)
+    f = quadratic_objective(random_ground_truth(8, 4, 2.0, rng))
+    d = rng.standard_normal(tangent_dim(base))
+    small = TangentVector.from_coords(1e-2 * d / np.linalg.norm(d), base)
+    # ||core||_F > sigma_3 = 0.5 while W stays well conditioned
+    large = TangentVector(-0.9 * np.diag(base.sigma), small.left, small.right, base)
+    shapes = _count_linalg(monkeypatch, ("svd", "inv"))
+    pullback_value_grad(f, base, small)
+    assert shapes == {"svd": [], "inv": [(3, 3)]}
+    pullback_value_grad(f, base, large)
+    assert shapes == {"svd": [(3, 3)], "inv": [(3, 3), (3, 3)]}
+
+
+def test_escape_inside_the_ball_factors_only_its_exit_point(monkeypatch):
+    # sigma_3 = 0.5 >> eps_t: the Weyl bound clears every retraction core, so
+    # the 50 inner steps and the exit retract take one LU inverse each, and
+    # the only SVD is the projection of the exit point
+    from rankmin.solvers import tangent_space_steps
+    rng = make_rng(134)
+    x = random_ground_truth(8, 3, 2.0, rng)
+    f = quadratic_objective(x)      # pulls back toward s = 0: never leaves the ball
+    shapes = _count_linalg(monkeypatch, ("svd", "inv"))
+    tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 50, make_rng(9, stream=6))
+    assert shapes == {"svd": [(8, 8)], "inv": [(3, 3)] * 51}
+
+
 class RecordingQuadratic:
     """The quadratic objective, remembering the last point it was called at."""
 
@@ -550,16 +640,7 @@ def test_pullback_value_grad_factors_nothing_larger_than_the_core(monkeypatch):
     base.u_perp, base.v_perp    # cached frame completions, as in an escape loop
     f = quadratic_objective(random_ground_truth(8, 4, 2.0, rng))
     s = TangentVector.from_coords(0.1 * rng.standard_normal(tangent_dim(base)), base)
-    shapes = {"qr": [], "svd": []}
-
-    def counting(name, fn):
-        def wrapped(a, *args, **kwargs):
-            shapes[name].append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
-
-    for name in shapes:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    shapes = _count_linalg(monkeypatch, ("qr", "svd"))
     pullback_value_grad(f, base, s)
     assert shapes["qr"] == []
     assert all(shape == (3, 3) for shape in shapes["svd"])

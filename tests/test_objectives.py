@@ -189,11 +189,14 @@ def test_sensing_value_and_grad_matches_separate_calls(psd):
 
 
 def test_quadratic_value_and_grad_matches_separate_calls():
-    f = quadratic_objective(random_ground_truth(6, 3, 2.0, 18))
-    x = make_rng(19).standard_normal((6, 6))
-    fv, g = f.value_and_grad(x)
-    assert fv == f.value(x)
-    assert np.array_equal(g, f.gradient(x))
+    # bit for bit, at sizes on both sides of BLAS unrolling and blocking
+    for n in (6, 9, 40):
+        f = quadratic_objective(random_ground_truth(n, 3, 2.0, 18))
+        x = make_rng(19).standard_normal((n, n))
+        fv, g = f.value_and_grad(x)
+        assert fv == f.value(x)
+        assert fv == pytest.approx(0.5 * np.sum((x - f.target) ** 2), rel=1e-14)
+        assert np.array_equal(g, f.gradient(x))
 
 
 # -------------------------------------------------- spectral initialization
