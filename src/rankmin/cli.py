@@ -90,6 +90,9 @@ def _apply_overrides(spec, args):
 
 
 def _cmd_grid(spec, args, default_name: str) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+        return EXIT_USAGE
     spec = _apply_overrides(spec, args)
     out = _resolve_out(args.out, spec.out_dir, default_name)
     if not out:
@@ -97,7 +100,7 @@ def _cmd_grid(spec, args, default_name: str) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    result = harness.run_experiment(spec, out_dir=out, jobs=max(1, jobs))
+    result = harness.run_experiment(spec, out_dir=out, jobs=jobs)
     print(f"wrote {len(result.files)} files to {result.out_dir}")
     return EXIT_OK
 
@@ -128,6 +131,10 @@ def parse_probe_file(path) -> dict:
         raise SpecFileError("kappa must be finite and >= 1")
     if cfg["m_factor"] < 1:
         raise SpecFileError("m_factor must be >= 1")
+    if not (np.isfinite(cfg["eps"]) and cfg["eps"] > 0):
+        raise SpecFileError("eps must be finite and > 0")
+    if not (np.isfinite(cfg["gamma"]) and cfg["gamma"] >= 0):
+        raise SpecFileError("gamma must be finite and >= 0")
     return cfg
 
 

@@ -368,11 +368,11 @@ def project_tangent(z, base: FactoredMatrix, rank: int | None = None) -> Tangent
 
 
 def _retraction_point(base: FactoredMatrix, s: TangentVector):
-    """(Retr_base(s) as a dense matrix, s.left W^{-1}, W^{-1} s.right) with
-    W = diag(sigma) + s.core, for retract and pullback_value_grad.  In the
-    base's full frames the point is
+    """(Y, s.left W^{-1}, W^{-1} s.right) with W = diag(sigma) + s.core, for
+    retract and pullback_value_grad.  Y is the retracted point in the base's
+    full frames,
 
-        P^T Retr_base(s) Q = [[W, s.right], [s.left, s.left W^{-1} s.right]].
+        Y = P^T Retr_base(s) Q = [[W, s.right], [s.left, s.left W^{-1} s.right]].
 
     Raises RetractionUndefinedError when W is numerically singular, i.e.
     sigma_min(W) <= RETRACTION_CORE_FLOOR * max(1, sigma_max(W)).  With
@@ -398,8 +398,7 @@ def _retraction_point(base: FactoredMatrix, s: TangentVector):
     l_winv = y[k:, :k] @ winv
     winv_r = winv @ y[:k, k:]
     y[k:, k:] = l_winv @ y[:k, k:]
-    p, q = base._frames()
-    return p @ y @ q.T, l_winv, winv_r
+    return y, l_winv, winv_r
 
 
 def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> FactoredMatrix:
@@ -416,7 +415,8 @@ def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> 
     project_rank_r.
     """
     _require_full_rank(base, rank)
-    return project_rank_r(_retraction_point(base, s)[0], base.rank)
+    p, q = base._frames()
+    return project_rank_r(p @ _retraction_point(base, s)[0] @ q.T, base.rank)
 
 
 def _value_and_grad(f, x: np.ndarray):
@@ -430,9 +430,12 @@ def _value_and_grad(f, x: np.ndarray):
 def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | None = None):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
-    The retracted point is formed densely in the base's full frames (see
-    retract), with no factorisation.  The gradient is returned as a tangent
-    vector at base.  With G = grad f at the retracted point, P^T G Q =
+    The retracted point is formed in the base's full frames (see retract),
+    with no factorisation.  When f has in_frames, f.in_frames(P, Q) is
+    evaluated at that frame array directly, so no n x n rotation runs;
+    otherwise f is evaluated at the dense point P Y Q^T and its gradient
+    rotated into the frames.  The gradient is returned as a tangent vector
+    at base.  With G = grad f at the retracted point, P^T G Q =
     [[Gc, Gr], [Gl, Go]] and W = diag(sigma) + s.core:
 
         d core  = Gc - W^{-T} s.left^T Go s.right^T W^{-T}
@@ -443,9 +446,14 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
     """
     _require_full_rank(base, rank)
     y, l_winv, winv_r = _retraction_point(base, s)
-    val, g = _value_and_grad(f, y)
     p, q = base._frames()
-    gt = p.T @ g @ q                # [[Gc, Gr], [Gl, Go]], corrected in place
+    in_frames = getattr(f, "in_frames", None)
+    if in_frames is not None:
+        # a fresh gradient array: [[Gc, Gr], [Gl, Go]], corrected in place
+        val, gt = _value_and_grad(in_frames(p, q), y)
+    else:
+        val, g = _value_and_grad(f, p @ y @ q.T)
+        gt = p.T @ g @ q
     k = base.rank
     go = gt[k:, k:]
     lw_go = l_winv.T @ go           # W^{-T} s.left^T Go

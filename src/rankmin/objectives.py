@@ -40,7 +40,13 @@ class Objective:
     """Minimal interface the solvers need: value, gradient, and (optionally)
     the fused value_and_grad, the Hessian-vector product that the
     second-order certificate needs, and restricted smoothness/convexity
-    constants (L, mu, rho)."""
+    constants (L, mu, rho).
+
+    Optional: in_frames(p, q), for square orthogonal p and q, returns an
+    objective g with g(Y) = f(p Y q^T) whose value_and_grad(Y) gives the
+    gradient p^T grad f(p Y q^T) q as a fresh array.  pullback_value_grad
+    evaluates g in a base point's full frames when f has it, and otherwise
+    rotates each point and gradient."""
 
     symmetric_psd = False
 
@@ -75,6 +81,7 @@ class QuadraticObjective(Objective):
         target = np.array(target, dtype=float)
         target.flags.writeable = False
         self.target = target
+        self._in_frames = (None, None, None)
 
     def value(self, x) -> float:
         d = x - self.target
@@ -86,6 +93,17 @@ class QuadraticObjective(Objective):
     def value_and_grad(self, x):
         d = x - self.target
         return 0.5 * float(np.vdot(d, d)), d
+
+    def in_frames(self, p, q) -> "QuadraticObjective":
+        """0.5 * ||Y - p^T target q||_F^2, equal to f(p Y q^T) for square
+        orthogonal p, q.  The last result is kept and returned again while
+        the same (read-only) p and q arrays come back, as a base point's
+        cached frames do, so an escape rotates the target once."""
+        p0, q0, g = self._in_frames
+        if p is not p0 or q is not q0:
+            g = QuadraticObjective(p.T @ self.target @ q)
+            self._in_frames = (p, q, g)
+        return g
 
     def hessian_vector(self, x, z):
         return z

@@ -66,6 +66,18 @@ def test_run_without_any_out_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "preset"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_one_line_usage_error(tmp_path, capsys, monkeypatch, verb, jobs):
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("grid ran"))
+    target = write(tmp_path / "grid.ini", CFG) if verb == "run" else "fig1"
+    out = tmp_path / "results"
+    assert cli.main([verb, target, "--out", str(out), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "--jobs" in err
+    assert not out.exists()
+
+
 def test_run_missing_config_is_io_error(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 3
     assert "error" in capsys.readouterr().err
@@ -226,8 +238,16 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE.replace("\nkappa = 1\n", "\nkappa = inf\n"), "kappa"),
     (PROBE.replace("objective = quadratic", "objective = sensing") + "m_factor = 0\n",
      "m_factor"),
+    (PROBE + "eps = nan\n", "eps"),
+    (PROBE + "eps = inf\n", "eps"),
+    (PROBE + "eps = 0\n", "eps"),
+    (PROBE + "eps = -1\n", "eps"),
+    (PROBE + "gamma = nan\n", "gamma"),
+    (PROBE + "gamma = inf\n", "gamma"),
+    (PROBE + "gamma = -1\n", "gamma"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
-        "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0"])
+        "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
+        "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2

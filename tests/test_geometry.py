@@ -27,7 +27,13 @@ from rankmin.geometry import (
     retract,
     tangent_dim,
 )
-from rankmin.objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
+from rankmin.objectives import (
+    QuadraticObjective,
+    haar_frame,
+    make_rng,
+    quadratic_objective,
+    random_ground_truth,
+)
 
 
 def random_base(rng, n, r, sigma_min=0.1, n2=None):
@@ -612,8 +618,42 @@ def test_escape_inside_the_ball_factors_only_its_exit_point(monkeypatch):
     assert shapes == {"svd": [(8, 8)], "inv": [(3, 3)] * 51}
 
 
+class CountingQuadratic(QuadraticObjective):
+    """The quadratic objective, counting its own value_and_grad calls and
+    recording every frame objective in_frames hands out."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.calls = 0
+        self.rotated = []
+
+    def value_and_grad(self, x):
+        self.calls += 1
+        return super().value_and_grad(x)
+
+    def in_frames(self, p, q):
+        g = super().in_frames(p, q)
+        self.rotated.append(g)
+        return g
+
+
+def test_escape_rotates_the_quadratic_target_once():
+    # the same in-ball escape as above: every inner step evaluates the
+    # target rotated into the base's frames, built once, and never the
+    # objective at a dense point
+    from rankmin.solvers import tangent_space_steps
+    rng = make_rng(134)
+    x = random_ground_truth(8, 3, 2.0, rng)
+    f = CountingQuadratic(x)
+    tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 50, make_rng(9, stream=6))
+    assert f.calls == 0
+    assert len(f.rotated) == 50
+    assert all(g is f.rotated[0] for g in f.rotated)
+
+
 class RecordingQuadratic:
-    """The quadratic objective, remembering the last point it was called at."""
+    """The quadratic objective, remembering the last point it was called at.
+    It has no in_frames, so the pullback evaluates it at the dense point."""
 
     def __init__(self, f):
         self.f = f
@@ -622,6 +662,33 @@ class RecordingQuadratic:
     def value_and_grad(self, x):
         self.x = x
         return self.f.value_and_grad(x)
+
+
+def _frame_path_cases(rng):
+    for n1, n2, k in SHAPES:
+        yield random_base(rng, n1, k, sigma_min=0.2, n2=n2), rng.standard_normal((n1, n2))
+    q = haar_frame(rng, 7, 3)
+    shared = project_psd_rank_r(q @ np.diag([1.0, 0.6, 0.3]) @ q.T, 3)
+    assert shared.u is shared.v
+    a = rng.standard_normal((7, 7))
+    yield shared, a + a.T
+
+
+def test_frame_path_matches_the_rotation_path():
+    rng = make_rng(136)
+    for base, target in _frame_path_cases(rng):
+        f = quadratic_objective(target)
+        rotated = RecordingQuadratic(f)
+        p, q = base._frames()
+        for _ in range(5):
+            s = TangentVector.from_coords(0.05 * rng.standard_normal(tangent_dim(base)), base)
+            val, grad = pullback_value_grad(f, base, s)
+            ref_val, ref_grad = pullback_value_grad(rotated, base, s)
+            assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+            assert np.linalg.norm(grad.st - ref_grad.st) <= 1e-12 * np.linalg.norm(ref_grad.st)
+            y = _retraction_point(base, s)[0]
+            ref_y = p.T @ retract(base, s).dense() @ q
+            assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y)
 
 
 def test_pullback_point_is_the_retraction():
