@@ -4,7 +4,12 @@ A run grid is the product (algorithm x kappa x r_star x eta x seed). Every run
 gets its own RNG built from (master_seed + seed_offset, run_index), so results
 are reproducible run-by-run no matter how the grid is scheduled; worker count
 changes wall time only, never bytes. All files are written by the parent
-process via temp-file + rename, sorted by name.
+process via temp-file + rename. Each run's CSV is written as the run
+arrives, in grid order, and only its summary and rel_err column are kept,
+so memory holds one run's CSV text plus every run's rel_err column. Once
+all runs are done come eta_sweep.csv, the SVG panels and, last, the
+manifest, which marks a complete directory: a grid that fails part-way
+leaves the CSVs written so far and no manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -337,25 +343,25 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
         raise SpecFileError("no output directory (set [output] directory or pass --out)")
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(spec,) + t for t in _grid(spec)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_execute_one, tasks, chunksize=4))
-    else:
-        rows = [_execute_one(t) for t in tasks]
+    runs = {}                           # name -> (summary, rel_err column)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = pool.map(_execute_one, tasks, chunksize=4) if pool else map(_execute_one, tasks)
+        for name, csv_text, summary, rel in results:
+            if "csv" in spec.formats:
+                _atomic_write(os.path.join(out_dir, name), csv_text)
+            runs[name] = (summary, rel)
 
+    names = sorted(runs)
+    summaries = [runs[name][0] for name in names]
     files = []
-    rows.sort(key=lambda r: r[0])
     if "csv" in spec.formats:
-        for name, csv_text, _, _ in rows:
-            _atomic_write(os.path.join(out_dir, name), csv_text)
-            files.append(name)
-        sweep = _sweep_table([r[2] for r in rows])
-        _atomic_write(os.path.join(out_dir, "eta_sweep.csv"), sweep)
+        files += names
+        _atomic_write(os.path.join(out_dir, "eta_sweep.csv"), _sweep_table(summaries))
         files.append("eta_sweep.csv")
     if "svg" in spec.formats:
-        files += _render_svgs(spec, out_dir, {_run_key(s): rel for _, _, s, rel in rows})
-    summaries = [r[2] for r in rows]
+        files += _render_svgs(spec, out_dir, {_run_key(s): rel for s, rel in runs.values()})
     if "json" in spec.formats:
+        # written last: a manifest marks a complete directory
         manifest = {
             "config": spec_to_text(spec),
             "version": PACKAGE_VERSION,
@@ -466,15 +472,36 @@ def read_trace_csv(path):
 
 def render_dir(path) -> list:
     """Re-render SVGs for an existing run directory from its manifest and
-    CSVs (no solver execution)."""
+    CSVs (no solver execution).  A directory without a manifest raises
+    FileNotFoundError; a malformed manifest or run CSV raises SpecFileError."""
     mpath = os.path.join(path, "manifest.json")
     if not os.path.isfile(mpath):
         raise FileNotFoundError(f"no manifest.json under {path}")
     with open(mpath, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as e:
+            raise SpecFileError(f"{mpath}: not JSON: {e}") from e
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), str)
+            and isinstance(manifest.get("runs"), list)):
+        raise SpecFileError(f"{mpath}: needs a 'config' text and a 'runs' list")
     spec = parse_spec_text(manifest["config"], source=mpath)
     by_run = {}
     for s in manifest["runs"]:
-        key = _run_key(s)
-        by_run[key] = read_trace_csv(os.path.join(path, run_filename(*key)))["rel_err"]
+        try:
+            key = _run_key(s)
+            name = run_filename(*key)
+        except (KeyError, TypeError, ValueError) as e:
+            raise SpecFileError(f"{mpath}: bad run entry {s!r}") from e
+        csv_path = os.path.join(path, name)
+        try:
+            rel = read_trace_csv(csv_path).get("rel_err")
+        except ValueError as e:
+            raise SpecFileError(f"{csv_path}: {e}") from e
+        if not rel:
+            raise SpecFileError(f"{csv_path}: no rel_err values")
+        by_run[key] = rel
+    missing = [t[1:] for t in _grid(spec) if t[1:] not in by_run]
+    if missing:
+        raise SpecFileError(f"{mpath}: no run for {run_filename(*missing[0])}")
     return _render_svgs(spec, path, by_run)

@@ -200,66 +200,69 @@ def fgd_step(x: FactoredMatrix, f, eta: float,
     return _fgd_update(x, _gradient(f, x.dense(), grad), eta)
 
 
-def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, reg: float,
-                        sv: Optional[np.ndarray] = None) -> np.ndarray:
-    """rhs @ (gram + reg I)^{-1} with a pseudo-inverse fallback on numerically
-    singular matrices.  sv, when given, are the singular values of gram."""
-    k = gram.shape[0]
-    if k == 0:
+def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
+                        v: np.ndarray, reg: float) -> np.ndarray:
+    """rhs @ (F^T F + reg I)^{-1} from the eigendecomposition F^T F =
+    V diag(w) V^T, with a pseudo-inverse fallback on numerically singular
+    matrices."""
+    shifted = w + reg
+    # F^T F is symmetric PSD, so the singular values of F^T F + reg I are
+    # |w + reg|; for a handful of values Python's min and max are cheaper
+    # than numpy's reductions
+    mag = np.abs(shifted).tolist()
+    if not mag:
         return rhs
-    if sv is None:
-        sv = np.linalg.svd(gram, compute_uv=False)
-    mat = gram + reg * np.eye(k) if reg != 0.0 else gram
-    # gram is symmetric PSD, so the singular values of gram + reg I are |sv + reg|
-    shifted = np.abs(sv + reg)
-    top = shifted.max()
-    if top <= 0.0 or shifted.min() <= GRAM_BREAKDOWN_RATIO * top:
-        return rhs @ np.linalg.pinv(mat)
-    return np.linalg.solve(mat.T, rhs.T).T
+    top = max(mag)
+    if top <= 0.0 or min(mag) <= GRAM_BREAKDOWN_RATIO * top:
+        gram = factor.T @ factor
+        return rhs @ np.linalg.pinv(gram + reg * np.eye(len(mag)) if reg != 0.0 else gram)
+    return ((rhs @ v) / shifted) @ v.T
 
 
 def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
-                   reg: float, gram_sv=None):
+                   reg: float, gram_eig=None):
     """The preconditioned step from the factors and the gradient g at L R^T."""
-    sv_l, sv_r = (None, None) if gram_sv is None else gram_sv
-    gl = _gram_apply_inverse(g @ rf, rf.T @ rf, reg, sv_r)
-    gr = _gram_apply_inverse(g.T @ lf, lf.T @ lf, reg, sv_l)
+    (w_l, w_r), (v_l, v_r) = gram_condition(lf, rf)[1] if gram_eig is None else gram_eig
+    gl = _gram_apply_inverse(g @ rf, rf, w_r, v_r, reg)
+    gr = _gram_apply_inverse(g.T @ lf, lf, w_l, v_l, reg)
     return lf - eta * gl, rf - eta * gr
 
 
 def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float,
-                grad: Optional[np.ndarray] = None, gram_sv=None):
+                grad: Optional[np.ndarray] = None, gram_eig=None):
     """One preconditioned factored step with ridge term reg:
 
         L+ = L - eta grad f(L R^T) R (R^T R + reg I)^{-1}
         R+ = R - eta grad f(L R^T)^T L (L^T L + reg I)^{-1}
 
     Both Gram matrices come from the pre-update factors.  reg = 0 is exactly
-    the scaled gradient step.  grad, when given, is grad f(L R^T); gram_sv,
-    when given, is the (L^T L, R^T R) singular-value pair that
+    the scaled gradient step.  grad, when given, is grad f(L R^T); gram_eig,
+    when given, is the stacked (L^T L, R^T R) eigendecomposition that
     gram_condition returns."""
-    return _precgd_update(lf, rf, _gradient(f, lf @ rf.T, grad), eta, reg, gram_sv)
+    return _precgd_update(lf, rf, _gradient(f, lf @ rf.T, grad), eta, reg, gram_eig)
 
 
 def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float,
-                  grad: Optional[np.ndarray] = None, gram_sv=None):
+                  grad: Optional[np.ndarray] = None, gram_eig=None):
     """One scaled gradient step: the reg = 0 preconditioned step.  A singular
     Gram matrix falls back to the pseudo-inverse (the driver records the
     breakdown)."""
-    return precgd_step(lf, rf, f, eta, 0.0, grad, gram_sv)
+    return precgd_step(lf, rf, f, eta, 0.0, grad, gram_eig)
 
 
 def gram_condition(lf: np.ndarray, rf: np.ndarray):
-    """(max over both factors of cond(F^T F), (sv(L^T L), sv(R^T R))).  The
-    condition number is inf when a Gram matrix is singular; the singular
-    values let precgd_step skip decomposing the same Gram matrices again.
-    Both Gram matrices are decomposed in one stacked SVD call."""
-    svs = np.linalg.svd(np.stack((lf.T @ lf, rf.T @ rf)), compute_uv=False)
+    """(max over both factors of cond(F^T F), (w, V)), where w[i] and V[i]
+    are the eigenvalues and eigenvectors of L^T L (i = 0) and R^T R (i = 1),
+    taken in one stacked eigh call.  The condition number is inf when a Gram
+    matrix is singular; (w, V) gives precgd_step the inverse of each Gram
+    matrix plus any ridge without decomposing it again."""
+    w, v = np.linalg.eigh(np.stack((lf.T @ lf, rf.T @ rf)))
     worst = 1.0
-    for sv in svs:
-        if sv.size:
-            worst = max(worst, float("inf") if sv[-1] <= 0 else float(sv[0] / sv[-1]))
-    return worst, (svs[0], svs[1])
+    for ev in np.abs(w).tolist():
+        if ev:
+            lo = min(ev)
+            worst = max(worst, float("inf") if lo <= 0 else max(ev) / lo)
+    return worst, (w, v)
 
 
 def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:
@@ -326,6 +329,8 @@ class _TraceBuilder:
         self.xs_dense = None if x_star is None else np.asarray(x_star, dtype=float)
         if self.xs_dense is not None:
             self.xs_norm = _fro(self.xs_dense)
+            if self.xs_norm == 0.0:
+                raise ValueError("x_star is zero: relative error is undefined")
             self.f_star = float(f.value(self.xs_dense))
         else:
             self.xs_norm = float("nan")
@@ -390,7 +395,7 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
 
     def step(factors, xd, fv, g):
         lf, rf = factors
-        cond, gram_sv = gram_condition(lf, rf)
+        cond, gram_eig = gram_condition(lf, rf)
         # running max over the steps (fmax skips the initial nan); cond is
         # inf for a singular Gram matrix, which then pins the max at inf
         trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
@@ -402,7 +407,7 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
                 reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
         else:
             reg = 0.0
-        lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_sv)
+        lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_eig)
         new_xd = lf @ rf.T
         sigma_r = _sigma_r_dense(new_xd, rank) if np.isfinite(new_xd).all() else float("nan")
         return (lf, rf), new_xd, sigma_r, BRANCH_GRADIENT

@@ -192,6 +192,89 @@ def test_plot_without_manifest_is_io_error(tmp_path):
     assert cli.main(["plot", str(tmp_path)]) == 3
 
 
+def _corrupt_manifest_text(out):
+    (out / "manifest.json").write_text('{"config": "[run]\\n", "runs": [')
+
+
+def _corrupt_manifest_config(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_manifest_runs(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["runs"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_run_csv(out):
+    path = out / harness.run_filename("projgd", 1.0, 2, 0.4, 0)
+    lines = path.read_text().split("\n")
+    lines[3] = lines[3].replace(",", ",abc", 1)
+    path.write_text("\n".join(lines))
+
+
+def _corrupt_run_entry(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["runs"][0]["algo"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _drop_run_entry(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["runs"][1]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _empty_run_csv(out):
+    (out / harness.run_filename("projgd", 1.0, 2, 0.4, 1)).write_text("")
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (_corrupt_manifest_text, "not JSON"),
+    (_corrupt_manifest_config, "'config'"),
+    (_corrupt_manifest_runs, "'runs'"),
+    (_corrupt_run_csv, "could not convert"),
+    (_corrupt_run_entry, "bad run entry"),
+    (_drop_run_entry, "no run for projgd_k1_rs2_eta0.4_s1.csv"),
+    (_empty_run_csv, "no rel_err values"),
+], ids=["manifest_not_json", "manifest_without_config", "manifest_without_runs",
+        "csv_not_a_number", "run_entry_without_algo", "run_missing_from_grid",
+        "csv_empty"])
+def test_plot_bad_directory_is_one_line_usage_error(tmp_path, capsys, corrupt, needle):
+    cfg = write(tmp_path / "grid.ini", CFG)
+    out = tmp_path / "results"
+    assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    corrupt(out)
+    assert cli.main(["plot", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_plot_after_failed_grid_is_io_error(tmp_path, monkeypatch, capsys):
+    # a grid that dies mid-way keeps the CSVs it wrote but has no manifest
+    cfg = write(tmp_path / "grid.ini", CFG)
+    out = tmp_path / "results"
+    execute = harness._execute_one
+    calls = []
+
+    def failing_second(task):
+        calls.append(task)
+        if len(calls) == 2:
+            raise RuntimeError("run failed")
+        return execute(task)
+
+    monkeypatch.setattr(harness, "_execute_one", failing_second)
+    with pytest.raises(RuntimeError):
+        cli.main(["run", cfg, "--out", str(out), "--jobs", "1"])
+    assert sorted(p.name for p in out.iterdir()) == [harness.run_filename("projgd", 1.0, 2, 0.4, 0)]
+    assert cli.main(["plot", str(out)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "verify_suite", lambda level, out: {"all_passed": True})
     assert cli.main(["verify"]) == 0

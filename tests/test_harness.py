@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankmin
+import rankmin.harness as harness
 from rankmin import svgplot
 from rankmin.harness import (
     PRESETS,
@@ -251,6 +252,46 @@ def test_bytes_identical_across_worker_counts(tmp_path):
     assert ra.files == rb.files
     for name in ra.files:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_each_csv_is_on_disk_before_the_next_run_starts(tmp_path, monkeypatch):
+    # jobs=1 streams: a run's CSV is written before the next run executes,
+    # so memory holds one run's CSV text rather than the whole grid's
+    execute = harness._execute_one
+    seen = []                       # (CSVs on disk at call start, name returned)
+
+    def recording(task):
+        on_disk = {f for f in os.listdir(tmp_path) if f.endswith(".csv")}
+        result = execute(task)
+        seen.append((on_disk, result[0]))
+        return result
+
+    monkeypatch.setattr(harness, "_execute_one", recording)
+    res = run_experiment(tiny_spec(), out_dir=str(tmp_path), jobs=1)
+    assert len(seen) == 8
+    for k, (on_disk, _) in enumerate(seen):
+        assert on_disk == {name for _, name in seen[:k]}
+    assert {name for _, name in seen} <= set(res.files)
+
+
+def test_run_failing_mid_grid_leaves_no_manifest(tmp_path, monkeypatch):
+    execute = harness._execute_one
+    calls = []
+
+    def failing_third(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise RuntimeError("run failed")
+        return execute(task)
+
+    monkeypatch.setattr(harness, "_execute_one", failing_third)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(tiny_spec(), out_dir=str(tmp_path), jobs=1)
+    on_disk = sorted(os.listdir(tmp_path))
+    assert "manifest.json" not in on_disk
+    assert on_disk == sorted(run_filename(*t[2:]) for t in calls[:2])
+    with pytest.raises(FileNotFoundError):
+        render_dir(str(tmp_path))
 
 
 def test_run_experiment_needs_output_dir():

@@ -208,6 +208,14 @@ def test_run_solver_zero_iterations():
     assert tr.records[0].branch == "init"
 
 
+def test_run_solver_rejects_zero_x_star():
+    # the relative error has no denominator; refuse before the first record
+    x0 = random_ground_truth(5, 2, 1.0, make_rng(209))
+    cfg = SolverConfig(eta=0.4, max_iters=3)
+    with pytest.raises(ValueError, match="x_star"):
+        run_solver("projgd", quadratic_objective(x0), x0, cfg, x_star=np.zeros((5, 5)))
+
+
 def test_run_solver_monotone_quadratic_descent():
     rng = make_rng(205)
     x_star = random_ground_truth(8, 3, 2.0, rng)
@@ -323,7 +331,7 @@ def _hand_loop_csv(algo, f, x0, eta, iters, x_star):
 @pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd"])
 def test_run_solver_trace_matches_hand_loop_over_public_steps(algo):
     # the driver's lean path (steps from the dense point it holds, a single
-    # stacked Gram SVD, dot-product norms, f-string rows) writes the bytes
+    # stacked Gram eigh, dot-product norms, f-string rows) writes the bytes
     # the public steps and numpy's own norms give
     p, f, x0 = sensing_setup(4, 20.0, 17)
     cfg = SolverConfig(eta=0.4, max_iters=25, tol_rel_err=None)
@@ -332,13 +340,14 @@ def test_run_solver_trace_matches_hand_loop_over_public_steps(algo):
     assert tr.csv_text() == _hand_loop_csv(algo, f, x0, 0.4, 25, p.ground_truth)
 
 
-@pytest.mark.parametrize("algo, svds", [("projgd", 1), ("fgd", 1), ("scaledgd", 2), ("precgd", 2)])
+@pytest.mark.parametrize("algo, svds", [("projgd", 1), ("fgd", 1), ("scaledgd", 1), ("precgd", 1)])
 def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     # each iterate costs one apply and one adjoint (one fused value_and_grad)
-    # and, in the factored preconditioned solvers, one stacked SVD of both
-    # Gram matrices plus the sigma_r SVD; run set-up adds a constant
+    # and one SVD; the factored preconditioned solvers add one stacked
+    # eigendecomposition of both Gram matrices and no solve; run set-up adds
+    # a constant
     from rankmin.objectives import SensingProblem
-    calls = {"apply": 0, "adjoint": 0, "svd": 0}
+    calls = {"apply": 0, "adjoint": 0, "svd": 0, "eigh": 0, "solve": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -348,7 +357,8 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
 
     for name in ("apply", "adjoint"):
         monkeypatch.setattr(SensingProblem, name, counting(name, getattr(SensingProblem, name)))
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    for name in ("svd", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     p, f, x0 = sensing_setup(4, 1.0, 13)
     totals = []
     for iters in (10, 20):
@@ -357,9 +367,12 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
         tr = run_solver(algo, f, x0, cfg, x_star=p.ground_truth)
         assert tr.final_record.iteration == iters
         totals.append({k: calls[k] - before[k] for k in calls})
+    eighs = 1 if algo in ("scaledgd", "precgd") else 0
     assert totals[1]["apply"] - totals[0]["apply"] == 10
     assert totals[1]["adjoint"] - totals[0]["adjoint"] == 10
     assert totals[1]["svd"] - totals[0]["svd"] == 10 * svds
+    assert totals[1]["eigh"] - totals[0]["eigh"] == 10 * eighs
+    assert totals[1]["solve"] == 0
 
 
 # -------------------------------------------------- pprojgd branches
