@@ -121,6 +121,8 @@ def parse_probe_file(path) -> dict:
     cfg = dict(_PROBE_DEFAULTS, **sections.get("probe", {}))
     if cfg["objective"] not in ("quadratic", "sensing"):
         raise SpecFileError("objective must be 'quadratic' or 'sensing'")
+    if cfg["psd"] and cfg["objective"] == "quadratic":
+        raise SpecFileError("psd = true needs objective = sensing (the quadratic has no PSD mode)")
     if cfg["n"] > 4 or cfg["r"] > 2:
         raise SpecFileError("the probe is for n <= 4, r <= 2 only")
     if not 1 <= cfg["r_star"] <= cfg["r"] <= cfg["n"]:

@@ -25,7 +25,7 @@ from .geometry import (
     pullback_hessian_min_eig,
 )
 from .objectives import haar_frame, make_rng
-from .solvers import BRANCH_GRADIENT, SolverTrace, projgd_step
+from .solvers import BRANCH_GRADIENT, SolverConfig, SolverTrace, _drive
 
 # rank-r projection loses at most 1/3 of the tangent displacement
 PROJECTION_RATIO_BOUND = 2.0 / 3.0
@@ -281,12 +281,15 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
 
     Multi-start projected gradient with a small step runs each start to a
     step-norm fixed point, terminal points are clustered, and each cluster
-    representative is refined and certified.  Returns StationaryPoint
-    records sorted by objective value.
+    representative is refined and certified.  Both runs go through the
+    solver driver, with a relative step-norm stop (tol_step).  Returns
+    StationaryPoint records sorted by objective value.
 
     The planned objective evaluations are, per start, iters descent steps,
     500 refinement steps and a certificate: the exact Hessian's gradient
-    and stacked Hessian-vector product plus 4 value and gradient calls."""
+    and stacked Hessian-vector product plus 4 value and gradient calls.
+    The pass each driver run makes at its own start point is not counted;
+    a run's last record gives the f value of its terminal point."""
     if n > 4 or r > 2:
         raise ValueError("landscape probe is for n <= 4, r <= 2 only")
     consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
@@ -297,10 +300,13 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
     if planned > budget:
         raise BudgetExceededError(
             f"planned {planned} objective evaluations exceed budget {budget}")
+    descent = SolverConfig(eta=eta, max_iters=iters, tol_step=tol)
+    # refinement pass with a smaller step before certifying
+    refine = SolverConfig(eta=eta / 4.0, max_iters=500, tol_step=0.1 * tol)
     rng = make_rng(seed, stream=13)
     psd = bool(getattr(f, "symmetric_psd", False))
     scales = (0.1, 1.0, 10.0)
-    terminals = []
+    terminals = []  # (terminal point, its f value)
     for i in range(starts):
         scale = scales[i % len(scales)]
         raw = rng.standard_normal((n, n)) * scale
@@ -310,17 +316,11 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
             x = project_rank_r(raw, r)
         if x.rank == 0:
             continue
-        for _ in range(iters):
-            x_new = projgd_step(x, f, eta, rank=r, psd=psd)
-            step = float(np.linalg.norm(x_new.dense() - x.dense()))
-            x = x_new
-            if step <= tol * max(1.0, x.frobenius_norm()):
-                break
-        terminals.append(x)
+        x, trace = _drive("projgd", f, x, descent, rank=r)
+        terminals.append((x, trace.final_record.f_value))
     radius = CLUSTER_RADIUS_SCALE * math.sqrt(tol)
     clusters = []  # (representative FactoredMatrix, f value, count)
-    for x in terminals:
-        fx = float(f.value(x.dense()))
+    for x, fx in terminals:
         placed = False
         for idx, (rep, frep, count) in enumerate(clusters):
             if np.linalg.norm(rep.dense() - x.dense()) <= radius * max(1.0, rep.frobenius_norm()):
@@ -334,16 +334,9 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
             clusters.append((x, fx, 1))
     points = []
     for rep, frep, count in clusters:
-        # refinement pass with a smaller step before certifying
-        x = rep
-        for _ in range(500):
-            x_new = projgd_step(x, f, eta / 4.0, rank=r, psd=psd)
-            step = float(np.linalg.norm(x_new.dense() - x.dense()))
-            x = x_new
-            if step <= 0.1 * tol * max(1.0, x.frobenius_norm()):
-                break
+        x, trace = _drive("projgd", f, rep, refine, rank=r)
         cert = certify_second_order(x, f, eps=eps, gamma=gamma, rank=r, lipschitz=l_const)
-        points.append(StationaryPoint(x=x, f_value=float(f.value(x.dense())),
+        points.append(StationaryPoint(x=x, f_value=trace.final_record.f_value,
                                       certificate=cert, cluster_size=count))
     points.sort(key=lambda p: p.f_value)
     return points

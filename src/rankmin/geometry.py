@@ -17,7 +17,6 @@ hundred); nothing here is sparse or randomized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,44 +214,6 @@ def project_psd_rank_r(z, r: int) -> FactoredMatrix:
     return FactoredMatrix._frozen(qk, lam[:keep], qk)
 
 
-@dataclass(frozen=True)
-class CornerDecomposition:
-    """Frame-coordinate blocks of an ambient matrix z at a base point:
-
-        core  = U^T z V          left  = U_perp^T z V
-        right = U^T z V_perp     outer = U_perp^T z V_perp
-
-    The four densified blocks sum back to z and are mutually orthogonal.
-    """
-
-    core: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    outer: np.ndarray
-    base: FactoredMatrix
-
-    def reconstruct(self) -> np.ndarray:
-        b = self.base
-        return (
-            b.u @ self.core @ b.v.T
-            + b.u_perp @ self.left @ b.v.T
-            + b.u @ self.right @ b.v_perp.T
-            + b.u_perp @ self.outer @ b.v_perp.T
-        )
-
-
-def corner_decompose(z, base: FactoredMatrix) -> CornerDecomposition:
-    z = np.asarray(z, dtype=float)
-    if z.shape != base.shape:
-        raise ValueError(f"shape mismatch: z {z.shape} vs base {base.shape}")
-    p, q = base._frames()
-    zt = p.T @ z @ q
-    k = base.rank
-    return CornerDecomposition(
-        core=zt[:k, :k], left=zt[k:, :k], right=zt[:k, k:], outer=zt[k:, k:], base=base,
-    )
-
-
 class TangentVector:
     """Element of the tangent space at a rank-k base point, stored as the
     n1 x n2 array st = [[core, right], [left, 0]] in the base's full frames
@@ -363,8 +324,14 @@ def project_tangent(z, base: FactoredMatrix, rank: int | None = None) -> Tangent
     tangent space and the call raises TangentSpaceUndefinedError.
     """
     _require_full_rank(base, rank)
-    d = corner_decompose(z, base)
-    return TangentVector(d.core, d.left, d.right, base)
+    z = np.asarray(z, dtype=float)
+    if z.shape != base.shape:
+        raise ValueError(f"shape mismatch: z {z.shape} vs base {base.shape}")
+    p, q = base._frames()
+    st = p.T @ z @ q
+    k = base.rank
+    st[k:, k:] = 0.0
+    return TangentVector._wrap(st, base)
 
 
 def _retraction_point(base: FactoredMatrix, s: TangentVector):
@@ -498,7 +465,8 @@ def pullback_hessian(f, base: FactoredMatrix, rank: int | None = None) -> np.nda
     hess = flat @ np.asarray(f.hessian_vector(x, basis), dtype=float).reshape(d, -1).T
     k = base.rank
     n1, n2 = base.shape
-    go = corner_decompose(f.gradient(x), base).outer
+    p, q = base._frames()
+    go = (p.T @ np.asarray(f.gradient(x), dtype=float) @ q)[k:, k:]
     # left coordinate (p, a) against right coordinate (b, q): Go[p, q] [a == b] / sigma_a
     coupling = np.einsum("pq,ab->pabq", go, np.diag(1.0 / base.sigma))
     coupling = coupling.reshape((n1 - k) * k, k * (n2 - k))

@@ -66,7 +66,7 @@ class ExperimentSpec:
 
     def validate(self):
         lists = {"r_star": self.r_star, "kappa": self.kappa,
-                 "algorithms": self.algorithms, "eta": self.etas}
+                 "algorithms": self.algorithms, "eta": self.etas, "formats": self.formats}
         for name, values in lists.items():
             if not values:
                 raise SpecFileError(f"{name} needs at least one value")
@@ -486,6 +486,10 @@ def render_dir(path) -> list:
             and isinstance(manifest.get("runs"), list)):
         raise SpecFileError(f"{mpath}: needs a 'config' text and a 'runs' list")
     spec = parse_spec_text(manifest["config"], source=mpath)
+    if "csv" not in spec.formats:
+        # the panels are drawn from the run CSVs; the manifest keeps no trace data
+        raise SpecFileError(f"{mpath}: the config has no csv format, so there are no "
+                            f"run CSVs to plot from")
     by_run = {}
     for s in manifest["runs"]:
         try:

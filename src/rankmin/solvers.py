@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 STATUS_MAX_ITERS = "max-iters"
 STATUS_SECOND_ORDER = "second-order-stop"
+STATUS_SMALL_STEP = "small-step"
 
 BRANCH_INIT = "init"
 BRANCH_GRADIENT = "gradient"
@@ -85,11 +86,11 @@ class SolverConfig:
     tol_rel_err: Optional[float] = 1e-14
     diverge_threshold: float = 1e2
     pprojgd: PprojgdParams = field(default_factory=PprojgdParams)
-    precgd_reg: Optional[float] = None        # None: sqrt(f - f_floor) schedule
-    precgd_f_floor: float = 0.0
+    # stop once ||X_t - X_{t-1}||_F <= tol_step * max(1, ||X_t||_F)
+    tol_step: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("eta", "diverge_threshold", "tol_rel_err", "precgd_reg", "precgd_f_floor"):
+        for name in ("eta", "diverge_threshold", "tol_rel_err", "tol_step"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -99,9 +100,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.diverge_threshold <= 0:
             raise ValueError("diverge_threshold must be positive")
-
-    def with_eta(self, eta: float) -> "SolverConfig":
-        return replace(self, eta=float(eta))
+        if self.tol_step is not None and self.tol_step < 0:
+            raise ValueError("tol_step must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,6 @@ class SolverTrace:
         return "\n".join(lines) + "\n"
 
 
-def _gradient(f, x: np.ndarray, grad) -> np.ndarray:
-    return np.asarray(f.gradient(x) if grad is None else grad, dtype=float)
-
-
 def _projgd_update(xd: np.ndarray, g: np.ndarray, eta: float, rank: int,
                    psd: bool) -> FactoredMatrix:
     """The projected step from the dense point X and its gradient."""
@@ -169,14 +165,13 @@ def _projgd_update(xd: np.ndarray, g: np.ndarray, eta: float, rank: int,
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
-                psd: Optional[bool] = None, grad: Optional[np.ndarray] = None) -> FactoredMatrix:
+                psd: Optional[bool] = None) -> FactoredMatrix:
     """One projected gradient step: rank-r (or PSD rank-r) truncation of
-    X - eta * grad f(X).  grad, when given, is grad f(X) already computed
-    by the caller."""
+    X - eta * grad f(X)."""
     rank = x.rank if rank is None else int(rank)
     psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
-    return _projgd_update(xd, _gradient(f, xd, grad), eta, rank, psd)
+    return _projgd_update(xd, np.asarray(f.gradient(xd), dtype=float), eta, rank, psd)
 
 
 def _fgd_update(x: FactoredMatrix, g: np.ndarray, eta: float) -> FactoredMatrix:
@@ -189,15 +184,14 @@ def _fgd_update(x: FactoredMatrix, g: np.ndarray, eta: float) -> FactoredMatrix:
     return project_rank_r(lf2 @ rf2.T, x.rank)
 
 
-def fgd_step(x: FactoredMatrix, f, eta: float,
-             grad: Optional[np.ndarray] = None) -> FactoredMatrix:
+def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
     """One factored gradient step on balanced factors L = U sqrt(S),
     R = V sqrt(S): L+ = L - eta grad f(X) R, R+ = R - eta grad f(X)^T L,
     then refactor L+ R+^T by SVD for storage.  Stationary points of f are
-    exact fixed points.  grad, when given, is grad f(X)."""
+    exact fixed points."""
     if x.rank == 0:
         return x
-    return _fgd_update(x, _gradient(f, x.dense(), grad), eta)
+    return _fgd_update(x, np.asarray(f.gradient(x.dense()), dtype=float), eta)
 
 
 def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
@@ -220,34 +214,32 @@ def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
 
 
 def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
-                   reg: float, gram_eig=None):
-    """The preconditioned step from the factors and the gradient g at L R^T."""
-    (w_l, w_r), (v_l, v_r) = gram_condition(lf, rf)[1] if gram_eig is None else gram_eig
+                   reg: float, gram_eig):
+    """The preconditioned step from the factors, the gradient g at L R^T and
+    the stacked Gram eigendecomposition that gram_condition returns."""
+    (w_l, w_r), (v_l, v_r) = gram_eig
     gl = _gram_apply_inverse(g @ rf, rf, w_r, v_r, reg)
     gr = _gram_apply_inverse(g.T @ lf, lf, w_l, v_l, reg)
     return lf - eta * gl, rf - eta * gr
 
 
-def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float,
-                grad: Optional[np.ndarray] = None, gram_eig=None):
+def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float):
     """One preconditioned factored step with ridge term reg:
 
         L+ = L - eta grad f(L R^T) R (R^T R + reg I)^{-1}
         R+ = R - eta grad f(L R^T)^T L (L^T L + reg I)^{-1}
 
     Both Gram matrices come from the pre-update factors.  reg = 0 is exactly
-    the scaled gradient step.  grad, when given, is grad f(L R^T); gram_eig,
-    when given, is the stacked (L^T L, R^T R) eigendecomposition that
-    gram_condition returns."""
-    return _precgd_update(lf, rf, _gradient(f, lf @ rf.T, grad), eta, reg, gram_eig)
+    the scaled gradient step."""
+    g = np.asarray(f.gradient(lf @ rf.T), dtype=float)
+    return _precgd_update(lf, rf, g, eta, reg, gram_condition(lf, rf)[1])
 
 
-def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float,
-                  grad: Optional[np.ndarray] = None, gram_eig=None):
+def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float):
     """One scaled gradient step: the reg = 0 preconditioned step.  A singular
     Gram matrix falls back to the pseudo-inverse (the driver records the
     breakdown)."""
-    return precgd_step(lf, rf, f, eta, 0.0, grad, gram_eig)
+    return precgd_step(lf, rf, f, eta, 0.0)
 
 
 def gram_condition(lf: np.ndarray, rf: np.ndarray):
@@ -350,13 +342,16 @@ class _TraceBuilder:
             iteration=iteration, f_value=fv, f_gap=gap, rel_err=rel,
             step_norm=step_norm, sigma_r=sigma_r, branch=branch,
         ))
-        if not math.isfinite(fv) or not math.isfinite(_fro(xd)):
+        x_norm = _fro(xd)
+        if not math.isfinite(fv) or not math.isfinite(x_norm):
             return STATUS_DIVERGED
         if math.isfinite(rel):
             if rel > self.cfg.diverge_threshold:
                 return STATUS_DIVERGED
             if self.cfg.tol_rel_err is not None and rel < self.cfg.tol_rel_err:
                 return STATUS_CONVERGED
+        if self.cfg.tol_step is not None and step_norm <= self.cfg.tol_step * max(1.0, x_norm):
+            return STATUS_SMALL_STEP
         return None
 
     def finish(self, status):
@@ -401,12 +396,7 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
         trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
         if not math.isfinite(cond) or cond > 1.0 / GRAM_BREAKDOWN_RATIO:
             trace.gram_breakdown = True
-        if trace.algorithm == "precgd":
-            reg = cfg.precgd_reg
-            if reg is None:
-                reg = math.sqrt(max(fv - cfg.precgd_f_floor, 0.0))
-        else:
-            reg = 0.0
+        reg = math.sqrt(max(fv, 0.0)) if trace.algorithm == "precgd" else 0.0
         lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_eig)
         new_xd = lf @ rf.T
         sigma_r = _sigma_r_dense(new_xd, rank) if np.isfinite(new_xd).all() else float("nan")
@@ -447,7 +437,7 @@ _KERNELS = {
 }
 
 
-def _drive(algo, f, x0, cfg, x_star, rank, rng):
+def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
     """The iteration loop of every solver: one objective pass per iterate
     (its value goes into the record, its gradient into the next step) and
     one record per iteration.  Returns (final state, trace)."""

@@ -105,13 +105,25 @@ def test_run_config_without_section_header_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, name", [("r_star = 2", "r_star"), ("kappa = 1", "kappa"),
                                        ("algorithms = projgd", "algorithms"),
-                                       ("eta = 0.4", "eta")], ids=lambda v: v.split()[0])
+                                       ("eta = 0.4", "eta"), ("formats = csv", "formats")],
+                         ids=lambda v: v.split()[0])
 def test_run_empty_list_is_usage_error(tmp_path, capsys, old, name):
-    cfg = write(tmp_path / "grid.ini", CFG.replace(old, f"{name} ="))
+    text = CFG + "\n[output]\nformats = csv\n"
+    cfg = write(tmp_path / "grid.ini", text.replace(old, f"{name} ="))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{name} needs at least one value" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_empty_format_flag_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path / "grid.ini", CFG)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1",
+                     "--format", ","]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "formats needs at least one value" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -186,6 +198,20 @@ def test_plot_rerenders(tmp_path, capsys):
     assert cli.main(["plot", str(out)]) == 0
     assert "rendered" in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir() if p.suffix == ".svg") == svgs
+
+
+def test_plot_grid_without_csvs_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    # the panels come from the run CSVs, so a grid written without them
+    # is refused before any CSV is opened
+    cfg = write(tmp_path / "grid.ini", CFG)
+    out = tmp_path / "results"
+    assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1", "--format", "svg,json"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "read_trace_csv", lambda p: pytest.fail("opened a CSV"))
+    assert cli.main(["plot", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no csv format" in err
 
 
 def test_plot_without_manifest_is_io_error(tmp_path):
@@ -328,9 +354,10 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE + "gamma = nan\n", "gamma"),
     (PROBE + "gamma = inf\n", "gamma"),
     (PROBE + "gamma = -1\n", "gamma"),
+    (PROBE + "psd = true\n", "psd"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
         "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
-        "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative"])
+        "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2

@@ -18,7 +18,15 @@ from rankmin.diagnostics import (
     swapped_direction_saddle,
 )
 from rankmin.geometry import FactoredMatrix, project_rank_r, project_tangent
-from rankmin.objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
+from rankmin.geometry import project_psd_rank_r
+from rankmin.objectives import (
+    generate_sensing,
+    haar_frame,
+    make_rng,
+    quadratic_objective,
+    random_ground_truth,
+    sensing_objective,
+)
 from rankmin.solvers import SolverConfig, SolverTrace, TraceRecord, projgd_step, run_solver
 
 
@@ -292,6 +300,74 @@ def test_probe_exact_rank_reaches_zero_loss():
     assert points[0].f_value <= 1e-12
     td = target.dense()
     assert np.linalg.norm(points[0].x.dense() - td) / np.linalg.norm(td) <= 1e-5
+
+
+def _hand_probe(f, n, r, seed, starts, iters, tol=1e-12):
+    """The census of landscape_probe with both runs written out as loops
+    over projgd_step, numpy's norms and separate value calls: (point,
+    f value, cluster size, label) sorted by f value."""
+    eta = 0.25
+    rng = make_rng(seed, stream=13)
+    psd = bool(getattr(f, "symmetric_psd", False))
+    terminals = []
+    for i in range(starts):
+        raw = rng.standard_normal((n, n)) * (0.1, 1.0, 10.0)[i % 3]
+        x = project_psd_rank_r(raw @ raw.T / n, r) if psd else project_rank_r(raw, r)
+        if x.rank == 0:
+            continue
+        for _ in range(iters):
+            x_new = projgd_step(x, f, eta, rank=r, psd=psd)
+            step = float(np.linalg.norm(x_new.dense() - x.dense()))
+            x = x_new
+            if step <= tol * max(1.0, x.frobenius_norm()):
+                break
+        terminals.append(x)
+    radius = 10.0 * np.sqrt(tol)
+    clusters = []
+    for x in terminals:
+        fx = float(f.value(x.dense()))
+        for idx, (rep, frep, count) in enumerate(clusters):
+            if np.linalg.norm(rep.dense() - x.dense()) <= radius * max(1.0, rep.frobenius_norm()):
+                clusters[idx] = (x, fx, count + 1) if fx < frep else (rep, frep, count + 1)
+                break
+        else:
+            clusters.append((x, fx, 1))
+    out = []
+    for rep, _, count in clusters:
+        x = rep
+        for _ in range(500):
+            x_new = projgd_step(x, f, eta / 4.0, rank=r, psd=psd)
+            step = float(np.linalg.norm(x_new.dense() - x.dense()))
+            x = x_new
+            if step <= 0.1 * tol * max(1.0, x.frobenius_norm()):
+                break
+        cert = certify_second_order(x, f, eps=1e-6, gamma=0.0, rank=r, lipschitz=1.0)
+        out.append((x, float(f.value(x.dense())), count, cert.classification))
+    out.sort(key=lambda p: p[1])
+    return out
+
+
+@pytest.mark.parametrize("instance", ["quadratic r* > r", "psd sensing", "quadratic r* = r"])
+def test_probe_matches_hand_loops(instance):
+    # the driver-run census gives the terminal points, f values, clusters
+    # and labels of projected descent written out step by step
+    n, r, seed = 4, 2, 31
+    if instance == "psd sensing":
+        p = generate_sensing(n=n, r=r, r_star=2, kappa=2.0, m=n * r, seed=seed,
+                             symmetric_psd=True)
+        f = sensing_objective(p)
+    else:
+        r_star = 3 if instance == "quadratic r* > r" else 2
+        f = quadratic_objective(random_ground_truth(n, r_star, 3.0, make_rng(seed)))
+    points = landscape_probe(f, n, r, seed=seed, starts=12, iters=1500, eta=0.25)
+    expected = _hand_probe(f, n, r, seed, starts=12, iters=1500)
+    assert len(points) == len(expected)
+    for pt, (x, fx, count, label) in zip(points, expected):
+        for a, b in ((pt.x.u, x.u), (pt.x.sigma, x.sigma), (pt.x.v, x.v)):
+            assert a.tobytes() == b.tobytes()
+        assert pt.f_value == fx
+        assert pt.cluster_size == count
+        assert pt.certificate.classification == label
 
 
 def test_probe_size_limits():

@@ -17,7 +17,6 @@ from rankmin.geometry import (
     TangentSpaceUndefinedError,
     TangentVector,
     _retraction_point,
-    corner_decompose,
     project_psd_rank_r,
     project_rank_r,
     project_tangent,
@@ -201,22 +200,28 @@ def test_psd_rejects_asymmetric():
 # -------------------------------------------------- corner blocks
 
 
+def outer_block(z, base):
+    """U_perp^T z V_perp, the block that the tangent projection drops."""
+    return base.u_perp.T @ z @ base.v_perp
+
+
 def test_corner_blocks_of_in_span_matrix():
     rng = make_rng(108)
     base = random_base(rng, 7, 3)
     m = rng.standard_normal((3, 3))
-    d = corner_decompose(base.u @ m @ base.v.T, base)
-    assert np.linalg.norm(d.left) < 1e-12
-    assert np.linalg.norm(d.right) < 1e-12
-    assert np.linalg.norm(d.outer) < 1e-12
-    assert np.linalg.norm(d.core - m) < 1e-12
+    z = base.u @ m @ base.v.T
+    t = project_tangent(z, base)
+    assert np.linalg.norm(t.left) < 1e-12
+    assert np.linalg.norm(t.right) < 1e-12
+    assert np.linalg.norm(outer_block(z, base)) < 1e-12
+    assert np.linalg.norm(t.core - m) < 1e-12
 
 
 def test_corner_blocks_of_base_itself():
     rng = make_rng(109)
     base = random_base(rng, 6, 2)
-    d = corner_decompose(base.dense(), base)
-    assert np.linalg.norm(d.core - np.diag(base.sigma)) < 1e-12
+    t = project_tangent(base.dense(), base)
+    assert np.linalg.norm(t.core - np.diag(base.sigma)) < 1e-12
 
 
 def test_corner_pythagoras_and_reassembly():
@@ -224,18 +229,21 @@ def test_corner_pythagoras_and_reassembly():
     base = random_base(rng, 7, 3)
     for _ in range(20):
         z = rng.standard_normal((7, 7)) * rng.uniform(0.1, 5.0)
-        d = corner_decompose(z, base)
-        total = (np.sum(d.core ** 2) + np.sum(d.left ** 2)
-                 + np.sum(d.right ** 2) + np.sum(d.outer ** 2))
+        t = project_tangent(z, base)
+        outer = outer_block(z, base)
+        total = (np.sum(t.core ** 2) + np.sum(t.left ** 2)
+                 + np.sum(t.right ** 2) + np.sum(outer ** 2))
         assert abs(total - np.sum(z ** 2)) < 1e-10 * np.sum(z ** 2)
-        assert np.linalg.norm(d.reconstruct() - z) < 1e-12 * np.linalg.norm(z)
+        back = t.dense() + base.u_perp @ outer @ base.v_perp.T
+        assert not t.st[3:, 3:].any()
+        assert np.linalg.norm(back - z) < 1e-12 * np.linalg.norm(z)
 
 
 def test_corner_dimension_mismatch():
     rng = make_rng(111)
     base = random_base(rng, 5, 2)
     with pytest.raises(ValueError):
-        corner_decompose(np.zeros((4, 5)), base)
+        project_tangent(np.zeros((4, 5)), base)
 
 
 # -------------------------------------------------- tangent space
@@ -263,7 +271,7 @@ def test_tangent_pythagoras():
     for _ in range(10):
         z = rng.standard_normal((7, 7))
         t = project_tangent(z, base)
-        corner = corner_decompose(z, base).outer
+        corner = outer_block(z, base)
         assert abs(t.norm() ** 2 + np.sum(corner ** 2) - np.sum(z ** 2)) < 1e-10 * np.sum(z ** 2)
         assert t.norm() <= np.linalg.norm(z) + 1e-12
 
@@ -458,7 +466,7 @@ def test_pullback_min_eig_equals_corner_gradient_rule():
         target = random_ground_truth(7, 5, 3.0, rng)
         f = quadratic_objective(target)
         base = random_base(rng, 7, 2, sigma_min=0.05)
-        go = corner_decompose(f.gradient(base.dense()), base).outer
+        go = outer_block(f.gradient(base.dense()), base)
         predicted = 1.0 - np.linalg.norm(go, 2) / base.sigma_r(2)
         lam, _ = pullback_hessian_min_eig(f, base)
         assert lam <= 1.0 - np.linalg.norm(go, 2) / base.sigma_r(2) + 1e-6

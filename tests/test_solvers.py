@@ -18,6 +18,7 @@ from rankmin.objectives import (
     spectral_init,
 )
 from rankmin.solvers import (
+    STATUS_SMALL_STEP,
     PprojgdParams,
     SolverConfig,
     _boundary_step_length,
@@ -164,13 +165,6 @@ def test_scaledgd_gram_breakdown_flag_on_rank_deficient():
     assert flagged >= 16
 
 
-def test_precgd_huge_reg_freezes_iterate():
-    p, f, x0 = sensing_setup(4, 2.0, 7)
-    cfg = SolverConfig(eta=0.4, max_iters=1, tol_rel_err=None, precgd_reg=1e12)
-    tr = run_solver("precgd", f, x0, cfg, x_star=p.ground_truth)
-    assert tr.records[1].step_norm < 1e-8
-
-
 def test_precgd_reg_zero_reduces_to_scaledgd():
     from rankmin.solvers import precgd_step
     rng = make_rng(204)
@@ -256,6 +250,39 @@ def test_run_solver_divergence_abort():
     tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
     assert tr.status == "diverged"
     assert len(tr.records) < 2001
+
+
+def test_run_solver_small_step_stop_at_first_row_within_bound():
+    # the run stops at the first row with ||X_t - X_{t-1}|| <= tol_step
+    # max(1, ||X_t||); a hand loop over the public step finds that row
+    rng = make_rng(210)
+    x_star = random_ground_truth(6, 2, 2.0, rng)
+    f = quadratic_objective(x_star)
+    x0 = random_ground_truth(6, 2, 1.0, rng)
+    tol = 1e-6
+    x, steps = x0, []
+    for _ in range(1000):
+        x_new = projgd_step(x, f, 0.25)
+        steps.append(np.linalg.norm(x_new.dense() - x.dense()))
+        x = x_new
+        if steps[-1] <= tol * max(1.0, np.linalg.norm(x.dense())):
+            break
+    first = len(steps)
+    assert 10 < first < 1000
+    cfg = SolverConfig(eta=0.25, max_iters=first + 20, tol_rel_err=None, tol_step=tol)
+    tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
+    assert tr.status == STATUS_SMALL_STEP
+    assert tr.final_record.iteration == first
+    assert np.array_equal(tr.column("step_norm")[1:], steps)
+    free = run_solver("projgd", f, x0, SolverConfig(eta=0.25, max_iters=first + 20,
+                                                   tol_rel_err=None), x_star=x_star)
+    assert free.status == "max-iters"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-12])
+def test_solver_config_rejects_bad_tol_step(bad):
+    with pytest.raises(ValueError, match="tol_step"):
+        SolverConfig(eta=0.4, tol_step=bad)
 
 
 class SeparateCalls:
