@@ -133,6 +133,7 @@ def parse_probe_file(path) -> dict:
         raise SpecFileError("kappa must be finite and >= 1")
     if cfg["m_factor"] < 1:
         raise SpecFileError("m_factor must be >= 1")
+    harness.check_operator_size(cfg["n"], cfg["r"], cfg["m_factor"])
     if not (np.isfinite(cfg["eps"]) and cfg["eps"] > 0):
         raise SpecFileError("eps must be finite and > 0")
     if not (np.isfinite(cfg["gamma"]) and cfg["gamma"] >= 0):

@@ -24,12 +24,14 @@ from .geometry import (
     project_tangent,
     pullback_hessian_min_eig,
 )
-from .objectives import haar_frame, make_rng
+from .objectives import make_rng, random_ground_truth
 from .solvers import BRANCH_GRADIENT, SolverConfig, SolverTrace, _drive
 
 # rank-r projection loses at most 1/3 of the tangent displacement
 PROJECTION_RATIO_BOUND = 2.0 / 3.0
 PROJECTION_RATIO_SLACK = 1e-9
+# a descent-lemma margin below -DESCENT_SLACK * max(1, |f(X_t)|) is a violation
+DESCENT_SLACK = 1e-10
 # eigenvalues within this fraction of max(1, L) of zero count as zero
 EIG_ZERO_TOL_SCALE = 1e-7
 # terminal points closer than CLUSTER_RADIUS_SCALE * sqrt(tol) are one cluster
@@ -95,8 +97,8 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
     ambient_fro = float(np.linalg.norm(g))
     ambient_spec = float(np.linalg.norm(g, 2))
     if x.rank >= rank:
-        grad_norm = project_tangent(g, x, rank=rank).norm()
-        min_eig, _ = pullback_hessian_min_eig(f, x, rank=rank)
+        grad_norm = project_tangent(g, x).norm()
+        min_eig, _ = pullback_hessian_min_eig(f, x)
     else:
         grad_norm = float("nan")
         min_eig = float("nan")
@@ -131,8 +133,7 @@ class DescentReport:
         return self.applicable and self.violations == 0
 
 
-def check_descent_lemma(trace: SolverTrace, l_const: float, eta: float,
-                        tol: float = 1e-10) -> DescentReport:
+def check_descent_lemma(trace: SolverTrace, l_const: float, eta: float) -> DescentReport:
     """Check f(X_t) - f(X_{t+1}) >= 0.5 (1/eta - L) ||X_t - X_{t+1}||_F^2 on
     every gradient step of the trace, from its recorded f_value and
     step_norm columns.  Other rows are not projected-gradient steps: a
@@ -151,7 +152,7 @@ def check_descent_lemma(trace: SolverTrace, l_const: float, eta: float,
     for a, b in steps:
         margin = (a.f_value - b.f_value) - coeff * b.step_norm ** 2
         worst = min(worst, margin)
-        if margin < -tol * max(1.0, abs(a.f_value)):
+        if margin < -DESCENT_SLACK * max(1.0, abs(a.f_value)):
             violations += 1
     return DescentReport(True, "", len(steps), violations, worst)
 
@@ -165,21 +166,19 @@ class ProjectionReport:
     passed: bool
 
 
-def check_projection_lemma(n: int = 8, r: int = 3, samples: int = 10000,
-                           seed: int = 0) -> ProjectionReport:
-    """Sample (X, Y) pairs across scales and conditioning and take the worst
-    observed ratio ||P_r(Y) - X|| / ||P_T(X)(Y) - X||, which the projection
-    inequality lower-bounds by 2/3; also track the spectral-norm lower bound
-    ||P_r(X+Z) - X|| >= (||Z||_2 - sigma_r(X)) / 2."""
+def check_projection_lemma(samples: int = 10000, seed: int = 0) -> ProjectionReport:
+    """Sample (X, Y) pairs across scales and conditioning, with 8 x 8 X of
+    rank 3, and take the worst observed ratio ||P_r(Y) - X|| / ||P_T(X)(Y) - X||,
+    which the projection inequality lower-bounds by 2/3; also track the
+    spectral-norm lower bound ||P_r(X+Z) - X|| >= (||Z||_2 - sigma_r(X)) / 2."""
+    n, r = 8, 3
     rng = make_rng(seed, stream=11)
     bound = PROJECTION_RATIO_BOUND
     min_ratio = math.inf
     min_margin = math.inf
     kept = 0
     while kept < samples:
-        kappa = 10.0 ** rng.uniform(0.0, 2.0)
-        sig = np.linspace(1.0, 1.0 / kappa, r)
-        x = FactoredMatrix(haar_frame(rng, n, r), sig, haar_frame(rng, n, r), validate=False)
+        x = random_ground_truth(n, r, 10.0 ** rng.uniform(0.0, 2.0), rng)
         xd = x.dense()
         mode = kept % 3
         z = rng.standard_normal((n, n))
@@ -206,15 +205,16 @@ def check_projection_lemma(n: int = 8, r: int = 3, samples: int = 10000,
                             min_spectral_margin=float(min_margin), bound=bound, passed=passed)
 
 
-def check_derivative_bound_lemma(kappa0: float = 0.3, n: int = 8, samples: int = 5000,
+def check_derivative_bound_lemma(kappa0: float = 0.3, samples: int = 5000,
                                  seed: int = 0) -> float:
     """Worst slack of ||grad f(X) - (X - X*)|| <= kappa0 ||X - X*|| over random
-    quadratics f(X) = 0.5 <X - X*, D o (X - X*)> whose entrywise curvatures D
+    8 x 8 quadratics f(X) = 0.5 <X - X*, D o (X - X*)> whose entrywise curvatures D
     lie in [1 - kappa0, 1 + kappa0] (so (L + mu)/2 = 1 and kappa0 = L - 1).
     Includes the extremal all-ones-times-(1 +- kappa0) instances where the
     bound is tight.  Negative return value means no violation."""
     if not 0.0 <= kappa0 < 1.0:
         raise ValueError("kappa0 must be in [0, 1)")
+    n = 8
     rng = make_rng(seed, stream=13)
     worst = -math.inf
     for k in range(samples):
@@ -275,8 +275,7 @@ class StationaryPoint:
 
 def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
                     eta: Optional[float] = None, iters: int = 3000,
-                    tol: float = 1e-12, budget: int = 10_000_000,
-                    eps: float = 1e-6, gamma: float = 0.0):
+                    budget: int = 10_000_000, eps: float = 1e-6, gamma: float = 0.0):
     """Brute-force stationary-point census for tiny instances (n <= 4, r <= 2).
 
     Multi-start projected gradient with a small step runs each start to a
@@ -300,6 +299,7 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
     if planned > budget:
         raise BudgetExceededError(
             f"planned {planned} objective evaluations exceed budget {budget}")
+    tol = 1e-12     # relative step-norm stop of the descent runs
     descent = SolverConfig(eta=eta, max_iters=iters, tol_step=tol)
     # refinement pass with a smaller step before certifying
     refine = SolverConfig(eta=eta / 4.0, max_iters=500, tol_step=0.1 * tol)

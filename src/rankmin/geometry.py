@@ -32,10 +32,6 @@ class RankProjectionError(RuntimeError):
     """SVD/eig failed to converge on the projection input."""
 
 
-class TangentSpaceUndefinedError(ValueError):
-    """Tangent-space operation requested at a point of rank below the search rank."""
-
-
 class RetractionUndefinedError(ValueError):
     """Retraction core Sigma + S_core is singular; the retracted point would drop rank."""
 
@@ -307,23 +303,9 @@ def tangent_dim(base: FactoredMatrix) -> int:
     return k * (n1 + n2 - k)
 
 
-def _require_full_rank(base: FactoredMatrix, rank):
-    if rank is None:
-        return
-    if base.rank < rank:
-        raise TangentSpaceUndefinedError(
-            f"tangent space undefined: point has rank {base.rank} < search rank {rank}"
-        )
-
-
-def project_tangent(z, base: FactoredMatrix, rank: int | None = None) -> TangentVector:
+def project_tangent(z, base: FactoredMatrix) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at base:
-    drop the (U_perp, V_perp) outer block, keep the other three.
-
-    rank, when given, is the search rank; a base with k < rank has no
-    tangent space and the call raises TangentSpaceUndefinedError.
-    """
-    _require_full_rank(base, rank)
+    drop the (U_perp, V_perp) outer block, keep the other three."""
     z = np.asarray(z, dtype=float)
     if z.shape != base.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs base {base.shape}")
@@ -368,7 +350,7 @@ def _retraction_point(base: FactoredMatrix, s: TangentVector):
     return y, l_winv, winv_r
 
 
-def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> FactoredMatrix:
+def retract(base: FactoredMatrix, s: TangentVector) -> FactoredMatrix:
     """Second-order retraction of tangent vector s at base.
 
     With W = diag(sigma) + s.core, the retracted point is the rank-k matrix
@@ -381,7 +363,6 @@ def retract(base: FactoredMatrix, s: TangentVector, rank: int | None = None) -> 
     point is formed in the base's full frames and factored by
     project_rank_r.
     """
-    _require_full_rank(base, rank)
     p, q = base._frames()
     return project_rank_r(p @ _retraction_point(base, s)[0] @ q.T, base.rank)
 
@@ -394,7 +375,7 @@ def _value_and_grad(f, x: np.ndarray):
     return float(fv), np.asarray(g, dtype=float)
 
 
-def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | None = None):
+def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
     The retracted point is formed in the base's full frames (see retract),
@@ -411,7 +392,6 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector, rank: int | N
 
     At s = 0 this reduces to the tangent projection of grad f(base).
     """
-    _require_full_rank(base, rank)
     y, l_winv, winv_r = _retraction_point(base, s)
     p, q = base._frames()
     in_frames = getattr(f, "in_frames", None)
@@ -443,7 +423,7 @@ def _tangent_basis(base: FactoredMatrix) -> np.ndarray:
     return np.concatenate([blk.reshape(-1, *base.shape) for blk in blocks])
 
 
-def pullback_hessian(f, base: FactoredMatrix, rank: int | None = None) -> np.ndarray:
+def pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
     """Hessian of the pullback at s = 0 over the orthonormal coordinate basis
     of the tangent space (dimension k(n1+n2-k)), in closed form.
 
@@ -457,7 +437,6 @@ def pullback_hessian(f, base: FactoredMatrix, rank: int | None = None) -> np.nda
     f must provide hessian_vector(x, z).  The matrix is returned as computed,
     not symmetrized.
     """
-    _require_full_rank(base, rank)
     x = base.dense()
     basis = _tangent_basis(base)
     d = basis.shape[0]
@@ -476,10 +455,10 @@ def pullback_hessian(f, base: FactoredMatrix, rank: int | None = None) -> np.nda
     return hess
 
 
-def pullback_hessian_min_eig(f, base: FactoredMatrix, rank: int | None = None):
+def pullback_hessian_min_eig(f, base: FactoredMatrix):
     """Smallest eigenvalue of the (symmetrized) pullback Hessian at s = 0 and
     the corresponding tangent direction."""
-    hess = pullback_hessian(f, base, rank=rank)
+    hess = pullback_hessian(f, base)
     sym = 0.5 * (hess + hess.T)
     w, q = np.linalg.eigh(sym)
     return float(w[0]), TangentVector.from_coords(q[:, 0], base)

@@ -33,10 +33,22 @@ PACKAGE_VERSION = "0.1.0"
 
 REL_CLIP_LO = 1e-16
 REL_CLIP_HI = 1e3
+# desk-size cap on a sensing instance's m x n x n operator tensor: 64 MiB of float64
+MAX_OPERATOR_FLOATS = 64 * 2 ** 20 // 8
 
 
 class SpecFileError(ValueError):
     """Raised for malformed experiment spec files (unknown keys are errors)."""
+
+
+def check_operator_size(n: int, r: int, m_factor: int):
+    """Reject a sensing instance whose m = m_factor n r operators of n x n
+    floats would exceed MAX_OPERATOR_FLOATS, before anything is allocated."""
+    floats = m_factor * n * r * n * n
+    if floats > MAX_OPERATOR_FLOATS:
+        raise SpecFileError(
+            f"sensing operators of {floats} floats (m = m_factor*n*r = {m_factor * n * r}, "
+            f"n = {n}) exceed the cap of {MAX_OPERATOR_FLOATS} (64 MiB of float64)")
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,7 @@ class ExperimentSpec:
             raise SpecFileError("need 1 <= r_star <= r <= n")
         if self.m_factor < 1:
             raise SpecFileError("m_factor must be >= 1")
+        check_operator_size(self.n, self.r, self.m_factor)
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecFileError(f"unknown algorithm {a!r} (have {', '.join(ALGORITHMS)})")

@@ -160,12 +160,6 @@ class SensingProblem:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.operators.reshape(self.m, -1)).reshape(self.n, self.n)
 
-    def params(self) -> dict:
-        return {
-            "n": self.n, "r": self.r, "r_star": self.r_star, "kappa": self.kappa,
-            "m": self.m, "seed": self.seed, "symmetric_psd": self.symmetric_psd,
-        }
-
 
 def generate_sensing(n: int, r: int, r_star: int, kappa: float, m: int | None = None,
                      seed: int = 0, symmetric_psd: bool = False) -> SensingProblem:
@@ -239,11 +233,11 @@ def sensing_objective(problem: SensingProblem) -> SensingObjective:
     return SensingObjective(problem)
 
 
-def spectral_init(problem: SensingProblem, r: int | None = None) -> FactoredMatrix:
-    """Rank-r truncation of sum_i y_i A_i, the usual one-shot initializer.
-    Zero observations produce the empty (rank-0) factorization."""
-    r = problem.r if r is None else int(r)
+def spectral_init(problem: SensingProblem) -> FactoredMatrix:
+    """Rank-r truncation of sum_i y_i A_i, with r = problem.r, the usual
+    one-shot initializer.  Zero observations produce the empty (rank-0)
+    factorization."""
     m = problem.adjoint(problem.observations)
     if problem.symmetric_psd:
-        return project_psd_rank_r(0.5 * (m + m.T), r)
-    return project_rank_r(m, r)
+        return project_psd_rank_r(0.5 * (m + m.T), problem.r)
+    return project_rank_r(m, problem.r)

@@ -128,8 +128,12 @@ class SolverTrace:
     records: list
     status: str = STATUS_MAX_ITERS
     wall_time: float = 0.0
-    gram_breakdown: bool = False
     gram_cond_max: float = float("nan")
+
+    @property
+    def gram_breakdown(self) -> bool:
+        """Whether a Gram step met a numerically singular Gram matrix."""
+        return self.gram_cond_max > 1.0 / GRAM_BREAKDOWN_RATIO
 
     @property
     def final_record(self) -> TraceRecord:
@@ -157,10 +161,7 @@ class SolverTrace:
         return "\n".join(lines) + "\n"
 
 
-def _projgd_update(xd: np.ndarray, g: np.ndarray, eta: float, rank: int,
-                   psd: bool) -> FactoredMatrix:
-    """The projected step from the dense point X and its gradient."""
-    z = xd - eta * g
+def _project(z: np.ndarray, rank: int, psd: bool) -> FactoredMatrix:
     return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
 
 
@@ -171,17 +172,14 @@ def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
     rank = x.rank if rank is None else int(rank)
     psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
-    return _projgd_update(xd, np.asarray(f.gradient(xd), dtype=float), eta, rank, psd)
+    return _project(xd - eta * np.asarray(f.gradient(xd), dtype=float), rank, psd)
 
 
-def _fgd_update(x: FactoredMatrix, g: np.ndarray, eta: float) -> FactoredMatrix:
-    """The factored step from the point and its gradient g."""
-    if x.rank == 0:
-        return x
+def _fgd_point(x: FactoredMatrix, g: np.ndarray, eta: float) -> np.ndarray:
+    """L+ R+^T, the factored step from the point and its gradient g,
+    before it is refactored."""
     lf, rf = x.balanced_factors()
-    lf2 = lf - eta * (g @ rf)
-    rf2 = rf - eta * (g.T @ lf)
-    return project_rank_r(lf2 @ rf2.T, x.rank)
+    return (lf - eta * (g @ rf)) @ (rf - eta * (g.T @ lf)).T
 
 
 def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
@@ -191,7 +189,8 @@ def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
     exact fixed points."""
     if x.rank == 0:
         return x
-    return _fgd_update(x, np.asarray(f.gradient(x.dense()), dtype=float), eta)
+    g = np.asarray(f.gradient(x.dense()), dtype=float)
+    return project_rank_r(_fgd_point(x, g, eta), x.rank)
 
 
 def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
@@ -368,7 +367,9 @@ def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
 # A step kernel gets (f, x0, cfg, search rank, rng, trace) and returns the
 # initial state, its dense form and sigma_r, and step(state, X_t dense,
 # f(X_t), grad f(X_t)) -> (next state, its dense form, its sigma_r, branch).
-# A terminate step keeps the state and returns the step it rejected.
+# A terminate step keeps the state and returns the step it rejected.  A step
+# matrix that overflows is returned as the dense form, with the state kept,
+# and the driver's record of it stops the run as diverged.
 
 
 def _point_kernel(f, x0, cfg, rank, rng, trace):
@@ -377,9 +378,14 @@ def _point_kernel(f, x0, cfg, rank, rng, trace):
 
     def step(x, xd, fv, g):
         if trace.algorithm == "projgd":
-            x = _projgd_update(xd, g, cfg.eta, rank, psd)
+            z, k, z_psd = xd - cfg.eta * g, rank, psd
+        elif x.rank:
+            z, k, z_psd = _fgd_point(x, g, cfg.eta), x.rank, False
         else:
-            x = _fgd_update(x, g, cfg.eta)
+            return x, xd, x.sigma_r(rank), BRANCH_GRADIENT
+        if not np.isfinite(z).all():
+            return x, z, float("nan"), BRANCH_GRADIENT
+        x = _project(z, k, z_psd)
         return x, x.dense(), x.sigma_r(rank), BRANCH_GRADIENT
 
     return x0, x0.dense(), x0.sigma_r(rank), step
@@ -394,8 +400,6 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
         # running max over the steps (fmax skips the initial nan); cond is
         # inf for a singular Gram matrix, which then pins the max at inf
         trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
-        if not math.isfinite(cond) or cond > 1.0 / GRAM_BREAKDOWN_RATIO:
-            trace.gram_breakdown = True
         reg = math.sqrt(max(fv, 0.0)) if trace.algorithm == "precgd" else 0.0
         lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_eig)
         new_xd = lf @ rf.T
@@ -415,7 +419,10 @@ def _perturbed_kernel(f, x0, cfg, rank, rng, trace):
     grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
 
     def step(x, xd, fv, g):
-        x_plus = _projgd_update(xd, g, cfg.eta, rank, psd)
+        z = xd - cfg.eta * g
+        if not np.isfinite(z).all():
+            return x, z, float("nan"), BRANCH_GRADIENT
+        x_plus = _project(z, rank, psd)
         plus_d = x_plus.dense()
         if _fro(plus_d - xd) >= grad_floor:
             return x_plus, plus_d, x_plus.sigma_r(rank), BRANCH_GRADIENT
@@ -440,48 +447,48 @@ _KERNELS = {
 def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
     """The iteration loop of every solver: one objective pass per iterate
     (its value goes into the record, its gradient into the next step) and
-    one record per iteration.  Returns (final state, trace)."""
+    one record per iteration.  rank is the search rank, rank(x0) by default.
+    Overflow is not reported as a warning: a non-finite iterate stops the
+    run as diverged.  Returns (final state, trace)."""
     rank = x0.rank if rank is None else int(rank)
     builder = _TraceBuilder(algo, f, cfg, x_star)
-    state, xd, sigma_r, step = _KERNELS[algo](f, x0, cfg, rank, rng, builder.trace)
-    fv, g = _value_and_grad(f, xd)
-    status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
-    it = 0
-    while status is None and it < cfg.max_iters:
-        it += 1
-        new_state, new_xd, sigma_r, branch = step(state, xd, fv, g)
-        step_norm = _fro(new_xd - xd)
-        if branch == BRANCH_TERMINATE:
-            # X_t is kept; its row carries the norm of the rejected step
-            builder.record(it, xd, fv, sigma_r, step_norm, branch)
-            status = STATUS_SECOND_ORDER
-        else:
-            state, xd = new_state, new_xd
-            fv, g = _value_and_grad(f, xd)
-            status = builder.record(it, xd, fv, sigma_r, step_norm, branch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, xd, sigma_r, step = _KERNELS[algo](f, x0, cfg, rank, rng, builder.trace)
+        fv, g = _value_and_grad(f, xd)
+        status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
+        it = 0
+        while status is None and it < cfg.max_iters:
+            it += 1
+            new_state, new_xd, sigma_r, branch = step(state, xd, fv, g)
+            step_norm = _fro(new_xd - xd)
+            if branch == BRANCH_TERMINATE:
+                # X_t is kept; its row carries the norm of the rejected step
+                builder.record(it, xd, fv, sigma_r, step_norm, branch)
+                status = STATUS_SECOND_ORDER
+            else:
+                state, xd = new_state, new_xd
+                fv, g = _value_and_grad(f, xd)
+                status = builder.record(it, xd, fv, sigma_r, step_norm, branch)
     return state, builder.finish(status or STATUS_MAX_ITERS)
 
 
 def run_solver(algo: str, f, x0: FactoredMatrix, cfg: SolverConfig,
-               x_star=None, rank: Optional[int] = None,
-               rng: Optional[np.random.Generator] = None) -> SolverTrace:
-    """Run one solver to termination and return its trace.
+               x_star=None, rng: Optional[np.random.Generator] = None) -> SolverTrace:
+    """Run one solver from x0, whose rank is the search rank, to
+    termination and return its trace.
 
-    rank is the search rank; it defaults to rank(x0).  x_star (optional)
-    enables the f_gap / rel_err columns and the convergence/divergence
-    stopping rules.  rng is only consumed by pprojgd's perturbations.
+    x_star (optional) enables the f_gap / rel_err columns and the
+    convergence/divergence stopping rules.  rng is only consumed by
+    pprojgd's perturbations.
     """
     algo = algo.lower()
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    if algo == "pprojgd":
-        return pprojgd(f, x0, cfg, rng=rng, x_star=x_star, rank=rank)[1]
-    return _drive(algo, f, x0, cfg, x_star, rank, rng)[1]
+    return _drive(algo, f, x0, cfg, x_star, rng=rng)[1]
 
 
 def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
-            rng: Optional[np.random.Generator] = None, x_star=None,
-            rank: Optional[int] = None):
+            rng: Optional[np.random.Generator] = None, x_star=None):
     """Perturbed projected gradient descent (two-branch variant).
 
     Each iteration computes the projected step X+.  A large step
@@ -489,4 +496,4 @@ def pprojgd(f, x0: FactoredMatrix, cfg: SolverConfig,
     with sigma_r(X) > 2 eps_t triggers randomized tangent-space descent to
     escape a potential strict saddle; otherwise the point is returned with
     status second-order-stop.  Returns (final point, trace)."""
-    return _drive("pprojgd", f, x0, cfg, x_star, rank, rng)
+    return _drive("pprojgd", f, x0, cfg, x_star, rng=rng)

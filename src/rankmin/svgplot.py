@@ -52,10 +52,9 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def render_panel(title: str, xlabel: str, ylabel: str, series, path=None) -> str:
+def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     """series: list of {label, x, y, band?: (lo, hi)}; coordinates are taken
-    as-is (callers do their own log10). Returns the SVG text; writes it too
-    when path is given."""
+    as-is (callers do their own log10). Returns the SVG text."""
     if not series:
         raise ValueError("no series to plot")
     xs = [v for s in series for v in s["x"]]
@@ -143,8 +142,4 @@ def render_panel(title: str, xlabel: str, ylabel: str, series, path=None) -> str
         out.append(f'<text x="{_f(xr - 22)}" y="{_f(yp)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{_esc(str(s["label"]))}</text>')
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out) + "\n"

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -65,10 +64,10 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _sensing_trace(algo, *, r_star, kappa, eta, seed, m_factor, max_iters,
-                   n=10, r=4, tol=1e-14, psd=False):
-    problem = generate_sensing(n=n, r=r, r_star=r_star, kappa=kappa,
-                               m=m_factor * n * r, seed=seed, symmetric_psd=psd)
+def _sensing_trace(algo, *, r_star, kappa, eta, seed, m_factor, max_iters, tol=1e-14):
+    """One run on an asymmetric sensing instance with n = 10, r = 4."""
+    problem = generate_sensing(n=10, r=4, r_star=r_star, kappa=kappa,
+                               m=m_factor * 10 * 4, seed=seed)
     f = sensing_objective(problem)
     x0 = spectral_init(problem)
     cfg = SolverConfig(eta=eta, max_iters=max_iters, tol_rel_err=tol,
@@ -383,10 +382,7 @@ def criterion_geometry_oracles(level: str = "full") -> CriterionResult:
             ey_ok = ey_ok and best <= float(np.linalg.norm(z - c)) + 1e-12
 
     def rand_base():
-        kappa = 10.0 ** rng.uniform(0, 1.5)
-        sig = np.linspace(1.0, 1.0 / kappa, r)
-        return FactoredMatrix(haar_frame(rng, n, r), sig, haar_frame(rng, n, r),
-                              validate=False)
+        return random_ground_truth(n, r, 10.0 ** rng.uniform(0, 1.5), rng)
 
     # retraction against its dense closed form
     retr_worst = 0.0
@@ -580,20 +576,17 @@ def _jsonable(obj):
     return obj
 
 
-def verify_suite(level: str = "quick", out=None, only=None, stream=None) -> dict:
-    """Run all (or `only`) criteria; print one PASS/FAIL line each; return
-    and optionally write the JSON verdict."""
+def verify_suite(level: str = "quick", out=None) -> dict:
+    """Run all criteria; print one PASS/FAIL line each; return and
+    optionally write the JSON verdict."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    stream = stream if stream is not None else sys.stdout
     results = []
     for cid, fn in CRITERIA.items():
-        if only and cid not in only:
-            continue
         res = fn(level)
         results.append(res)
         print(f"{'PASS' if res.passed else 'FAIL'} {cid}: {res.summary} "
-              f"[{res.seconds:.1f}s]", file=stream)
+              f"[{res.seconds:.1f}s]")
     verdict = {
         "level": level,
         "all_passed": all(r.passed for r in results),

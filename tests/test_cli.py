@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import rankmin.cli as cli
+import rankmin.diagnostics as diagnostics
 import rankmin.harness as harness
+import rankmin.objectives as objectives
 
 CFG = """
 [problem]
@@ -152,6 +155,50 @@ def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, algo, 
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert needle in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
+def test_huge_step_size_ends_the_run_as_diverged(tmp_path, capsys, algo):
+    text = (CFG.replace("algorithms = projgd", f"algorithms = {algo}")
+            .replace("eta = 0.4", "eta = 1e200").replace("max_iters = 30", "max_iters = 5"))
+    cfg = write(tmp_path / "grid.ini", text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "eta_sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",diverged") for row in rows)
+
+
+def _forbid_operator_allocation(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("an oversized spec got past validation")
+    for module, name in ((harness, "run_experiment"), (harness, "generate_sensing"),
+                         (objectives, "generate_sensing"), (cli, "generate_sensing"),
+                         (cli, "landscape_probe"), (diagnostics, "landscape_probe")):
+        monkeypatch.setattr(module, name, fail)
+
+
+@pytest.mark.parametrize("old, new", [("n = 6", "n = 100000"),
+                                      ("kappa = 1", "kappa = 1\nm_factor = 100000000")],
+                         ids=("n", "m_factor"))
+def test_run_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new):
+    _forbid_operator_allocation(monkeypatch)
+    cfg = write(tmp_path / "grid.ini", CFG.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "64 MiB" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_probe_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    _forbid_operator_allocation(monkeypatch)
+    text = PROBE.replace("objective = quadratic", "objective = sensing") + "m_factor = 1000000\n"
+    cfg = write(tmp_path / "probe.ini", text)
+    assert cli.main(["probe", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "64 MiB" in err
 
 
 def test_seed_and_format_overrides(tmp_path):

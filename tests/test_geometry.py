@@ -14,7 +14,6 @@ from rankmin.geometry import (
     RETRACTION_CORE_FLOOR,
     FactoredMatrix,
     RetractionUndefinedError,
-    TangentSpaceUndefinedError,
     TangentVector,
     _retraction_point,
     project_psd_rank_r,
@@ -274,15 +273,6 @@ def test_tangent_pythagoras():
         corner = outer_block(z, base)
         assert abs(t.norm() ** 2 + np.sum(corner ** 2) - np.sum(z ** 2)) < 1e-10 * np.sum(z ** 2)
         assert t.norm() <= np.linalg.norm(z) + 1e-12
-
-
-def test_tangent_space_undefined_below_search_rank():
-    rng = make_rng(115)
-    a = rng.standard_normal((6, 2))
-    deficient = project_rank_r(a @ a.T, 4)     # k = 2 < 4
-    assert deficient.rank == 2
-    with pytest.raises(TangentSpaceUndefinedError):
-        project_tangent(rng.standard_normal((6, 6)), deficient, rank=4)
 
 
 def test_tangent_vector_norm_identity():

@@ -165,6 +165,29 @@ def test_scaledgd_gram_breakdown_flag_on_rank_deficient():
     assert flagged >= 16
 
 
+def test_gram_breakdown_is_false_without_a_singular_gram():
+    xs = random_ground_truth(6, 2, 2.0, 3)
+    f = quadratic_objective(xs)
+    x0 = random_ground_truth(6, 2, 1.0, 4)
+    idle = run_solver("scaledgd", f, x0, SolverConfig(eta=0.5, max_iters=0), x_star=xs)
+    assert math.isnan(idle.gram_cond_max) and not idle.gram_breakdown
+    cfg = SolverConfig(eta=0.4, max_iters=1000, tol_rel_err=1e-14)
+    assert not run_solver("projgd", f, x0, cfg, x_star=xs).gram_breakdown
+    p, fs, x0s = sensing_setup(4, 1.0, 0)
+    tr = run_solver("scaledgd", fs, x0s, cfg, x_star=p.ground_truth)
+    assert 1.0 <= tr.gram_cond_max < 1e3 and not tr.gram_breakdown
+
+
+def test_gram_breakdown_on_an_exactly_singular_gram():
+    # a zero singular value gives each balanced factor a zero column, which
+    # the pseudo-inverse step keeps at zero
+    xs = random_ground_truth(6, 2, 2.0, 3)
+    x0 = FactoredMatrix(xs.u, np.array([1.0, 0.0]), xs.v, validate=False)
+    tr = run_solver("scaledgd", quadratic_objective(xs), x0, SolverConfig(eta=0.5, max_iters=3),
+                    x_star=xs)
+    assert tr.gram_cond_max == math.inf and tr.gram_breakdown
+
+
 def test_precgd_reg_zero_reduces_to_scaledgd():
     from rankmin.solvers import precgd_step
     rng = make_rng(204)
