@@ -170,7 +170,11 @@ def project_rank_r(z, r: int) -> FactoredMatrix:
     result can have rank k < r.  The zero matrix projects to the empty
     (k = 0) factorization.
     """
-    z = _check_projection_input(z, r)
+    return _truncate(_check_projection_input(z, r), r)
+
+
+def _truncate(z: np.ndarray, r: int) -> FactoredMatrix:
+    """project_rank_r, unchecked: z finite floats, 1 <= r <= min(z.shape)."""
     try:
         u, s, vt = np.linalg.svd(z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -367,11 +371,14 @@ def retract(base: FactoredMatrix, s: TangentVector) -> FactoredMatrix:
     return project_rank_r(p @ _retraction_point(base, s)[0] @ q.T, base.rank)
 
 
+def _value_and_grad_of(f):
+    """f's fused value_and_grad, or a function of its separate value and gradient."""
+    return getattr(f, "value_and_grad", None) or (lambda x: (f.value(x), f.gradient(x)))
+
+
 def _value_and_grad(f, x: np.ndarray):
-    """(f(X), grad f(X)) from f's fused value_and_grad when it has one,
-    else from its separate value and gradient."""
-    fused = getattr(f, "value_and_grad", None)
-    fv, g = fused(x) if fused is not None else (f.value(x), f.gradient(x))
+    """(f(X), grad f(X)) as a float and a float array."""
+    fv, g = _value_and_grad_of(f)(x)
     return float(fv), np.asarray(g, dtype=float)
 
 

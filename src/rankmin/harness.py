@@ -35,6 +35,8 @@ REL_CLIP_LO = 1e-16
 REL_CLIP_HI = 1e3
 # desk-size cap on a sensing instance's m x n x n operator tensor: 64 MiB of float64
 MAX_OPERATOR_FLOATS = 64 * 2 ** 20 // 8
+# desk-size cap on a grid's runs x max_iters (fig2 is 320 runs x 1000)
+MAX_GRID_ITERATIONS = 10 ** 7
 
 
 class SpecFileError(ValueError):
@@ -113,8 +115,14 @@ class ExperimentSpec:
             raise SpecFileError("kappa must be >= 1")
         if self.max_iters < 1:
             raise SpecFileError("max_iters must be >= 1")
-        if not self.resolved_seeds():
+        # counted from the list lengths: the seed tuple itself may be huge
+        runs = math.prod(map(len, (self.algorithms, self.kappa, self.r_star, self.etas)))
+        runs *= len(self.seeds) if self.seeds is not None else max(self.seed_count, 0)
+        if not runs:
             raise SpecFileError("empty seed list")
+        if runs * self.max_iters > MAX_GRID_ITERATIONS:
+            raise SpecFileError(f"{runs} runs x max_iters {self.max_iters} exceed the cap "
+                                f"of {MAX_GRID_ITERATIONS} iterations")
         bad = set(self.formats) - {"csv", "svg", "json"}
         if bad:
             raise SpecFileError(f"unknown formats: {sorted(bad)}")

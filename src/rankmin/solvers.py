@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .geometry import (
     FactoredMatrix,
     TangentVector,
-    _value_and_grad,
+    _truncate,
+    _value_and_grad_of,
     project_psd_rank_r,
     project_rank_r,
     pullback_value_grad,
@@ -47,6 +48,13 @@ GRAM_BREAKDOWN_RATIO = 1e-12
 CSV_COLUMNS = ("iter", "f_value", "f_gap", "rel_err", "step_norm", "sigma_r", "branch")
 
 
+def _positive(name: str, value):
+    """value, or a ValueError naming it when it is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PprojgdParams:
     """Knobs of the perturbed solver.  None fields resolve to the defaults
@@ -60,23 +68,15 @@ class PprojgdParams:
     max_tangent_iters: Optional[int] = None
 
     def resolve(self, eta: float) -> "PprojgdParams":
-        eps = float(self.epsilon)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps!r}")
-        eps_t = math.sqrt(eps) if self.epsilon_t is None else float(self.epsilon_t)
-        eta_t = min(eps_t, eta) if self.eta_t is None else float(self.eta_t)
-        radius = eps if self.perturb_radius is None else float(self.perturb_radius)
-        j_max = (
-            int(math.ceil(1.0 / (eta_t * math.sqrt(eps))))
-            if self.max_tangent_iters is None
-            else int(self.max_tangent_iters)
-        )
-        resolved = {"epsilon_t": eps_t, "eta_t": eta_t, "perturb_radius": radius,
-                    "max_tangent_iters": j_max}
-        for name, value in resolved.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        return PprojgdParams(eps, eps_t, eta_t, radius, j_max)
+        eps = _positive("epsilon", float(self.epsilon))
+        eps_t = _positive("epsilon_t", math.sqrt(eps) if self.epsilon_t is None
+                          else float(self.epsilon_t))
+        eta_t = _positive("eta_t", min(eps_t, eta) if self.eta_t is None else float(self.eta_t))
+        radius = _positive("perturb_radius", eps if self.perturb_radius is None
+                           else float(self.perturb_radius))
+        j_max = (math.ceil(1.0 / (eta_t * math.sqrt(eps))) if self.max_tangent_iters is None
+                 else int(_positive("max_tangent_iters", self.max_tangent_iters)))
+        return PprojgdParams(eps, eps_t, eta_t, radius, _positive("max_tangent_iters", j_max))
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,9 @@ class SolverConfig:
             raise ValueError("tol_step must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row; csv_text prints its floats, Python floats, with repr."""
+
     iteration: int
     f_value: float
     f_gap: float
@@ -142,8 +143,8 @@ class SolverTrace:
     def column(self, name: str) -> np.ndarray:
         if name == "branch":
             raise ValueError("branch is not numeric")
-        return np.array([getattr(rec, "iteration" if name == "iter" else name)
-                         for rec in self.records], dtype=float)
+        i = 0 if name == "iter" else TraceRecord._fields.index(name)
+        return np.array([rec[i] for rec in self.records], dtype=float)
 
     def iterations_to(self, rel_err: float) -> Optional[int]:
         """First iteration index at which rel_err drops below the threshold."""
@@ -154,15 +155,13 @@ class SolverTrace:
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        lines.extend(
-            f"{rec.iteration},{float(rec.f_value)!r},{float(rec.f_gap)!r},{float(rec.rel_err)!r},"
-            f"{float(rec.step_norm)!r},{float(rec.sigma_r)!r},{rec.branch}"
-            for rec in self.records)
+        lines.extend("%d,%r,%r,%r,%r,%r,%s" % rec for rec in self.records)
         return "\n".join(lines) + "\n"
 
 
 def _project(z: np.ndarray, rank: int, psd: bool) -> FactoredMatrix:
-    return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
+    """The driver's projection of a step matrix its kernel checked finite."""
+    return project_psd_rank_r(z, rank) if psd else _truncate(z, rank)
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
@@ -172,7 +171,8 @@ def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
     rank = x.rank if rank is None else int(rank)
     psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
-    return _project(xd - eta * np.asarray(f.gradient(xd), dtype=float), rank, psd)
+    z = xd - eta * np.asarray(f.gradient(xd), dtype=float)
+    return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
 
 
 def _fgd_point(x: FactoredMatrix, g: np.ndarray, eta: float) -> np.ndarray:
@@ -247,7 +247,10 @@ def gram_condition(lf: np.ndarray, rf: np.ndarray):
     taken in one stacked eigh call.  The condition number is inf when a Gram
     matrix is singular; (w, V) gives precgd_step the inverse of each Gram
     matrix plus any ridge without decomposing it again."""
-    w, v = np.linalg.eigh(np.stack((lf.T @ lf, rf.T @ rf)))
+    grams = np.empty((2, lf.shape[1], lf.shape[1]))
+    np.matmul(lf.T, lf, out=grams[0])
+    np.matmul(rf.T, rf, out=grams[1])
+    w, v = np.linalg.eigh(grams)
     worst = 1.0
     for ev in np.abs(w).tolist():
         if ev:
@@ -320,8 +323,8 @@ class _TraceBuilder:
         self.xs_dense = None if x_star is None else np.asarray(x_star, dtype=float)
         if self.xs_dense is not None:
             self.xs_norm = _fro(self.xs_dense)
-            if self.xs_norm == 0.0:
-                raise ValueError("x_star is zero: relative error is undefined")
+            if not 0.0 < self.xs_norm < math.inf:
+                raise ValueError(f"x_star has norm {self.xs_norm!r}: relative error is undefined")
             self.f_star = float(f.value(self.xs_dense))
         else:
             self.xs_norm = float("nan")
@@ -332,24 +335,21 @@ class _TraceBuilder:
     def record(self, iteration, xd, fv, sigma_r, step_norm, branch):
         """Append the record of iterate xd, whose f value fv the caller
         computed, and return the stop status it triggers (or None)."""
+        cfg = self.cfg
         if self.xs_dense is None:
             gap = rel = float("nan")
         else:
             gap = fv - self.f_star
             rel = _fro(xd - self.xs_dense) / self.xs_norm
-        self.trace.records.append(TraceRecord(
-            iteration=iteration, f_value=fv, f_gap=gap, rel_err=rel,
-            step_norm=step_norm, sigma_r=sigma_r, branch=branch,
-        ))
-        x_norm = _fro(xd)
-        if not math.isfinite(fv) or not math.isfinite(x_norm):
+        self.trace.records.append(TraceRecord(iteration, fv, gap, rel, step_norm, sigma_r, branch))
+        # with x_star of finite norm, rel is finite exactly when X_t is (short
+        # of ||X_t - X*|| overflowing, which diverge_threshold stops anyway)
+        x_norm = _fro(xd) if self.xs_dense is None or cfg.tol_step is not None else rel
+        if not (math.isfinite(fv) and math.isfinite(x_norm)) or rel > cfg.diverge_threshold:
             return STATUS_DIVERGED
-        if math.isfinite(rel):
-            if rel > self.cfg.diverge_threshold:
-                return STATUS_DIVERGED
-            if self.cfg.tol_rel_err is not None and rel < self.cfg.tol_rel_err:
-                return STATUS_CONVERGED
-        if self.cfg.tol_step is not None and step_norm <= self.cfg.tol_step * max(1.0, x_norm):
+        if cfg.tol_rel_err is not None and rel < cfg.tol_rel_err:
+            return STATUS_CONVERGED
+        if cfg.tol_step is not None and step_norm <= cfg.tol_step * max(1.0, x_norm):
             return STATUS_SMALL_STEP
         return None
 
@@ -375,9 +375,10 @@ def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
 def _point_kernel(f, x0, cfg, rank, rng, trace):
     """projgd and fgd, on the factored point."""
     psd = bool(getattr(f, "symmetric_psd", False))
+    projgd = trace.algorithm == "projgd"
 
     def step(x, xd, fv, g):
-        if trace.algorithm == "projgd":
+        if projgd:
             z, k, z_psd = xd - cfg.eta * g, rank, psd
         elif x.rank:
             z, k, z_psd = _fgd_point(x, g, cfg.eta), x.rank, False
@@ -452,23 +453,25 @@ def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
     run as diverged.  Returns (final state, trace)."""
     rank = x0.rank if rank is None else int(rank)
     builder = _TraceBuilder(algo, f, cfg, x_star)
+    record, value_and_grad = builder.record, _value_and_grad_of(f)
     with np.errstate(over="ignore", invalid="ignore"):
         state, xd, sigma_r, step = _KERNELS[algo](f, x0, cfg, rank, rng, builder.trace)
-        fv, g = _value_and_grad(f, xd)
-        status = builder.record(0, xd, fv, sigma_r, float("nan"), BRANCH_INIT)
-        it = 0
-        while status is None and it < cfg.max_iters:
+        it, step_norm, branch = 0, float("nan"), BRANCH_INIT
+        while True:
+            fv, g = value_and_grad(xd)
+            fv, g = float(fv), np.asarray(g, dtype=float)
+            status = record(it, xd, fv, sigma_r, step_norm, branch)
+            if status is not None or it >= cfg.max_iters:
+                break
             it += 1
             new_state, new_xd, sigma_r, branch = step(state, xd, fv, g)
             step_norm = _fro(new_xd - xd)
             if branch == BRANCH_TERMINATE:
                 # X_t is kept; its row carries the norm of the rejected step
-                builder.record(it, xd, fv, sigma_r, step_norm, branch)
+                record(it, xd, fv, sigma_r, step_norm, branch)
                 status = STATUS_SECOND_ORDER
-            else:
-                state, xd = new_state, new_xd
-                fv, g = _value_and_grad(f, xd)
-                status = builder.record(it, xd, fv, sigma_r, step_norm, branch)
+                break
+            state, xd = new_state, new_xd
     return state, builder.finish(status or STATUS_MAX_ITERS)
 
 

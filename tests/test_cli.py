@@ -192,6 +192,25 @@ def test_run_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("seed_count = 2", "seed_count = 1000000000"),
+    ("seed_count = 2\nmax_iters = 30", "seeds = 1 2 3\nmax_iters = 4000000"),
+    ("max_iters = 30", "max_iters = 10000000"),
+], ids=("seed_count", "seeds", "max_iters"))
+def test_run_oversized_grid_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new):
+    # runs x max_iters is counted from the list lengths; neither the seed
+    # tuple nor the grid is ever built
+    _forbid_operator_allocation(monkeypatch)
+    monkeypatch.setattr(harness.ExperimentSpec, "resolved_seeds",
+                        lambda self: pytest.fail("the seed tuple was built"))
+    cfg = write(tmp_path / "grid.ini", CFG.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"exceed the cap of {harness.MAX_GRID_ITERATIONS} iterations" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
     _forbid_operator_allocation(monkeypatch)
     text = PROBE.replace("objective = quadratic", "objective = sensing") + "m_factor = 1000000\n"

@@ -2,6 +2,7 @@
 layout, byte determinism, and the SVG renderer's structural guarantees."""
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -110,6 +111,21 @@ def test_validation_rejects_non_finite_numbers():
             parse_spec_text(text)
 
 
+def test_grid_cap_counts_runs_without_building_seeds(monkeypatch):
+    monkeypatch.setattr(ExperimentSpec, "resolved_seeds",
+                        lambda self: pytest.fail("the seed tuple was built"))
+    spec = ExperimentSpec(algorithms=("projgd", "fgd"), etas=(0.4, 0.6), max_iters=10)
+    cells = 2 * 2            # algorithms x etas; one kappa and one r_star
+    at_cap = harness.MAX_GRID_ITERATIONS // (cells * 10)
+    assert replace(spec, seed_count=at_cap).validate()
+    with pytest.raises(SpecFileError, match=f"{cells * (at_cap + 1)} runs x max_iters 10"):
+        replace(spec, seed_count=at_cap + 1).validate()
+    for empty in (replace(spec, seed_count=0), replace(spec, seed_count=-3),
+                  replace(spec, seeds=())):
+        with pytest.raises(SpecFileError, match="empty seed list"):
+            empty.validate()
+
+
 def test_pprojgd_params_round_trip_through_manifest_text():
     spec = replace(PRESETS["fig1"](), pprojgd=PprojgdParams(epsilon=1e-3))
     assert "[pprojgd]" in spec_to_text(spec)
@@ -132,7 +148,7 @@ def _specs(draw):
         max_tangent_iters=draw(st.none() | st.integers(1, 10**18)),
     )
     seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple))
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         n=n, r=r,
         r_star=tuple(draw(st.lists(st.integers(1, r), min_size=1, max_size=3))),
         kappa=tuple(draw(st.lists(st.floats(1.0, 1e8), min_size=1, max_size=3))),
@@ -149,6 +165,10 @@ def _specs(draw):
         diverge_threshold=draw(_positive),
         formats=tuple(draw(st.lists(st.sampled_from(("csv", "svg", "json")), min_size=1, max_size=3))),
     )
+    # valid specs stay within the grid-size cap
+    runs = math.prod(map(len, (spec.r_star, spec.kappa, spec.algorithms, spec.etas,
+                               spec.resolved_seeds())))
+    return replace(spec, max_iters=min(spec.max_iters, harness.MAX_GRID_ITERATIONS // runs))
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,10 +17,14 @@ from rankmin.objectives import (
     sensing_objective,
     spectral_init,
 )
+import rankmin.geometry as geometry
 from rankmin.solvers import (
+    CSV_COLUMNS,
     STATUS_SMALL_STEP,
     PprojgdParams,
     SolverConfig,
+    SolverTrace,
+    TraceRecord,
     _boundary_step_length,
     fgd_step,
     pprojgd,
@@ -231,6 +235,10 @@ def test_run_solver_rejects_zero_x_star():
     cfg = SolverConfig(eta=0.4, max_iters=3)
     with pytest.raises(ValueError, match="x_star"):
         run_solver("projgd", quadratic_objective(x0), x0, cfg, x_star=np.zeros((5, 5)))
+    # nor does a non-finite one, whose rel_err could not tell a finite
+    # iterate from a diverged one
+    with pytest.raises(ValueError, match="x_star"):
+        run_solver("projgd", quadratic_objective(x0), x0, cfg, x_star=np.full((5, 5), np.nan))
 
 
 def test_run_solver_monotone_quadratic_descent():
@@ -423,6 +431,100 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     assert totals[1]["svd"] - totals[0]["svd"] == 10 * svds
     assert totals[1]["eigh"] - totals[0]["eigh"] == 10 * eighs
     assert totals[1]["solve"] == 0
+
+
+# -------------------------------------------------- the driver's lean path
+
+
+class FiniteValueInfGradient:
+    """Duck-typed objective whose value is always 1 and whose constant
+    gradient has an inf entry, so the first step gives a non-finite iterate
+    at which f is still finite."""
+
+    symmetric_psd = False
+
+    def value(self, x):
+        return 1.0
+
+    def gradient(self, x):
+        g = np.zeros_like(x)
+        g[0, 1] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd"])
+@pytest.mark.parametrize("with_x_star", [False, True])
+@pytest.mark.parametrize("tol_step", [None, 1e-8])
+def test_non_finite_iterate_with_finite_value_diverges(algo, with_x_star, tol_step):
+    x0 = random_ground_truth(5, 2, 2.0, make_rng(214))
+    x_star = random_ground_truth(5, 2, 2.0, make_rng(215)) if with_x_star else None
+    cfg = SolverConfig(eta=0.1, max_iters=5, tol_rel_err=None, tol_step=tol_step)
+    tr = run_solver(algo, FiniteValueInfGradient(), x0, cfg, x_star=x_star)
+    assert tr.status == "diverged"
+    assert tr.final_record.iteration == 1
+    assert tr.final_record.f_value == 1.0
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd"])
+def test_driver_checks_no_projection_input_per_iteration(monkeypatch, algo):
+    # the kernel has scanned the step matrix for non-finite entries, so the
+    # driver projects it without the public projection's input checks
+    p, f, x0 = sensing_setup(4, 1.0, 13)
+    calls = []
+    check = geometry._check_projection_input
+    monkeypatch.setattr(geometry, "_check_projection_input",
+                        lambda z, r: calls.append(r) or check(z, r))
+    for iters in (10, 20):
+        cfg = SolverConfig(eta=0.4, max_iters=iters, tol_rel_err=None)
+        assert run_solver(algo, f, x0, cfg, x_star=p.ground_truth).final_record.iteration == iters
+    assert calls == []
+    projgd_step(x0, f, 0.4)
+    fgd_step(x0, f, 0.4)
+    assert len(calls) == 2
+
+
+def test_public_steps_reject_non_finite_input():
+    x0 = random_ground_truth(5, 2, 2.0, make_rng(216))
+    z = x0.dense()
+    z[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        project_rank_r(z, 2)
+    nan_grad = LinearPull(np.full((5, 5), np.nan), 1.0)
+    for step in (projgd_step, fgd_step):
+        with pytest.raises(ValueError, match="non-finite"):
+            step(x0, nan_grad, 0.1)
+
+
+def test_csv_text_matches_field_by_field_formatting():
+    values = (float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 5e-324)
+    records = [TraceRecord(i, v, -v, v, v * 2, v / 3, "gradient") for i, v in enumerate(values)]
+    lines = [",".join(CSV_COLUMNS)] + [
+        f"{rec.iteration},{float(rec.f_value)!r},{float(rec.f_gap)!r},{float(rec.rel_err)!r},"
+        f"{float(rec.step_norm)!r},{float(rec.sigma_r)!r},{rec.branch}" for rec in records]
+    assert SolverTrace("projgd", records).csv_text() == "\n".join(lines) + "\n"
+
+
+def test_trace_record_fields_reject_assignment():
+    rec = TraceRecord(0, 1.0, 0.5, 0.25, float("nan"), 1.0, "init")
+    with pytest.raises(AttributeError):
+        rec.f_value = 2.0
+    assert rec == (0, 1.0, 0.5, 0.25, rec.step_norm, 1.0, "init")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon_t", float("nan")),
+    ("eta_t", float("nan")), ("perturb_radius", float("inf")),
+    ("max_tangent_iters", float("nan")),
+])
+def test_pprojgd_params_reject_non_finite_values(field, value):
+    # nan <= 0 is False, so a plain positivity check lets nan through
+    params = PprojgdParams(**{"max_tangent_iters": 5, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        params.resolve(0.4)
+    x0 = random_ground_truth(5, 2, 2.0, make_rng(217))
+    cfg = SolverConfig(eta=0.4, max_iters=3, pprojgd=params)
+    with pytest.raises(ValueError, match=field):
+        pprojgd(quadratic_objective(x0), x0, cfg)
 
 
 # -------------------------------------------------- pprojgd branches
