@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # frame orthonormality acceptance, relative reconstruction acceptance
 ORTHONORMALITY_TOL = 1e-10
@@ -26,6 +27,8 @@ ORTHONORMALITY_TOL = 1e-10
 SINGULAR_VALUE_DROP = 1e-13
 # relative floor for inverting the retraction core
 RETRACTION_CORE_FLOOR = 1e-14
+# the LU inverse gufunc behind np.linalg.inv, without its per-call dispatch
+_lapack_inv = _umath_linalg.inv
 
 
 class RankProjectionError(RuntimeError):
@@ -184,7 +187,9 @@ def _truncate(z: np.ndarray, r: int) -> FactoredMatrix:
         ) from exc
     if s[0] <= 0.0:
         return FactoredMatrix.zero(*z.shape)
-    keep = min(r, np.count_nonzero(s > SINGULAR_VALUE_DROP * s[0]))
+    drop = SINGULAR_VALUE_DROP * s[0]
+    # s is sorted, so the count is needed only when s[r - 1] falls below the drop
+    keep = r if s[r - 1] > drop else np.count_nonzero(s > drop)
     return FactoredMatrix._frozen(u[:, :keep], s[:keep], vt[:keep].T)
 
 
@@ -347,7 +352,9 @@ def _retraction_point(base: FactoredMatrix, s: TangentVector):
                 f"retraction undefined: core Sigma + S_core is singular "
                 f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
             )
-    winv = np.linalg.inv(y[:k, :k])
+    # W is a float64 view that passed the floor test, so np.linalg.inv's
+    # dtype coercion and singular-matrix error have nothing to do
+    winv = _lapack_inv(y[:k, :k], signature="d->d")
     l_winv = y[k:, :k] @ winv
     winv_r = winv @ y[:k, k:]
     y[k:, k:] = l_winv @ y[:k, k:]

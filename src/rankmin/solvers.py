@@ -105,7 +105,8 @@ class SolverConfig:
 
 
 class TraceRecord(NamedTuple):
-    """One trace row; csv_text prints its floats, Python floats, with repr."""
+    """One trace row; csv_text prints its floats with str, which is repr for
+    a Python float and the same digits for a numpy float."""
 
     iteration: int
     f_value: float
@@ -155,7 +156,7 @@ class SolverTrace:
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        lines.extend("%d,%r,%r,%r,%r,%r,%s" % rec for rec in self.records)
+        lines.extend("%d,%s,%s,%s,%s,%s,%s" % rec for rec in self.records)
         return "\n".join(lines) + "\n"
 
 

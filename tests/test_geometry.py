@@ -3,6 +3,7 @@ pullback derivatives.  Oracles (random-candidate search, independent
 eigendecomposition, finite differences) come before anything that leans on
 the implementation's own formulas."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankmin.geometry as geometry
 from rankmin.geometry import (
     RETRACTION_CORE_FLOOR,
+    SINGULAR_VALUE_DROP,
     FactoredMatrix,
     RetractionUndefinedError,
     TangentVector,
@@ -352,13 +355,16 @@ def test_retract_inverts_under_tangent_projection():
         assert np.linalg.norm(back.coords() - s.coords()) < 1e-8
 
 
-def test_retract_singular_core_rejected():
+def test_retract_singular_core_rejected(monkeypatch):
     rng = make_rng(120)
     base = random_base(rng, 5, 2)
     core = -np.diag(base.sigma)     # makes sigma + core exactly singular
     s = TangentVector(core, np.zeros((3, 2)), np.zeros((2, 3)), base)
+    shapes = _count_linalg(monkeypatch)
     with pytest.raises(RetractionUndefinedError):
         retract(base, s)
+    # the floor test raises before anything is inverted
+    assert shapes == {"svd": [(2, 2)], "inv": [], "lapack_inv": []}
 
 
 def test_retract_rejects_foreign_tangent_vector():
@@ -521,13 +527,15 @@ def test_pullback_hessian_makes_no_pullback_gradient_calls(monkeypatch):
     assert calls == []
 
 
-def test_pullback_value_grad_singular_core_rejected():
+def test_pullback_value_grad_singular_core_rejected(monkeypatch):
     rng = make_rng(130)
     base = random_base(rng, 5, 2)
     f = quadratic_objective(random_ground_truth(5, 3, 2.0, rng))
     s = TangentVector(-np.diag(base.sigma), np.zeros((3, 2)), np.zeros((2, 3)), base)
+    shapes = _count_linalg(monkeypatch)
     with pytest.raises(RetractionUndefinedError):
         pullback_value_grad(f, base, s)
+    assert shapes == {"svd": [(2, 2)], "inv": [], "lapack_inv": []}
 
 
 def _floor_says_singular(w):
@@ -574,8 +582,10 @@ def test_retraction_floor_on_fixed_cores(ratio, singular):
         assert np.all(np.isfinite(y))
 
 
-def _count_linalg(monkeypatch, names):
-    shapes = {name: [] for name in names}
+def _count_linalg(monkeypatch, names=("svd", "inv")):
+    """Shapes handed to the named np.linalg functions and to the geometry's
+    direct LU inverse binding (key "lapack_inv"), each under its own key."""
+    shapes = {name: [] for name in (*names, "lapack_inv")}
 
     def counting(name, fn):
         def wrapped(a, *args, **kwargs):
@@ -585,6 +595,7 @@ def _count_linalg(monkeypatch, names):
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(geometry, "_lapack_inv", counting("lapack_inv", geometry._lapack_inv))
     return shapes
 
 
@@ -596,11 +607,11 @@ def test_retraction_core_svd_only_when_the_bound_cannot_clear(monkeypatch):
     small = TangentVector.from_coords(1e-2 * d / np.linalg.norm(d), base)
     # ||core||_F > sigma_3 = 0.5 while W stays well conditioned
     large = TangentVector(-0.9 * np.diag(base.sigma), small.left, small.right, base)
-    shapes = _count_linalg(monkeypatch, ("svd", "inv"))
+    shapes = _count_linalg(monkeypatch)
     pullback_value_grad(f, base, small)
-    assert shapes == {"svd": [], "inv": [(3, 3)]}
+    assert shapes == {"svd": [], "inv": [], "lapack_inv": [(3, 3)]}
     pullback_value_grad(f, base, large)
-    assert shapes == {"svd": [(3, 3)], "inv": [(3, 3), (3, 3)]}
+    assert shapes == {"svd": [(3, 3)], "inv": [], "lapack_inv": [(3, 3), (3, 3)]}
 
 
 def test_escape_inside_the_ball_factors_only_its_exit_point(monkeypatch):
@@ -611,9 +622,74 @@ def test_escape_inside_the_ball_factors_only_its_exit_point(monkeypatch):
     rng = make_rng(134)
     x = random_ground_truth(8, 3, 2.0, rng)
     f = quadratic_objective(x)      # pulls back toward s = 0: never leaves the ball
-    shapes = _count_linalg(monkeypatch, ("svd", "inv"))
+    shapes = _count_linalg(monkeypatch)
     tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 50, make_rng(9, stream=6))
-    assert shapes == {"svd": [(8, 8)], "inv": [(3, 3)] * 51}
+    assert shapes == {"svd": [(8, 8)], "inv": [], "lapack_inv": [(3, 3)] * 51}
+
+
+def test_lapack_inv_is_the_gufunc_behind_np_linalg_inv():
+    # fails by name when a numpy release moves or re-routes the gufunc
+    assert inspect.getmodule(np.linalg.inv)._umath_linalg.inv is geometry._lapack_inv
+
+
+def test_lapack_inv_matches_np_linalg_inv_bit_for_bit():
+    # 6 x 180 = 1,080 cores, each inverted as it is and as a strided view
+    rng = make_rng(136)
+    for k in range(1, 7):
+        for trial in range(180):
+            if trial % 3 == 0:      # condition number near 1e13
+                sv = np.geomspace(1.0, 10.0 ** rng.uniform(-13.3, -12.7), k)
+                w = (haar_frame(rng, k, k) * sv) @ haar_frame(rng, k, k).T
+            else:
+                w = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3)
+            # the retraction inverts the core as a view into a larger frame array
+            frame = rng.standard_normal((k + 2, k + 3))
+            frame[:k, :k] = w
+            for a in (w, frame[:k, :k]):
+                got = geometry._lapack_inv(a, signature="d->d")
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.linalg.inv(a).tobytes()
+
+
+def test_pprojgd_escape_bits_do_not_depend_on_the_inverse_wrapper(monkeypatch):
+    from rankmin.diagnostics import swapped_direction_saddle
+    from rankmin.solvers import SolverConfig, pprojgd
+    eye = np.eye(8)
+    target = FactoredMatrix(eye[:, :4], np.array([1.0, 0.9, 0.6, 0.3]), eye[:, :4], validate=False)
+    f = quadratic_objective(target)
+    saddle = swapped_direction_saddle(target, 3)
+    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=6, tol_rel_err=None)
+
+    def escape():
+        x_end, tr = pprojgd(f, saddle, cfg, rng=make_rng(300, stream=2))
+        assert "tangent-escape" in {rec.branch for rec in tr.records}
+        return tr.csv_text(), x_end.u.tobytes() + x_end.sigma.tobytes() + x_end.v.tobytes()
+
+    direct = escape()
+    calls = []
+    monkeypatch.setattr(geometry, "_lapack_inv",
+                        lambda w, signature: calls.append(w.shape) or np.linalg.inv(w))
+    assert escape() == direct
+    assert calls
+
+
+def test_rank_projection_keeps_the_rank_the_full_count_keeps():
+    # the kept rank min(r, #{s > drop * s_1}), on sorted singular values that
+    # the SVD of a row-reversed diagonal returns exactly
+    drop = SINGULAR_VALUE_DROP
+    tails = {
+        "full rank": [0.5, 0.25, 0.125],
+        "exact zeros": [0.5, 0.0, 0.0],
+        "just above": [0.5, np.nextafter(drop, 1.0), np.nextafter(drop, 1.0)],
+        "at the drop": [0.5, drop, drop],
+        "just below": [0.5, np.nextafter(drop, 0.0), 0.0],
+    }
+    for name, tail in tails.items():
+        s = np.array([1.0] + tail)
+        z = np.diag(s)[::-1]
+        assert np.array_equal(np.linalg.svd(z, compute_uv=False), s), name
+        for r in range(1, 5):
+            assert project_rank_r(z, r).rank == min(r, np.count_nonzero(s > drop * s[0])), (name, r)
 
 
 class CountingQuadratic(QuadraticObjective):

@@ -496,12 +496,16 @@ def test_public_steps_reject_non_finite_input():
 
 
 def test_csv_text_matches_field_by_field_formatting():
-    values = (float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 5e-324)
-    records = [TraceRecord(i, v, -v, v, v * 2, v / 3, "gradient") for i, v in enumerate(values)]
-    lines = [",".join(CSV_COLUMNS)] + [
-        f"{rec.iteration},{float(rec.f_value)!r},{float(rec.f_gap)!r},{float(rec.rel_err)!r},"
-        f"{float(rec.step_norm)!r},{float(rec.sigma_r)!r},{rec.branch}" for rec in records]
-    assert SolverTrace("projgd", records).csv_text() == "\n".join(lines) + "\n"
+    # rows of numpy floats print the digits of the Python floats
+    values = (float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 5e-324,
+              1e16, 1e22, 9007199254740993.0)
+    for cast in (float, np.float64):
+        records = [TraceRecord(i, cast(v), cast(-v), cast(v), cast(v * 2), cast(v / 3), "gradient")
+                   for i, v in enumerate(values)]
+        lines = [",".join(CSV_COLUMNS)] + [
+            f"{rec.iteration},{float(rec.f_value)!r},{float(rec.f_gap)!r},{float(rec.rel_err)!r},"
+            f"{float(rec.step_norm)!r},{float(rec.sigma_r)!r},{rec.branch}" for rec in records]
+        assert SolverTrace("projgd", records).csv_text() == "\n".join(lines) + "\n"
 
 
 def test_trace_record_fields_reject_assignment():
