@@ -27,8 +27,14 @@ ORTHONORMALITY_TOL = 1e-10
 SINGULAR_VALUE_DROP = 1e-13
 # relative floor for inverting the retraction core
 RETRACTION_CORE_FLOOR = 1e-14
-# the LU inverse gufunc behind np.linalg.inv, without its per-call dispatch
+# the LAPACK gufuncs behind np.linalg.inv, np.linalg.svd (reduced, and
+# values only) and np.linalg.eigh, without their per-call dispatch; where
+# LAPACK fails to converge they return NaN instead of raising, so each
+# caller tests its first output value
 _lapack_inv = _umath_linalg.inv
+_lapack_svd = _umath_linalg.svd_s
+_lapack_svdvals = _umath_linalg.svd
+_lapack_eigh = _umath_linalg.eigh_lo
 
 
 class RankProjectionError(RuntimeError):
@@ -178,19 +184,23 @@ def project_rank_r(z, r: int) -> FactoredMatrix:
 
 def _truncate(z: np.ndarray, r: int) -> FactoredMatrix:
     """project_rank_r, unchecked: z finite floats, 1 <= r <= min(z.shape)."""
-    try:
-        u, s, vt = np.linalg.svd(z, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(z)))
-        raise RankProjectionError(
-            f"SVD did not converge (input max magnitude {scale:.3e})"
-        ) from exc
-    if s[0] <= 0.0:
+    u, s, vt = _lapack_svd(z, signature="d->ddd")
+    if not s[0] > 0.0:
+        if math.isnan(s[0]):
+            scale = float(np.max(np.abs(z)))
+            raise RankProjectionError(f"SVD did not converge (input max magnitude {scale:.3e})")
         return FactoredMatrix.zero(*z.shape)
     drop = SINGULAR_VALUE_DROP * s[0]
     # s is sorted, so the count is needed only when s[r - 1] falls below the drop
     keep = r if s[r - 1] > drop else np.count_nonzero(s > drop)
     return FactoredMatrix._frozen(u[:, :keep], s[:keep], vt[:keep].T)
+
+
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm, computed as np.linalg.norm computes it for ord=None
+    (the same bits), without its per-call overhead."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def project_psd_rank_r(z, r: int) -> FactoredMatrix:
@@ -200,20 +210,26 @@ def project_psd_rank_r(z, r: int) -> FactoredMatrix:
     z = _check_projection_input(z, r)
     if z.shape[0] != z.shape[1]:
         raise ValueError("PSD projection needs a square matrix")
-    asym = np.linalg.norm(z - z.T)
-    if asym > ORTHONORMALITY_TOL * max(1.0, float(np.linalg.norm(z))):
+    return _truncate_psd(z, r)
+
+
+def _truncate_psd(z: np.ndarray, r: int) -> FactoredMatrix:
+    """project_psd_rank_r without its input checks (z square finite floats,
+    1 <= r <= z.shape[0]); z must still be symmetric."""
+    asym = _fro(z - z.T)
+    if asym > ORTHONORMALITY_TOL * max(1.0, _fro(z)):
         raise ValueError(f"input is not symmetric (||z - z.T||_F = {asym:.3e})")
-    sym = 0.5 * (z + z.T)
-    try:
-        w, q = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise RankProjectionError("eigendecomposition did not converge") from exc
+    w, q = _lapack_eigh(0.5 * (z + z.T), signature="d->dd")
+    if math.isnan(w[0]):
+        raise RankProjectionError("eigendecomposition did not converge")
     w = w[::-1]
     q = q[:, ::-1]
     lam = np.clip(w[:r], 0.0, None)
-    if lam.size == 0 or lam[0] <= 0.0:
+    if lam[0] <= 0.0:
         return FactoredMatrix.zero(*z.shape)
-    keep = np.count_nonzero(lam > SINGULAR_VALUE_DROP * lam[0])
+    drop = SINGULAR_VALUE_DROP * lam[0]
+    # lam is sorted, so the count is needed only when lam[-1] falls below the drop
+    keep = r if lam[-1] > drop else np.count_nonzero(lam > drop)
     # u = v: one C-ordered copy of the reversed eigenvector columns
     qk = np.ascontiguousarray(q[:, :keep])
     return FactoredMatrix._frozen(qk, lam[:keep], qk)

@@ -18,7 +18,11 @@ import numpy as np
 from .geometry import (
     FactoredMatrix,
     TangentVector,
+    _fro,
+    _lapack_eigh,
+    _lapack_svdvals,
     _truncate,
+    _truncate_psd,
     _value_and_grad_of,
     project_psd_rank_r,
     project_rank_r,
@@ -117,13 +121,6 @@ class TraceRecord(NamedTuple):
     branch: str
 
 
-def _fro(a: np.ndarray) -> float:
-    """Frobenius norm, computed as np.linalg.norm computes it for ord=None
-    (the same bits), without its per-call overhead."""
-    v = a.ravel(order="K")
-    return math.sqrt(v.dot(v))
-
-
 @dataclass
 class SolverTrace:
     algorithm: str
@@ -162,7 +159,7 @@ class SolverTrace:
 
 def _project(z: np.ndarray, rank: int, psd: bool) -> FactoredMatrix:
     """The driver's projection of a step matrix its kernel checked finite."""
-    return project_psd_rank_r(z, rank) if psd else _truncate(z, rank)
+    return _truncate_psd(z, rank) if psd else _truncate(z, rank)
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
@@ -247,14 +244,17 @@ def gram_condition(lf: np.ndarray, rf: np.ndarray):
     are the eigenvalues and eigenvectors of L^T L (i = 0) and R^T R (i = 1),
     taken in one stacked eigh call.  The condition number is inf when a Gram
     matrix is singular; (w, V) gives precgd_step the inverse of each Gram
-    matrix plus any ridge without decomposing it again."""
+    matrix plus any ridge without decomposing it again.  Raises LinAlgError
+    when the eigendecomposition does not converge."""
     grams = np.empty((2, lf.shape[1], lf.shape[1]))
     np.matmul(lf.T, lf, out=grams[0])
     np.matmul(rf.T, rf, out=grams[1])
-    w, v = np.linalg.eigh(grams)
+    w, v = _lapack_eigh(grams, signature="d->dd")
     worst = 1.0
     for ev in np.abs(w).tolist():
         if ev:
+            if math.isnan(ev[0]):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
             lo = min(ev)
             worst = max(worst, float("inf") if lo <= 0 else max(ev) / lo)
     return worst, (w, v)
@@ -361,7 +361,9 @@ class _TraceBuilder:
 
 
 def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
-    sv = np.linalg.svd(xd, compute_uv=False)
+    sv = _lapack_svdvals(xd, signature="d->d")
+    if math.isnan(sv[0]):
+        raise np.linalg.LinAlgError("SVD did not converge")
     return float(sv[rank - 1]) if sv.size >= rank else 0.0
 
 

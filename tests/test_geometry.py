@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankmin.geometry as geometry
+import rankmin.solvers as solvers
 from rankmin.geometry import (
     RETRACTION_CORE_FLOOR,
     SINGULAR_VALUE_DROP,
@@ -364,7 +365,7 @@ def test_retract_singular_core_rejected(monkeypatch):
     with pytest.raises(RetractionUndefinedError):
         retract(base, s)
     # the floor test raises before anything is inverted
-    assert shapes == {"svd": [(2, 2)], "inv": [], "lapack_inv": []}
+    assert shapes == _only(svd=[(2, 2)])
 
 
 def test_retract_rejects_foreign_tangent_vector():
@@ -535,7 +536,7 @@ def test_pullback_value_grad_singular_core_rejected(monkeypatch):
     shapes = _count_linalg(monkeypatch)
     with pytest.raises(RetractionUndefinedError):
         pullback_value_grad(f, base, s)
-    assert shapes == {"svd": [(2, 2)], "inv": [], "lapack_inv": []}
+    assert shapes == _only(svd=[(2, 2)])
 
 
 def _floor_says_singular(w):
@@ -582,10 +583,14 @@ def test_retraction_floor_on_fixed_cores(ratio, singular):
         assert np.all(np.isfinite(y))
 
 
+LAPACK_BINDINGS = ("lapack_inv", "lapack_svd", "lapack_svdvals", "lapack_eigh")
+
+
 def _count_linalg(monkeypatch, names=("svd", "inv")):
-    """Shapes handed to the named np.linalg functions and to the geometry's
-    direct LU inverse binding (key "lapack_inv"), each under its own key."""
-    shapes = {name: [] for name in (*names, "lapack_inv")}
+    """Shapes handed to the named np.linalg functions and to the direct
+    LAPACK bindings (keys "lapack_inv", "lapack_svd", ...), in geometry and
+    wherever solvers imported them, each under its own key."""
+    shapes = {name: [] for name in (*names, *LAPACK_BINDINGS)}
 
     def counting(name, fn):
         def wrapped(a, *args, **kwargs):
@@ -595,8 +600,17 @@ def _count_linalg(monkeypatch, names=("svd", "inv")):
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(geometry, "_lapack_inv", counting("lapack_inv", geometry._lapack_inv))
+    for name in LAPACK_BINDINGS:
+        for module in (geometry, solvers):
+            if hasattr(module, "_" + name):
+                monkeypatch.setattr(module, "_" + name, counting(name, getattr(module, "_" + name)))
     return shapes
+
+
+def _only(**calls):
+    """The _count_linalg shapes of the default names with only the given
+    keys called."""
+    return {name: calls.get(name, []) for name in ("svd", "inv", *LAPACK_BINDINGS)}
 
 
 def test_retraction_core_svd_only_when_the_bound_cannot_clear(monkeypatch):
@@ -609,22 +623,22 @@ def test_retraction_core_svd_only_when_the_bound_cannot_clear(monkeypatch):
     large = TangentVector(-0.9 * np.diag(base.sigma), small.left, small.right, base)
     shapes = _count_linalg(monkeypatch)
     pullback_value_grad(f, base, small)
-    assert shapes == {"svd": [], "inv": [], "lapack_inv": [(3, 3)]}
+    assert shapes == _only(lapack_inv=[(3, 3)])
     pullback_value_grad(f, base, large)
-    assert shapes == {"svd": [(3, 3)], "inv": [], "lapack_inv": [(3, 3), (3, 3)]}
+    assert shapes == _only(svd=[(3, 3)], lapack_inv=[(3, 3), (3, 3)])
 
 
 def test_escape_inside_the_ball_factors_only_its_exit_point(monkeypatch):
     # sigma_3 = 0.5 >> eps_t: the Weyl bound clears every retraction core, so
     # the 50 inner steps and the exit retract take one LU inverse each, and
-    # the only SVD is the projection of the exit point
+    # the only SVD is the projection of the exit point, through the binding
     from rankmin.solvers import tangent_space_steps
     rng = make_rng(134)
     x = random_ground_truth(8, 3, 2.0, rng)
     f = quadratic_objective(x)      # pulls back toward s = 0: never leaves the ball
     shapes = _count_linalg(monkeypatch)
     tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 50, make_rng(9, stream=6))
-    assert shapes == {"svd": [(8, 8)], "inv": [], "lapack_inv": [(3, 3)] * 51}
+    assert shapes == _only(lapack_svd=[(8, 8)], lapack_inv=[(3, 3)] * 51)
 
 
 def test_lapack_inv_is_the_gufunc_behind_np_linalg_inv():
@@ -649,6 +663,70 @@ def test_lapack_inv_matches_np_linalg_inv_bit_for_bit():
                 got = geometry._lapack_inv(a, signature="d->d")
                 assert got.dtype == np.float64
                 assert got.tobytes() == np.linalg.inv(a).tobytes()
+
+
+@pytest.mark.parametrize("public, gufunc, binding", [
+    (np.linalg.svd, "svd_s", "_lapack_svd"),
+    (np.linalg.svd, "svd", "_lapack_svdvals"),
+    (np.linalg.eigh, "eigh_lo", "_lapack_eigh"),
+])
+def test_lapack_svd_and_eigh_bindings_are_the_gufuncs_behind_np_linalg(public, gufunc, binding):
+    # fails by name when a numpy release moves or re-routes a gufunc
+    assert getattr(inspect.getmodule(public)._umath_linalg, gufunc) is getattr(geometry, binding)
+    if hasattr(solvers, binding):
+        assert getattr(solvers, binding) is getattr(geometry, binding)
+
+
+def _svd_inputs(rng):
+    """Seeded matrices, each also as a strided view and a Fortran-ordered
+    copy: dense, rank-deficient and exact-zero, 10 x 10, 8 x 8, 12 x 10 and
+    10 x 12."""
+    for shape in ((10, 10), (8, 8), (12, 10), (10, 12)):
+        for trial in range(24):
+            if trial == 0:
+                a = np.zeros(shape)
+            elif trial % 3 == 0:        # rank 3, or rank 1 with exact zero rows
+                rank = 1 if trial % 2 else 3
+                a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+                if rank == 1:
+                    a[::2] = 0.0
+            else:
+                a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            frame = rng.standard_normal((shape[0] + 2, shape[1] + 3))
+            frame[1:-1, 2:-1] = a
+            yield a
+            yield frame[1:-1, 2:-1]
+            yield np.asfortranarray(a)
+
+
+def test_lapack_svd_bindings_match_np_linalg_svd_bit_for_bit():
+    for a in _svd_inputs(make_rng(137)):
+        got = geometry._lapack_svd(a, signature="d->ddd")
+        for g, ref in zip(got, np.linalg.svd(a, full_matrices=False)):
+            assert g.dtype == np.float64 and g.shape == ref.shape
+            assert g.tobytes() == ref.tobytes()
+        vals = geometry._lapack_svdvals(a, signature="d->d")
+        assert vals.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+
+
+def test_lapack_eigh_binding_matches_np_linalg_eigh_bit_for_bit():
+    rng = make_rng(138)
+    inputs = [0.5 * (a + a.T) for a in _svd_inputs(rng) if a.shape[0] == a.shape[1]]
+    # stacked Gram matrices of both factors, one pair near singular in three
+    for k in range(1, 6):
+        for trial in range(30):
+            lf, rf = rng.standard_normal((10, k)), rng.standard_normal((10, k))
+            if trial % 3 == 0:
+                lf[:, -1] = lf[:, 0] + 10.0 ** rng.uniform(-8, -5) * rng.standard_normal(10)
+            grams = np.empty((2, k + 1, k + 2))
+            grams[0, :k, :k] = lf.T @ lf
+            grams[1, :k, :k] = rf.T @ rf
+            inputs += [np.ascontiguousarray(grams[:, :k, :k]), grams[:, :k, :k]]
+    for a in inputs:
+        got = geometry._lapack_eigh(a, signature="d->dd")
+        for g, ref in zip(got, np.linalg.eigh(a)):
+            assert g.dtype == np.float64 and g.shape == ref.shape
+            assert g.tobytes() == ref.tobytes()
 
 
 def test_pprojgd_escape_bits_do_not_depend_on_the_inverse_wrapper(monkeypatch):
@@ -690,6 +768,29 @@ def test_rank_projection_keeps_the_rank_the_full_count_keeps():
         assert np.array_equal(np.linalg.svd(z, compute_uv=False), s), name
         for r in range(1, 5):
             assert project_rank_r(z, r).rank == min(r, np.count_nonzero(s > drop * s[0])), (name, r)
+
+
+def test_psd_projection_keeps_the_rank_the_full_count_keeps():
+    # the kept rank min(r, #{lam > drop * lam_1}) over the clipped top-r
+    # eigenvalues, on a shuffled diagonal that eigh returns exactly
+    drop = SINGULAR_VALUE_DROP
+    tails = {
+        "full rank": [0.5, 0.25, 0.125],
+        "exact zeros": [0.5, 0.0, 0.0],
+        "negative": [0.5, -0.25, -0.5],
+        "just above": [0.5, np.nextafter(drop, 1.0), np.nextafter(drop, 1.0)],
+        "at the drop": [0.5, drop, drop],
+        "just below": [0.5, np.nextafter(drop, 0.0), 0.0],
+    }
+    for name, tail in tails.items():
+        lam = np.array([1.0] + tail)
+        z = np.diag(lam[[2, 0, 3, 1]])
+        assert np.array_equal(np.linalg.eigh(z)[0][::-1], lam), name
+        for r in range(1, 5):
+            kept = np.count_nonzero(np.clip(lam[:r], 0.0, None) > drop * lam[0])
+            x = project_psd_rank_r(z, r)
+            assert x.rank == kept, (name, r)
+            assert np.array_equal(x.sigma, lam[:kept]), (name, r)
 
 
 class CountingQuadratic(QuadraticObjective):
@@ -785,6 +886,7 @@ def test_pullback_value_grad_factors_nothing_larger_than_the_core(monkeypatch):
     pullback_value_grad(f, base, s)
     assert shapes["qr"] == []
     assert all(shape == (3, 3) for shape in shapes["svd"])
+    assert shapes["lapack_svd"] == shapes["lapack_svdvals"] == shapes["lapack_eigh"] == []
 
 
 def test_retraction_and_pullback_point_match_closed_form_oracle():

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from rankmin.geometry import FactoredMatrix, TangentVector, project_rank_r, project_tangent, tangent_dim
+from rankmin.geometry import (
+    FactoredMatrix,
+    TangentVector,
+    project_psd_rank_r,
+    project_rank_r,
+    project_tangent,
+    tangent_dim,
+)
 from rankmin.objectives import (
     generate_sensing,
     haar_frame,
@@ -18,6 +25,7 @@ from rankmin.objectives import (
     spectral_init,
 )
 import rankmin.geometry as geometry
+import rankmin.solvers as solvers
 from rankmin.solvers import (
     CSV_COLUMNS,
     STATUS_SMALL_STEP,
@@ -403,9 +411,11 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     # each iterate costs one apply and one adjoint (one fused value_and_grad)
     # and one SVD; the factored preconditioned solvers add one stacked
     # eigendecomposition of both Gram matrices and no solve; run set-up adds
-    # a constant
+    # a constant.  Every SVD and eigh of an iteration goes through a direct
+    # LAPACK binding, none through np.linalg
     from rankmin.objectives import SensingProblem
-    calls = {"apply": 0, "adjoint": 0, "svd": 0, "eigh": 0, "solve": 0}
+    calls = {"apply": 0, "adjoint": 0, "svd": 0, "eigh": 0, "solve": 0,
+             "np.linalg.svd": 0, "np.linalg.eigh": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -415,8 +425,13 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
 
     for name in ("apply", "adjoint"):
         monkeypatch.setattr(SensingProblem, name, counting(name, getattr(SensingProblem, name)))
-    for name in ("svd", "eigh", "solve"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting("np.linalg." + name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    for name, binding in (("svd", "_lapack_svd"), ("svd", "_lapack_svdvals"), ("eigh", "_lapack_eigh")):
+        for module in (geometry, solvers):
+            if hasattr(module, binding):
+                monkeypatch.setattr(module, binding, counting(name, getattr(module, binding)))
     p, f, x0 = sensing_setup(4, 1.0, 13)
     totals = []
     for iters in (10, 20):
@@ -431,6 +446,51 @@ def test_one_operator_pass_pair_per_iteration(monkeypatch, algo, svds):
     assert totals[1]["svd"] - totals[0]["svd"] == 10 * svds
     assert totals[1]["eigh"] - totals[0]["eigh"] == 10 * eighs
     assert totals[1]["solve"] == 0
+    assert totals[1]["np.linalg.svd"] - totals[0]["np.linalg.svd"] == 0
+    assert totals[1]["np.linalg.eigh"] - totals[0]["np.linalg.eigh"] == 0
+
+
+def _not_converging(binding):
+    """binding with every output filled with NaN, as the gufunc leaves them
+    when LAPACK fails to converge."""
+    def failed(a, signature):
+        out = binding(a, signature=signature)
+        if isinstance(out, tuple):
+            return tuple(np.full_like(o, np.nan) for o in out)
+        return np.full_like(out, np.nan)
+    return failed
+
+
+def test_projections_raise_when_lapack_does_not_converge(monkeypatch):
+    z = random_ground_truth(6, 2, 2.0, make_rng(139), symmetric_psd=True).dense()
+    z[0, 0] = -3.0
+    monkeypatch.setattr(geometry, "_lapack_svd", _not_converging(geometry._lapack_svd))
+    with pytest.raises(geometry.RankProjectionError,
+                       match=r"^SVD did not converge \(input max magnitude 3\.000e\+00\)$"):
+        project_rank_r(z, 2)
+    monkeypatch.setattr(geometry, "_lapack_eigh", _not_converging(geometry._lapack_eigh))
+    with pytest.raises(geometry.RankProjectionError, match="^eigendecomposition did not converge$"):
+        project_psd_rank_r(z, 2)
+
+
+@pytest.mark.parametrize("algo, psd, module, binding", [
+    ("projgd", False, "geometry", "_lapack_svd"),
+    ("projgd", True, "geometry", "_lapack_eigh"),
+    ("scaledgd", False, "solvers", "_lapack_eigh"),
+    ("scaledgd", False, "solvers", "_lapack_svdvals"),
+    ("precgd", False, "solvers", "_lapack_eigh"),
+    ("precgd", False, "solvers", "_lapack_svdvals"),
+])
+def test_failed_decomposition_raises_through_the_driver(monkeypatch, algo, psd, module, binding):
+    # the driver ignores invalid floating-point operations, so a decomposition
+    # that does not converge must raise instead of running on with NaN: a
+    # projection raises RankProjectionError, a solver's own call LinAlgError
+    error = geometry.RankProjectionError if module == "geometry" else np.linalg.LinAlgError
+    module = {"geometry": geometry, "solvers": solvers}[module]
+    p, f, x0 = sensing_setup(4, 1.0, 13, psd=psd)
+    monkeypatch.setattr(module, binding, _not_converging(getattr(module, binding)))
+    with pytest.raises(error, match="did not converge"):
+        run_solver(algo, f, x0, SolverConfig(eta=0.4, max_iters=5), x_star=p.ground_truth)
 
 
 # -------------------------------------------------- the driver's lean path
@@ -465,11 +525,12 @@ def test_non_finite_iterate_with_finite_value_diverges(algo, with_x_star, tol_st
     assert tr.final_record.f_value == 1.0
 
 
-@pytest.mark.parametrize("algo", ["projgd", "fgd"])
-def test_driver_checks_no_projection_input_per_iteration(monkeypatch, algo):
+@pytest.mark.parametrize("algo, psd", [("projgd", False), ("fgd", False), ("projgd", True)],
+                         ids=["projgd", "fgd", "projgd-psd"])
+def test_driver_checks_no_projection_input_per_iteration(monkeypatch, algo, psd):
     # the kernel has scanned the step matrix for non-finite entries, so the
     # driver projects it without the public projection's input checks
-    p, f, x0 = sensing_setup(4, 1.0, 13)
+    p, f, x0 = sensing_setup(4, 1.0, 13, psd=psd)
     calls = []
     check = geometry._check_projection_input
     monkeypatch.setattr(geometry, "_check_projection_input",
