@@ -192,7 +192,10 @@ def _truncate(z: np.ndarray, r: int) -> FactoredMatrix:
         return FactoredMatrix.zero(*z.shape)
     drop = SINGULAR_VALUE_DROP * s[0]
     # s is sorted, so the count is needed only when s[r - 1] falls below the drop
-    keep = r if s[r - 1] > drop else np.count_nonzero(s > drop)
+    if s[r - 1] > drop:
+        keep = r
+    elif not (keep := np.count_nonzero(s > drop)):    # sigma_1, so the drop, is inf
+        raise RankProjectionError(f"SVD overflows: sigma_1 = inf (input max magnitude {np.max(np.abs(z)):.3e})")
     return FactoredMatrix._frozen(u[:, :keep], s[:keep], vt[:keep].T)
 
 
@@ -210,7 +213,8 @@ def project_psd_rank_r(z, r: int) -> FactoredMatrix:
     z = _check_projection_input(z, r)
     if z.shape[0] != z.shape[1]:
         raise ValueError("PSD projection needs a square matrix")
-    return _truncate_psd(z, r)
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
+        return _truncate_psd(z, r)
 
 
 def _truncate_psd(z: np.ndarray, r: int) -> FactoredMatrix:
@@ -219,9 +223,11 @@ def _truncate_psd(z: np.ndarray, r: int) -> FactoredMatrix:
     asym = _fro(z - z.T)
     if asym > ORTHONORMALITY_TOL * max(1.0, _fro(z)):
         raise ValueError(f"input is not symmetric (||z - z.T||_F = {asym:.3e})")
-    w, q = _lapack_eigh(0.5 * (z + z.T), signature="d->dd")
+    sym = 0.5 * (z + z.T)
+    w, q = _lapack_eigh(sym, signature="d->dd")
     if math.isnan(w[0]):
-        raise RankProjectionError("eigendecomposition did not converge")
+        raise RankProjectionError("eigendecomposition did not converge" if np.isfinite(sym).all()
+                                  else f"symmetrization overflows (input max magnitude {np.max(np.abs(z)):.3e})")
     w = w[::-1]
     q = q[:, ::-1]
     lam = np.clip(w[:r], 0.0, None)
@@ -341,40 +347,81 @@ def project_tangent(z, base: FactoredMatrix) -> TangentVector:
     return TangentVector._wrap(st, base)
 
 
-def _retraction_point(base: FactoredMatrix, s: TangentVector):
-    """(Y, s.left W^{-1}, W^{-1} s.right) with W = diag(sigma) + s.core, for
-    retract and pullback_value_grad.  Y is the retracted point in the base's
-    full frames,
+def _value_and_grad_of(f):
+    """f's fused value_and_grad, or a function of its separate value and gradient."""
+    return getattr(f, "value_and_grad", None) or (lambda x: (f.value(x), f.gradient(x)))
 
-        Y = P^T Retr_base(s) Q = [[W, s.right], [s.left, s.left W^{-1} s.right]].
 
-    Raises RetractionUndefinedError when W is numerically singular, i.e.
-    sigma_min(W) <= RETRACTION_CORE_FLOOR * max(1, sigma_max(W)).  With
-    c = ||s.core||_F, Weyl's inequality puts the singular values of W within
-    c of sigma, so when sigma_k - c clears twice the floor at sigma_1 + c
-    (the factor 2 absorbs rounding) W passes without an SVD; otherwise the
-    singular values of W are computed and tested exactly."""
-    if s.base is not base:
-        raise ValueError("tangent vector does not live at this base point")
-    k = base.rank
-    y = s.st.copy()
-    c = math.sqrt(np.vdot(y[:k, :k], y[:k, :k]))
-    y.ravel()[:k * (y.shape[1] + 1):y.shape[1] + 1] += base.sigma   # core diagonal: W
-    if not (k and float(base.sigma[-1]) - c
-            > 2.0 * RETRACTION_CORE_FLOOR * max(1.0, float(base.sigma[0]) + c)):
-        sv = np.linalg.svd(y[:k, :k], compute_uv=False)
-        if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
-            raise RetractionUndefinedError(
-                f"retraction undefined: core Sigma + S_core is singular "
-                f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
-            )
-    # W is a float64 view that passed the floor test, so np.linalg.inv's
-    # dtype coercion and singular-matrix error have nothing to do
-    winv = _lapack_inv(y[:k, :k], signature="d->d")
-    l_winv = y[k:, :k] @ winv
-    winv_r = winv @ y[:k, k:]
-    y[k:, k:] = l_winv @ y[:k, k:]
-    return y, l_winv, winv_r
+class _Pullback:
+    """The retraction, and the pullback of f when one is given, at one base
+    point, with all that is fixed for the base built once: the frames P and
+    Q, sigma on the core diagonal of an n1 x n2 array, sigma_k and sigma_1,
+    and f's fused value-and-gradient, in frame coordinates when f has
+    in_frames.  Its methods take bare frame arrays st (see TangentVector)."""
+
+    def __init__(self, base: FactoredMatrix, f=None):
+        k = self.k = base.rank
+        self.p, self.q = base._frames()
+        self.sigma_diag = np.zeros(base.shape)
+        self.sigma_diag.ravel()[:k * (base.shape[1] + 1):base.shape[1] + 1] = base.sigma
+        self.sigma_k, self.sigma_1 = (float(base.sigma[-1]), float(base.sigma[0])) if k else (0.0, 0.0)
+        in_frames = getattr(f, "in_frames", None)
+        self.rotate = in_frames is None
+        if f is not None:
+            self.value_and_grad = _value_and_grad_of(f if self.rotate else in_frames(self.p, self.q))
+
+    def clears(self, c: float) -> bool:
+        """Whether every core with ||core||_F <= c passes point's floor test:
+        by Weyl's inequality the singular values of W lie within c of sigma,
+        and sigma_k - c clears twice the floor at sigma_1 + c (2 absorbs rounding)."""
+        return bool(self.k) and (self.sigma_k - c
+                                 > 2.0 * RETRACTION_CORE_FLOOR * max(1.0, self.sigma_1 + c))
+
+    def point(self, st: np.ndarray, cleared: bool = False):
+        """(Y, S_l W^{-1}, W^{-1} S_r) with W = diag(sigma) + S_core, where Y
+        is the retracted point in the base's full frames,
+
+            Y = P^T Retr_base(S) Q = [[W, S_r], [S_l, S_l W^{-1} S_r]].
+
+        Raises RetractionUndefinedError when W is numerically singular, i.e.
+        sigma_min(W) <= RETRACTION_CORE_FLOOR * max(1, sigma_max(W)), tested
+        on the singular values of W unless cleared (the caller checked clears
+        for every core it passes) or clears(||S_core||_F)."""
+        k = self.k
+        y = st + self.sigma_diag
+        if not (cleared or self.clears(math.sqrt(np.vdot(st[:k, :k], st[:k, :k])))):
+            sv = np.linalg.svd(y[:k, :k], compute_uv=False)
+            if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
+                raise RetractionUndefinedError(
+                    f"retraction undefined: core Sigma + S_core is singular "
+                    f"(sigma_min = {0.0 if sv.size == 0 else float(sv[-1]):.3e})"
+                )
+        # W is a float64 view that the floor test or a clearance passed, so
+        # np.linalg.inv's dtype coercion and singular-matrix error have nothing to do
+        winv = _lapack_inv(y[:k, :k], signature="d->d")
+        l_winv = y[k:, :k] @ winv
+        winv_r = winv @ y[:k, k:]
+        y[k:, k:] = l_winv @ y[:k, k:]
+        return y, l_winv, winv_r
+
+    def value_grad(self, st: np.ndarray, cleared: bool = False):
+        """(f(Retr_base(S)), frame array of its pullback gradient); see
+        pullback_value_grad.  cleared is as for point."""
+        y, l_winv, winv_r = self.point(st, cleared)
+        p, q = self.p, self.q
+        fv, g = self.value_and_grad(p @ y @ q.T if self.rotate else y)
+        g = np.asarray(g, dtype=float)
+        # a fresh gradient array [[Gc, Gr], [Gl, Go]], corrected in place
+        gt = p.T @ g @ q if self.rotate else g
+        k = self.k
+        # views, so that each in-place update is one operation
+        gc, gr, gl, go = gt[:k, :k], gt[:k, k:], gt[k:, :k], gt[k:, k:]
+        lw_go = l_winv.T @ go           # W^{-T} S_l^T Go
+        gc -= lw_go @ winv_r.T
+        gl += go @ winv_r.T
+        gr += lw_go
+        go.fill(0.0)
+        return float(fv), gt
 
 
 def retract(base: FactoredMatrix, s: TangentVector) -> FactoredMatrix:
@@ -390,19 +437,10 @@ def retract(base: FactoredMatrix, s: TangentVector) -> FactoredMatrix:
     point is formed in the base's full frames and factored by
     project_rank_r.
     """
+    if s.base is not base:
+        raise ValueError("tangent vector does not live at this base point")
     p, q = base._frames()
-    return project_rank_r(p @ _retraction_point(base, s)[0] @ q.T, base.rank)
-
-
-def _value_and_grad_of(f):
-    """f's fused value_and_grad, or a function of its separate value and gradient."""
-    return getattr(f, "value_and_grad", None) or (lambda x: (f.value(x), f.gradient(x)))
-
-
-def _value_and_grad(f, x: np.ndarray):
-    """(f(X), grad f(X)) as a float and a float array."""
-    fv, g = _value_and_grad_of(f)(x)
-    return float(fv), np.asarray(g, dtype=float)
+    return project_rank_r(p @ _Pullback(base).point(s.st)[0] @ q.T, base.rank)
 
 
 def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
@@ -422,22 +460,9 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
 
     At s = 0 this reduces to the tangent projection of grad f(base).
     """
-    y, l_winv, winv_r = _retraction_point(base, s)
-    p, q = base._frames()
-    in_frames = getattr(f, "in_frames", None)
-    if in_frames is not None:
-        # a fresh gradient array: [[Gc, Gr], [Gl, Go]], corrected in place
-        val, gt = _value_and_grad(in_frames(p, q), y)
-    else:
-        val, g = _value_and_grad(f, p @ y @ q.T)
-        gt = p.T @ g @ q
-    k = base.rank
-    go = gt[k:, k:]
-    lw_go = l_winv.T @ go           # W^{-T} s.left^T Go
-    gt[:k, :k] -= lw_go @ winv_r.T
-    gt[k:, :k] += go @ winv_r.T
-    gt[:k, k:] += lw_go
-    go[...] = 0.0
+    if s.base is not base:
+        raise ValueError("tangent vector does not live at this base point")
+    val, gt = _Pullback(base, f).value_grad(s.st)
     return val, TangentVector._wrap(gt, base)
 
 

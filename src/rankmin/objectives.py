@@ -44,9 +44,10 @@ class Objective:
 
     Optional: in_frames(p, q), for square orthogonal p and q, returns an
     objective g with g(Y) = f(p Y q^T) whose value_and_grad(Y) gives the
-    gradient p^T grad f(p Y q^T) q as a fresh array.  pullback_value_grad
-    evaluates g in a base point's full frames when f has it, and otherwise
-    rotates each point and gradient."""
+    gradient p^T grad f(p Y q^T) q as a fresh array.  The pullback builds g
+    once per base point (once per escape) and evaluates it in the base's
+    full frames when f has it, and otherwise rotates each point and
+    gradient."""
 
     symmetric_psd = False
 
@@ -81,7 +82,6 @@ class QuadraticObjective(Objective):
         target = np.array(target, dtype=float)
         target.flags.writeable = False
         self.target = target
-        self._in_frames = (None, None, None)
 
     def value(self, x) -> float:
         d = x - self.target
@@ -96,14 +96,8 @@ class QuadraticObjective(Objective):
 
     def in_frames(self, p, q) -> "QuadraticObjective":
         """0.5 * ||Y - p^T target q||_F^2, equal to f(p Y q^T) for square
-        orthogonal p, q.  The last result is kept and returned again while
-        the same (read-only) p and q arrays come back, as a base point's
-        cached frames do, so an escape rotates the target once."""
-        p0, q0, g = self._in_frames
-        if p is not p0 or q is not q0:
-            g = QuadraticObjective(p.T @ self.target @ q)
-            self._in_frames = (p, q, g)
-        return g
+        orthogonal p, q."""
+        return QuadraticObjective(p.T @ self.target @ q)
 
     def hessian_vector(self, x, z):
         return z

@@ -21,12 +21,12 @@ from .geometry import (
     _fro,
     _lapack_eigh,
     _lapack_svdvals,
+    _Pullback,
     _truncate,
     _truncate_psd,
     _value_and_grad_of,
     project_psd_rank_r,
     project_rank_r,
-    pullback_value_grad,
     retract,
     tangent_dim,
 )
@@ -302,16 +302,22 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     if nrm == 0.0:
         s = TangentVector.from_coords(np.ones(tangent_dim(x)), x)
         nrm = s.norm()
-    s = (eta_t * perturb_radius / nrm) * s
+    st = ((eta_t * perturb_radius / nrm) * s).st
+    # one kernel for the escape; the inner steps run on bare frame arrays
+    pull = _Pullback(x, f)
+    # every inner point has ||S_core||_F <= ||S||_F <= max(eps_t, ||S_0||_F),
+    # so when the core floor clears that radius no step can fail it
+    cleared = pull.clears(max(epsilon_t, math.sqrt(np.vdot(st, st))))
     for _ in range(max_iters):
-        _, grad = pullback_value_grad(f, x, s)
-        s_plus = s - eta_t * grad
-        if s_plus.norm() <= epsilon_t:
-            s = s_plus
+        gt = pull.value_grad(st, cleared)[1]
+        st_plus = st - eta_t * gt
+        if math.sqrt(np.vdot(st_plus, st_plus)) <= epsilon_t:
+            st = st_plus
         else:
+            s, grad = TangentVector._wrap(st, x), TangentVector._wrap(gt, x)
             t = _boundary_step_length(s, grad, epsilon_t)
             return retract(x, s - t * grad)
-    return retract(x, s)
+    return retract(x, TangentVector._wrap(st, x))
 
 
 class _TraceBuilder:

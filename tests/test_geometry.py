@@ -17,9 +17,10 @@ from rankmin.geometry import (
     RETRACTION_CORE_FLOOR,
     SINGULAR_VALUE_DROP,
     FactoredMatrix,
+    RankProjectionError,
     RetractionUndefinedError,
     TangentVector,
-    _retraction_point,
+    _Pullback,
     project_psd_rank_r,
     project_rank_r,
     project_tangent,
@@ -198,6 +199,19 @@ def test_psd_rejects_asymmetric():
     z[0, 1] = 1e-3
     with pytest.raises(ValueError):
         project_psd_rank_r(z, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_projections_name_an_overflow(r):
+    # finite entries, but sigma_1 and the symmetrization z + z^T overflow to
+    # inf: one-line errors, not the rank-0 point or a convergence failure
+    z = np.array([[1.7e308, 1.7e308], [1.7e308, 1.0]])
+    with pytest.raises(RankProjectionError,
+                       match=r"^SVD overflows: sigma_1 = inf \(input max magnitude 1\.700e\+308\)$"):
+        project_rank_r(z, r)
+    with pytest.raises(RankProjectionError,
+                       match=r"^symmetrization overflows \(input max magnitude 1\.700e\+308\)$"):
+        project_psd_rank_r(z, r)
 
 
 # -------------------------------------------------- corner blocks
@@ -563,9 +577,9 @@ def test_retraction_raises_exactly_when_the_floor_test_says_singular(
     s = TangentVector(core, rng.standard_normal((n1 - k, k)), rng.standard_normal((k, n2 - k)), base)
     if _floor_says_singular(np.diag(base.sigma) + core):
         with pytest.raises(RetractionUndefinedError, match="sigma_min"):
-            _retraction_point(base, s)
+            _Pullback(base).point(s.st)
     else:
-        _retraction_point(base, s)
+        _Pullback(base).point(s.st)
 
 
 @pytest.mark.parametrize("ratio, singular", [(10.0, False), (0.1, True)])
@@ -577,9 +591,9 @@ def test_retraction_floor_on_fixed_cores(ratio, singular):
     assert _floor_says_singular(np.diag(base.sigma) + s.core) == singular
     if singular:
         with pytest.raises(RetractionUndefinedError, match="sigma_min"):
-            _retraction_point(base, s)
+            _Pullback(base).point(s.st)
     else:
-        y = _retraction_point(base, s)[0]
+        y = _Pullback(base).point(s.st)[0]
         assert np.all(np.isfinite(y))
 
 
@@ -813,17 +827,16 @@ class CountingQuadratic(QuadraticObjective):
 
 
 def test_escape_rotates_the_quadratic_target_once():
-    # the same in-ball escape as above: every inner step evaluates the
-    # target rotated into the base's frames, built once, and never the
-    # objective at a dense point
+    # the same in-ball escape as above: the escape's pullback kernel rotates
+    # the target into the base's frames once, every inner step evaluates
+    # that frame objective, and none evaluates the objective at a dense point
     from rankmin.solvers import tangent_space_steps
     rng = make_rng(134)
     x = random_ground_truth(8, 3, 2.0, rng)
     f = CountingQuadratic(x)
     tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 50, make_rng(9, stream=6))
     assert f.calls == 0
-    assert len(f.rotated) == 50
-    assert all(g is f.rotated[0] for g in f.rotated)
+    assert len(f.rotated) == 1
 
 
 class RecordingQuadratic:
@@ -861,7 +874,7 @@ def test_frame_path_matches_the_rotation_path():
             ref_val, ref_grad = pullback_value_grad(rotated, base, s)
             assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
             assert np.linalg.norm(grad.st - ref_grad.st) <= 1e-12 * np.linalg.norm(ref_grad.st)
-            y = _retraction_point(base, s)[0]
+            y = _Pullback(base).point(s.st)[0]
             ref_y = p.T @ retract(base, s).dense() @ q
             assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y)
 

@@ -9,12 +9,16 @@ import pytest
 
 from rankmin.geometry import (
     FactoredMatrix,
+    RetractionUndefinedError,
     TangentVector,
     project_psd_rank_r,
     project_rank_r,
     project_tangent,
+    pullback_value_grad,
+    retract,
     tangent_dim,
 )
+from rankmin.diagnostics import swapped_direction_saddle
 from rankmin.objectives import (
     generate_sensing,
     haar_frame,
@@ -698,34 +702,50 @@ def test_tangent_steps_boundary_exit_is_exact():
 
 
 def _count_pullback_calls(monkeypatch):
-    import rankmin.solvers as solvers
+    """Calls of the escape's pullback kernel, one per inner step."""
     calls = []
-    real = solvers.pullback_value_grad
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    class Counting(solvers._Pullback):
+        def value_grad(self, *args, **kwargs):
+            calls.append(1)
+            return super().value_grad(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "pullback_value_grad", counting)
+    monkeypatch.setattr(solvers, "_Pullback", Counting)
     return calls
 
 
+class CountingGradient:
+    """f, counting its gradient evaluations."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def value(self, x):
+        return self.f.value(x)
+
+    def gradient(self, x):
+        self.calls += 1
+        return self.f.gradient(x)
+
+
 def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
-    # span tracers count inner steps by these calls
+    # one kernel call and one objective evaluation per inner step
     calls = _count_pullback_calls(monkeypatch)
     rng = make_rng(213)
     x = random_ground_truth(7, 3, 2.0, rng)
     # budget exhausted: on a flat objective no step leaves the ball
-    tangent_space_steps(x, ZeroGradient(), 1e-4, 0.01, 0.01, 7, make_rng(6, stream=6))
-    assert len(calls) == 7
+    f = CountingGradient(ZeroGradient())
+    tangent_space_steps(x, f, 1e-4, 0.01, 0.01, 7, make_rng(6, stream=6))
+    assert len(calls) == f.calls == 7
     # boundary exit: a constant pull along a tangent direction with no core
     # block (so W = Sigma throughout), from a negligible start; each step
     # moves 0.01, steps 1-4 stay inside eps_t = 0.045 and step 5 leaves
     calls.clear()
     g = TangentVector(np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), x)
-    f = LinearPull(g.dense(), 1.0 / g.norm())
+    f = CountingGradient(LinearPull(g.dense(), 1.0 / g.norm()))
     y = tangent_space_steps(x, f, 1e-9, 0.01, 0.045, 100, make_rng(7, stream=6))
-    assert len(calls) == 5
+    assert len(calls) == f.calls == 5
     assert abs(project_tangent(y.dense() - x.dense(), x).norm() - 0.045) < 1e-10
 
 
@@ -741,6 +761,112 @@ def test_escape_completes_each_frame_once(monkeypatch, psd, frames):
     tangent_space_steps(x, f, 1e-3, 0.01, 1e3, 50, make_rng(8, stream=6))
     assert len(calls) == 50
     assert len(qr_calls) == frames
+
+
+def reference_tangent_steps(x, f, perturb_radius, eta_t, epsilon_t, max_iters, rng):
+    """The escape built only from the public pullback_value_grad, retract
+    and TangentVector arithmetic, one pullback per inner step: the oracle
+    tangent_space_steps must match byte for byte."""
+    s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
+    if getattr(f, "symmetric_psd", False):
+        k = x.rank
+        sym = 0.5 * (s.st + s.st.T)
+        s = TangentVector(sym[:k, :k], sym[k:, :k], sym[:k, k:], x)
+    s = (eta_t * perturb_radius / s.norm()) * s
+    for _ in range(max_iters):
+        _, grad = pullback_value_grad(f, x, s)
+        s_plus = s - eta_t * grad
+        if s_plus.norm() <= epsilon_t:
+            s = s_plus
+        else:
+            t = _boundary_step_length(s, grad, epsilon_t)
+            return retract(x, s - t * grad)
+    return retract(x, s)
+
+
+def _same_bytes(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("u", "sigma", "v"))
+
+
+def _escape_cases():
+    """(name, base, f, perturb_radius, eta_t, epsilon_t, max_iters, exit)."""
+    rng = make_rng(214)
+    x = random_ground_truth(8, 3, 2.0, rng)
+    target = random_ground_truth(8, 4, 2.0, rng)
+    yield "quadratic in frames", x, quadratic_objective(target), 1e-2, 0.1, 0.05, 200, "boundary"
+    yield "quadratic in the ball", x, quadratic_objective(x), 1e-2, 0.1, 0.01, 50, "budget"
+    _, f, x = sensing_setup(3, 2.0, 3, n=8, r=3)
+    yield "sensing rotation", x, f, 1e-2, 0.1, 1e3, 30, "budget"
+    yield "sensing boundary", x, f, 1e-2, 0.1, 0.05, 500, "boundary"
+    _, f, x = sensing_setup(3, 2.0, 3, n=8, r=3, psd=True)
+    assert x.u is x.v
+    yield "psd sensing", x, f, 1e-2, 0.1, 1e3, 30, "budget"
+    yield "psd boundary", x, f, 1e-2, 0.1, 0.05, 500, "boundary"
+    x = random_ground_truth(7, 3, 2.0, rng)
+    yield "flat budget", x, ZeroGradient(), 1e-4, 0.01, 0.01, 7, "budget"
+    g = TangentVector(np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), x)
+    yield "pull boundary", x, LinearPull(g.dense(), 1.0 / g.norm()), 1e-9, 0.01, 0.045, 100, "boundary"
+
+
+def test_tangent_steps_match_the_public_pullback_loop_byte_for_byte(monkeypatch):
+    calls = _count_pullback_calls(monkeypatch)
+    for i, (name, x, f, radius, eta_t, eps_t, iters, exit_) in enumerate(_escape_cases()):
+        calls.clear()
+        y = tangent_space_steps(x, f, radius, eta_t, eps_t, iters, make_rng(i, stream=6))
+        ref = reference_tangent_steps(x, f, radius, eta_t, eps_t, iters, make_rng(i, stream=6))
+        assert _same_bytes(y, ref), name
+        assert (len(calls) < iters) == (exit_ == "boundary"), name
+
+
+def test_tangent_steps_floor_fallback_matches_the_public_loop(monkeypatch):
+    # sigma_3 = 0.005 < eps_t: the ball-radius Weyl bound cannot clear the
+    # core, so each inner step runs the per-step Weyl and exact SVD test
+    rng = make_rng(215)
+    x = FactoredMatrix(haar_frame(rng, 8, 3), np.array([1.0, 0.5, 0.005]), haar_frame(rng, 8, 3))
+    f = quadratic_objective(random_ground_truth(8, 4, 2.0, rng))
+    assert not solvers._Pullback(x).clears(0.01)
+    real_svd = np.linalg.svd
+    core_svds = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: core_svds.append(1) or real_svd(*a, **k))
+    y = tangent_space_steps(x, f, 1e-2, 0.1, 0.01, 100, make_rng(1, stream=6))
+    assert core_svds
+    assert _same_bytes(y, reference_tangent_steps(x, f, 1e-2, 0.1, 0.01, 100, make_rng(1, stream=6)))
+
+
+def test_tangent_steps_raise_when_the_core_turns_singular_in_the_ball():
+    # gradient e_2 e_2^T moves core[1, 1] by -1/32 per step, from sigma_2 =
+    # 1/8 to exactly -sigma_2 at step 5; the start is too small to matter
+    eye = np.eye(5)
+    x = FactoredMatrix(eye[:, :2], np.array([1.0, 0.125]), eye[:, :2])
+    f = LinearPull(-np.outer(eye[1], eye[1]), 1.0)
+    messages = []
+    for steps in (tangent_space_steps, reference_tangent_steps):
+        with pytest.raises(RetractionUndefinedError,
+                           match=r"^retraction undefined: core Sigma \+ S_core is singular "
+                                 r"\(sigma_min = ") as err:
+            steps(x, f, 1e-20, 1.0 / 32.0, 0.5, 10, make_rng(2, stream=6))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_escape_runs_match_the_public_pullback_loop(monkeypatch):
+    # escape-certify style: pprojgd from the swapped-direction saddle of a
+    # diagonal 8 x 8 target, then again with the reference escape loop
+    eye = np.eye(8)
+    target = FactoredMatrix(eye[:, :4], np.array([1.0, 0.9, 0.6, 0.3]), eye[:, :4])
+    f = quadratic_objective(target)
+    saddle = swapped_direction_saddle(target, 3)
+    cfg = SolverConfig(eta=1.0 / 3.0, max_iters=8, tol_rel_err=None)
+    runs = []
+    for steps in (tangent_space_steps, reference_tangent_steps):
+        monkeypatch.setattr(solvers, "tangent_space_steps", steps)
+        x_end, tr = pprojgd(f, saddle, cfg, rng=make_rng(21, stream=5),
+                            x_star=project_rank_r(target.dense(), 3))
+        assert sum(rec.branch == "tangent-escape" for rec in tr.records) >= 1
+        runs.append((x_end, tr.csv_text()))
+    assert runs[0][1] == runs[1][1]
+    assert _same_bytes(runs[0][0], runs[1][0])
 
 
 def test_boundary_root_find_matches_bisection():
