@@ -53,6 +53,12 @@ def _dense(x) -> np.ndarray:
     return x.dense() if isinstance(x, FactoredMatrix) else np.asarray(x, dtype=float)
 
 
+def _lipschitz(f) -> float:
+    """The L of f's smoothness_constants, or 1 when f has none."""
+    consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
+    return consts[0] if consts else 1.0
+
+
 @dataclass(frozen=True)
 class SecondOrderCertificate:
     grad_norm: float            # ||P_T grad f(X)||_F, nan when rank-deficient
@@ -84,8 +90,7 @@ def classify_certificate(grad_norm: float, min_eig: float, ambient_grad_norm: fl
 
 def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
                          rank: Optional[int] = None, epsilon_t: Optional[float] = None,
-                         eta: Optional[float] = None,
-                         lipschitz: Optional[float] = None) -> SecondOrderCertificate:
+                         eta: Optional[float] = None) -> SecondOrderCertificate:
     """Measure first- and second-order stationarity of f at a rank-r point.
 
     Full-rank points get the tangent gradient norm and the smallest pullback
@@ -102,10 +107,7 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
     else:
         grad_norm = float("nan")
         min_eig = float("nan")
-    if lipschitz is None:
-        consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
-        lipschitz = consts[0] if consts else 1.0
-    eig_tol = EIG_ZERO_TOL_SCALE * max(1.0, float(lipschitz))
+    eig_tol = EIG_ZERO_TOL_SCALE * max(1.0, float(_lipschitz(f)))
     if epsilon_t is not None and eta is not None:
         ambient_threshold = AMBIENT_STATIONARITY_FACTOR * (eps + epsilon_t / eta)
     else:
@@ -166,13 +168,13 @@ class ProjectionReport:
     passed: bool
 
 
-def check_projection_lemma(samples: int = 10000, seed: int = 0) -> ProjectionReport:
+def check_projection_lemma(samples: int = 10000) -> ProjectionReport:
     """Sample (X, Y) pairs across scales and conditioning, with 8 x 8 X of
     rank 3, and take the worst observed ratio ||P_r(Y) - X|| / ||P_T(X)(Y) - X||,
     which the projection inequality lower-bounds by 2/3; also track the
     spectral-norm lower bound ||P_r(X+Z) - X|| >= (||Z||_2 - sigma_r(X)) / 2."""
     n, r = 8, 3
-    rng = make_rng(seed, stream=11)
+    rng = make_rng(0, stream=11)
     bound = PROJECTION_RATIO_BOUND
     min_ratio = math.inf
     min_margin = math.inf
@@ -205,8 +207,7 @@ def check_projection_lemma(samples: int = 10000, seed: int = 0) -> ProjectionRep
                             min_spectral_margin=float(min_margin), bound=bound, passed=passed)
 
 
-def check_derivative_bound_lemma(kappa0: float = 0.3, samples: int = 5000,
-                                 seed: int = 0) -> float:
+def check_derivative_bound_lemma(kappa0: float = 0.3, samples: int = 5000) -> float:
     """Worst slack of ||grad f(X) - (X - X*)|| <= kappa0 ||X - X*|| over random
     8 x 8 quadratics f(X) = 0.5 <X - X*, D o (X - X*)> whose entrywise curvatures D
     lie in [1 - kappa0, 1 + kappa0] (so (L + mu)/2 = 1 and kappa0 = L - 1).
@@ -215,7 +216,7 @@ def check_derivative_bound_lemma(kappa0: float = 0.3, samples: int = 5000,
     if not 0.0 <= kappa0 < 1.0:
         raise ValueError("kappa0 must be in [0, 1)")
     n = 8
-    rng = make_rng(seed, stream=13)
+    rng = make_rng(0, stream=13)
     worst = -math.inf
     for k in range(samples):
         if k == 0:
@@ -273,12 +274,12 @@ class StationaryPoint:
     cluster_size: int
 
 
-def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
-                    eta: Optional[float] = None, iters: int = 3000,
+def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: int = 3000,
                     budget: int = 10_000_000, eps: float = 1e-6, gamma: float = 0.0):
     """Brute-force stationary-point census for tiny instances (n <= 4, r <= 2).
 
-    Multi-start projected gradient with a small step runs each start to a
+    Multi-start projected gradient with step 0.25/L (L from f's
+    smoothness_constants, 1 when it has none) runs each start to a
     step-norm fixed point, terminal points are clustered, and each cluster
     representative is refined and certified.  Both runs go through the
     solver driver, with a relative step-norm stop (tol_step).  Returns
@@ -291,10 +292,7 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
     a run's last record gives the f value of its terminal point."""
     if n > 4 or r > 2:
         raise ValueError("landscape probe is for n <= 4, r <= 2 only")
-    consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
-    l_const = consts[0] if consts else 1.0
-    if eta is None:
-        eta = 0.25 / max(l_const, 1e-12)
+    eta = 0.25 / max(_lipschitz(f), 1e-12)
     planned = starts * (iters + 500 + 2 + 4)
     if planned > budget:
         raise BudgetExceededError(
@@ -335,7 +333,7 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64,
     points = []
     for rep, frep, count in clusters:
         x, trace = _drive("projgd", f, rep, refine, rank=r)
-        cert = certify_second_order(x, f, eps=eps, gamma=gamma, rank=r, lipschitz=l_const)
+        cert = certify_second_order(x, f, eps=eps, gamma=gamma, rank=r)
         points.append(StationaryPoint(x=x, f_value=trace.final_record.f_value,
                                       certificate=cert, cluster_size=count))
     points.sort(key=lambda p: p.f_value)

@@ -9,7 +9,6 @@ randomized tangent-space descent, and a certifiable stop.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -126,7 +125,6 @@ class SolverTrace:
     algorithm: str
     records: list
     status: str = STATUS_MAX_ITERS
-    wall_time: float = 0.0
     gram_cond_max: float = float("nan")
 
     @property
@@ -155,11 +153,6 @@ class SolverTrace:
         lines = [",".join(CSV_COLUMNS)]
         lines.extend("%d,%s,%s,%s,%s,%s,%s" % rec for rec in self.records)
         return "\n".join(lines) + "\n"
-
-
-def _project(z: np.ndarray, rank: int, psd: bool) -> FactoredMatrix:
-    """The driver's projection of a step matrix its kernel checked finite."""
-    return _truncate_psd(z, rank) if psd else _truncate(z, rank)
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
@@ -280,7 +273,7 @@ def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> f
 
 def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: float,
                         epsilon_t: float, max_iters: int,
-                        rng: Optional[np.random.Generator] = None) -> FactoredMatrix:
+                        rng: np.random.Generator) -> FactoredMatrix:
     """Randomized descent on the pullback f(Retr_x(S)) inside the eps_t ball.
 
     Start from a uniform tangent perturbation of norm perturb_radius scaled
@@ -292,17 +285,12 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     On a symmetric PSD objective the perturbation is symmetrized (core
     symmetric, right = left^T) before it is scaled, so that with the
     symmetric gradient every inner point stays symmetric."""
-    rng = make_rng(0, stream=7) if rng is None else rng
     s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
     if getattr(f, "symmetric_psd", False):
         # a PSD point has u = v, so both frames are one array and the
         # symmetric part of the frame array is the symmetric perturbation
         s = TangentVector._wrap(0.5 * (s.st + s.st.T), x)
-    nrm = s.norm()
-    if nrm == 0.0:
-        s = TangentVector.from_coords(np.ones(tangent_dim(x)), x)
-        nrm = s.norm()
-    st = ((eta_t * perturb_radius / nrm) * s).st
+    st = ((eta_t * perturb_radius / s.norm()) * s).st
     # one kernel for the escape; the inner steps run on bare frame arrays
     pull = _Pullback(x, f)
     # every inner point has ||S_core||_F <= ||S||_F <= max(eps_t, ||S_0||_F),
@@ -337,7 +325,6 @@ class _TraceBuilder:
             self.xs_norm = float("nan")
             self.f_star = float("nan")
         self.trace = SolverTrace(algorithm=algorithm, records=[])
-        self.start = time.perf_counter()
 
     def record(self, iteration, xd, fv, sigma_r, step_norm, branch):
         """Append the record of iterate xd, whose f value fv the caller
@@ -362,7 +349,6 @@ class _TraceBuilder:
 
     def finish(self, status):
         self.trace.status = status
-        self.trace.wall_time = time.perf_counter() - self.start
         return self.trace
 
 
@@ -382,12 +368,12 @@ def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
 
 
 def _point_kernel(f, x0, cfg, rank, rng, trace):
-    """projgd and fgd, on the factored point."""
+    """The projected step, and fgd's factored step, on the factored point."""
     psd = bool(getattr(f, "symmetric_psd", False))
-    projgd = trace.algorithm == "projgd"
+    fgd = trace.algorithm == "fgd"
 
     def step(x, xd, fv, g):
-        if projgd:
+        if not fgd:
             z, k, z_psd = xd - cfg.eta * g, rank, psd
         elif x.rank:
             z, k, z_psd = _fgd_point(x, g, cfg.eta), x.rank, False
@@ -395,7 +381,7 @@ def _point_kernel(f, x0, cfg, rank, rng, trace):
             return x, xd, x.sigma_r(rank), BRANCH_GRADIENT
         if not np.isfinite(z).all():
             return x, z, float("nan"), BRANCH_GRADIENT
-        x = _project(z, k, z_psd)
+        x = _truncate_psd(z, k) if z_psd else _truncate(z, k)
         return x, x.dense(), x.sigma_r(rank), BRANCH_GRADIENT
 
     return x0, x0.dense(), x0.sigma_r(rank), step
@@ -422,27 +408,25 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
 
 
 def _perturbed_kernel(f, x0, cfg, rank, rng, trace):
-    """pprojgd's gradient, tangent-escape and terminate branches."""
+    """pprojgd: the projected step of _point_kernel, taken when it is large,
+    else a tangent escape or a terminate."""
     params = cfg.pprojgd.resolve(cfg.eta)
     rng = make_rng(0, stream=7) if rng is None else rng
-    psd = bool(getattr(f, "symmetric_psd", False))
     grad_floor = 2.0 * cfg.eta * params.epsilon / 3.0
+    *start, projected = _point_kernel(f, x0, cfg, rank, rng, trace)
 
     def step(x, xd, fv, g):
-        z = xd - cfg.eta * g
-        if not np.isfinite(z).all():
-            return x, z, float("nan"), BRANCH_GRADIENT
-        x_plus = _project(z, rank, psd)
-        plus_d = x_plus.dense()
-        if _fro(plus_d - xd) >= grad_floor:
-            return x_plus, plus_d, x_plus.sigma_r(rank), BRANCH_GRADIENT
+        x_plus, plus_d, sigma_r, branch = projected(x, xd, fv, g)
+        # a non-finite step keeps x and goes to the driver as is
+        if x_plus is x or _fro(plus_d - xd) >= grad_floor:
+            return x_plus, plus_d, sigma_r, branch
         if x.sigma_r(rank) > 2.0 * params.epsilon_t:
             y = tangent_space_steps(x, f, params.perturb_radius, params.eta_t,
                                     params.epsilon_t, params.max_tangent_iters, rng)
             return y, y.dense(), y.sigma_r(rank), BRANCH_TANGENT
         return x, plus_d, x.sigma_r(rank), BRANCH_TERMINATE
 
-    return x0, x0.dense(), x0.sigma_r(rank), step
+    return (*start, step)
 
 
 _KERNELS = {

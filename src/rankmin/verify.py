@@ -280,6 +280,22 @@ def criterion_global_window(level: str = "full") -> CriterionResult:
 # 5. lemma property suites
 
 
+def _corridor_stop(seed: int, stream: int, eta: float):
+    """(X*, f, end point, trace) of one default pprojgd run on the quadratic
+    with sigma(X*) = (1, 0.55, 0.008), from a 5e-3 perturbation of X*.  The
+    instance comes from seed + stream, the run's perturbations from stream
+    `stream` of seed + 1.  sigma_3(X*) lies below 2 eps_t, so the run stops
+    by the terminate branch."""
+    rng = make_rng(seed + stream)
+    xs = FactoredMatrix(haar_frame(rng, 8, 3), np.array([1.0, 0.55, 0.008]),
+                        haar_frame(rng, 8, 3), validate=False)
+    fq = quadratic_objective(xs)
+    x0 = project_rank_r(xs.dense() + 5e-3 * rng.standard_normal((8, 8)), 3)
+    cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None)
+    x_end, trace = pprojgd(fq, x0, cfg, rng=make_rng(seed + 1, stream=stream), x_star=xs)
+    return xs, fq, x_end, trace
+
+
 def criterion_lemma_suites(level: str = "full") -> CriterionResult:
     t0 = time.perf_counter()
     full = level == "full"
@@ -297,10 +313,9 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
         descent_ok = descent_ok and rep.applicable and rep.violations == 0
         descent_worst = min(descent_worst, rep.worst_margin)
 
-    proj = check_projection_lemma(samples=10_000 if full else 1500, seed=0)
+    proj = check_projection_lemma(samples=10_000 if full else 1500)
 
-    deriv_worst = check_derivative_bound_lemma(kappa0=0.3,
-                                               samples=5000 if full else 800, seed=0)
+    deriv_worst = check_derivative_bound_lemma(kappa0=0.3, samples=5000 if full else 800)
     deriv_ok = deriv_worst <= 1e-10
 
     # termination bound: engineered stops with sigma_r(X*) below 2 eps_t
@@ -308,18 +323,10 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
     stop_worst = -math.inf
     stops = 20 if full else 5
     eta = 1.0 / 3.0
-    params = PprojgdParams()
-    resolved = params.resolve(eta)
+    resolved = PprojgdParams().resolve(eta)
     stop_bound = (8.0 / 3.0) * (resolved.epsilon + resolved.epsilon_t / eta) + 1e-8
     for s in range(stops):
-        rng = make_rng(900 + s)
-        xs = FactoredMatrix(haar_frame(rng, 8, 3),
-                            np.array([1.0, 0.55, 0.008]), haar_frame(rng, 8, 3),
-                            validate=False)
-        fq = quadratic_objective(xs)
-        x0 = project_rank_r(xs.dense() + 5e-3 * rng.standard_normal((8, 8)), 3)
-        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None, pprojgd=params)
-        x_end, tr = pprojgd(fq, x0, cfg, rng=make_rng(901, stream=s), x_star=xs)
+        _, fq, x_end, tr = _corridor_stop(900, s, eta)
         gnorm = float(np.linalg.norm(fq.gradient(x_end.dense()), 2))
         stop_worst = max(stop_worst, gnorm)
         if tr.status != "second-order-stop" or gnorm > stop_bound:
@@ -498,14 +505,7 @@ def criterion_saddle_escape(level: str = "full") -> CriterionResult:
     cor_ok = True
     cor_worst = 0.0
     for s in range(12 if level == "full" else 4):
-        rng = make_rng(700 + s)
-        xs = FactoredMatrix(haar_frame(rng, 8, 3),
-                            np.array([1.0, 0.55, 0.008]), haar_frame(rng, 8, 3),
-                            validate=False)
-        fq = quadratic_objective(xs)
-        x0 = project_rank_r(xs.dense() + 5e-3 * rng.standard_normal((8, 8)), 3)
-        cfg = SolverConfig(eta=eta, max_iters=400, tol_rel_err=None)
-        x_end, trq = pprojgd(fq, x0, cfg, rng=make_rng(701, stream=s), x_star=xs)
+        xs, _, x_end, trq = _corridor_stop(700, s, eta)
         dist = float(np.linalg.norm(x_end.dense() - xs.dense()))
         cor_worst = max(cor_worst, dist)
         if trq.status != "second-order-stop" or dist > 2.0 * params.epsilon + 1e-8:

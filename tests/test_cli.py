@@ -387,6 +387,23 @@ def test_probe_report(tmp_path):
     assert best["rel_err_to_truth"] < 1e-6
 
 
+def test_probe_report_on_sensing(tmp_path):
+    # this instance also has a spurious second-order minimizer (f = 0.128,
+    # 4 of the 18 starts), so only the best point is pinned down
+    text = PROBE.replace("objective = quadratic", "objective = sensing").replace(
+        "iters = 1500", "iters = 400")
+    cfg = write(tmp_path / "probe.ini", text)
+    out = tmp_path / "probe.json"
+    assert cli.main(["probe", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["instance"]["objective"] == "sensing"
+    pts = report["points"]
+    assert sum(p["cluster_size"] for p in pts) == 18
+    best = pts[0]
+    assert best["classification"] == "second-order-minimizer"
+    assert best["rel_err_to_truth"] < 1e-6
+
+
 def test_probe_stdout_default(tmp_path, capsys):
     cfg = write(tmp_path / "probe.ini", PROBE)
     assert cli.main(["probe", cfg]) == 0

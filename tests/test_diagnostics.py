@@ -188,7 +188,7 @@ def test_descent_lemma_checks_gradient_rows_only():
 
 
 def test_projection_lemma_sampler_passes():
-    rep = check_projection_lemma(samples=1500, seed=0)
+    rep = check_projection_lemma(samples=1500)
     assert rep.passed
     assert rep.samples == 1500
     assert rep.min_contraction_ratio >= rep.bound - 1e-9
@@ -220,7 +220,7 @@ def test_projection_lemma_mutation_is_caught(monkeypatch):
     # the checker reads the bound at call time: a corrupted constant must
     # fail both the direct check and the verification criterion built on it
     monkeypatch.setattr(diagnostics, "PROJECTION_RATIO_BOUND", 0.9)
-    rep = check_projection_lemma(samples=800, seed=0)
+    rep = check_projection_lemma(samples=800)
     assert not rep.passed
     from rankmin.verify import criterion_lemma_suites
     assert not criterion_lemma_suites("quick").passed
@@ -341,7 +341,7 @@ def _hand_probe(f, n, r, seed, starts, iters, tol=1e-12):
             x = x_new
             if step <= 0.1 * tol * max(1.0, x.frobenius_norm()):
                 break
-        cert = certify_second_order(x, f, eps=1e-6, gamma=0.0, rank=r, lipschitz=1.0)
+        cert = certify_second_order(x, f, eps=1e-6, gamma=0.0, rank=r)
         out.append((x, float(f.value(x.dense())), count, cert.classification))
     out.sort(key=lambda p: p[1])
     return out
@@ -359,7 +359,7 @@ def test_probe_matches_hand_loops(instance):
     else:
         r_star = 3 if instance == "quadratic r* > r" else 2
         f = quadratic_objective(random_ground_truth(n, r_star, 3.0, make_rng(seed)))
-    points = landscape_probe(f, n, r, seed=seed, starts=12, iters=1500, eta=0.25)
+    points = landscape_probe(f, n, r, seed=seed, starts=12, iters=1500)
     expected = _hand_probe(f, n, r, seed, starts=12, iters=1500)
     assert len(points) == len(expected)
     for pt, (x, fx, count, label) in zip(points, expected):

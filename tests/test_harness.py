@@ -99,6 +99,12 @@ def test_validation_errors():
         parse_spec_text("[output]\nformats = csv png\n")
     with pytest.raises(SpecFileError, match="positive"):
         parse_spec_text("[solvers]\neta = 0.4 -0.1\n")
+    with pytest.raises(SpecFileError, match="m_factor must be >= 1"):
+        parse_spec_text("[problem]\nm_factor = 0\n")
+    with pytest.raises(SpecFileError, match="kappa must be >= 1"):
+        parse_spec_text("[problem]\nkappa = 0.5\n")
+    with pytest.raises(SpecFileError, match="max_iters must be >= 1"):
+        parse_spec_text("[run]\nmax_iters = 0\n")
 
 
 def test_validation_rejects_non_finite_numbers():

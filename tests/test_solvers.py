@@ -516,7 +516,7 @@ class FiniteValueInfGradient:
         return g
 
 
-@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd"])
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
 @pytest.mark.parametrize("with_x_star", [False, True])
 @pytest.mark.parametrize("tol_step", [None, 1e-8])
 def test_non_finite_iterate_with_finite_value_diverges(algo, with_x_star, tol_step):
