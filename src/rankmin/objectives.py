@@ -43,11 +43,14 @@ class Objective:
     constants (L, mu, rho).
 
     Optional: in_frames(p, q), for square orthogonal p and q, returns an
-    objective g with g(Y) = f(p Y q^T) whose value_and_grad(Y) gives the
-    gradient p^T grad f(p Y q^T) q as a fresh array.  The pullback builds g
-    once per base point (once per escape) and evaluates it in the base's
-    full frames when f has it, and otherwise rotates each point and
-    gradient."""
+    objective g with g(Y) = f(p Y q^T) whose gradient(Y) gives
+    p^T grad f(p Y q^T) q.  The pullback builds g once per base point (once
+    per escape) and evaluates it in the base's full frames when f has it,
+    and otherwise rotates each point and gradient.  Each inner step of the
+    escape calls only the gradient, that of g or f, or value_and_grad(...)[1]
+    when the objective has no gradient, and corrects the returned array in
+    place, so that array must be fresh; the value is computed only through
+    pullback_value_grad."""
 
     symmetric_psd = False
 

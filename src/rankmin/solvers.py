@@ -295,11 +295,11 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     pull = _Pullback(x, f)
     # every inner point has ||S_core||_F <= ||S||_F <= max(eps_t, ||S_0||_F),
     # so when the core floor clears that radius no step can fail it
-    cleared = pull.clears(max(epsilon_t, math.sqrt(np.vdot(st, st))))
+    cleared = pull.clears(max(epsilon_t, _fro(st)))
     for _ in range(max_iters):
-        gt = pull.value_grad(st, cleared)[1]
+        gt = pull.grad(st, cleared)
         st_plus = st - eta_t * gt
-        if math.sqrt(np.vdot(st_plus, st_plus)) <= epsilon_t:
+        if _fro(st_plus) <= epsilon_t:
             st = st_plus
         else:
             s, grad = TangentVector._wrap(st, x), TangentVector._wrap(gt, x)

@@ -691,6 +691,34 @@ def test_lapack_svd_and_eigh_bindings_are_the_gufuncs_behind_np_linalg(public, g
         assert getattr(solvers, binding) is getattr(geometry, binding)
 
 
+def _dot_operands(rng):
+    """(a, b) pairs of the pullback kernel's block products, as it forms
+    them from an 8 x 8 frame array at k = 3 (5 x 3 . 3 x 3, 3 x 3 . 3 x 5,
+    transposed views, 3 x 5 . 5 x 3 into a 3 x 3 block) and at k = 1, whose
+    7 x 1 and 1 x 1 blocks numpy routes away from gemm, and the 8 x 8
+    P Y Q^T and P^T G Q frame products (P is Q on the PSD set)."""
+    for trial in range(60):
+        for k in (3, 1):
+            y = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-3, 3)
+            winv = rng.standard_normal((k, k))
+            l_winv, winv_r = y[k:, :k].dot(winv), winv.dot(y[:k, k:])
+            go = y[k:, k:]
+            lw_go = l_winv.T.dot(go)
+            p = haar_frame(rng, 8, 8)
+            q = p if trial % 2 else haar_frame(rng, 8, 8)
+            yield from ((y[k:, :k], winv), (winv, y[:k, k:]),
+                        (l_winv, y[:k, k:]), (l_winv.T, go), (lw_go, winv_r.T),
+                        (go, winv_r.T), (p, y), (p.dot(y), q.T), (p.T, y), (p.T.dot(y), q))
+
+
+def test_ndarray_dot_matches_matmul_bit_for_bit():
+    # the pullback kernel calls a.dot(b) for its small products, for less
+    # call overhead than a @ b; fails by name when a numpy release routes
+    # either call to a different kernel for these shapes and layouts
+    for a, b in _dot_operands(make_rng(139)):
+        assert a.dot(b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape)
+
+
 def _svd_inputs(rng):
     """Seeded matrices, each also as a strided view and a Fortran-ordered
     copy: dense, rank-deficient and exact-zero, 10 x 10, 8 x 8, 12 x 10 and
@@ -874,6 +902,9 @@ def test_frame_path_matches_the_rotation_path():
             ref_val, ref_grad = pullback_value_grad(rotated, base, s)
             assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
             assert np.linalg.norm(grad.st - ref_grad.st) <= 1e-12 * np.linalg.norm(ref_grad.st)
+            # the gradient-only kernel: in frames, and value_and_grad(...)[1] rotated
+            assert _Pullback(base, f).grad(s.st).tobytes() == grad.st.tobytes()
+            assert _Pullback(base, rotated).grad(s.st).tobytes() == ref_grad.st.tobytes()
             y = _Pullback(base).point(s.st)[0]
             ref_y = p.T @ retract(base, s).dense() @ q
             assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y)

@@ -706,22 +706,24 @@ def _count_pullback_calls(monkeypatch):
     calls = []
 
     class Counting(solvers._Pullback):
-        def value_grad(self, *args, **kwargs):
+        def grad(self, *args, **kwargs):
             calls.append(1)
-            return super().value_grad(*args, **kwargs)
+            return super().grad(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "_Pullback", Counting)
     return calls
 
 
 class CountingGradient:
-    """f, counting its gradient evaluations."""
+    """f, counting its gradient and its value evaluations."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
+        self.value_calls = 0
 
     def value(self, x):
+        self.value_calls += 1
         return self.f.value(x)
 
     def gradient(self, x):
@@ -730,7 +732,7 @@ class CountingGradient:
 
 
 def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
-    # one kernel call and one objective evaluation per inner step
+    # one kernel call and one objective gradient per inner step, and no value
     calls = _count_pullback_calls(monkeypatch)
     rng = make_rng(213)
     x = random_ground_truth(7, 3, 2.0, rng)
@@ -738,6 +740,7 @@ def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
     f = CountingGradient(ZeroGradient())
     tangent_space_steps(x, f, 1e-4, 0.01, 0.01, 7, make_rng(6, stream=6))
     assert len(calls) == f.calls == 7
+    assert f.value_calls == 0
     # boundary exit: a constant pull along a tangent direction with no core
     # block (so W = Sigma throughout), from a negligible start; each step
     # moves 0.01, steps 1-4 stay inside eps_t = 0.045 and step 5 leaves
@@ -746,6 +749,7 @@ def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
     f = CountingGradient(LinearPull(g.dense(), 1.0 / g.norm()))
     y = tangent_space_steps(x, f, 1e-9, 0.01, 0.045, 100, make_rng(7, stream=6))
     assert len(calls) == f.calls == 5
+    assert f.value_calls == 0
     assert abs(project_tangent(y.dense() - x.dense(), x).norm() - 0.045) < 1e-10
 
 
