@@ -122,7 +122,7 @@ class FactoredMatrix:
         return self._frames()[1][:, self.rank:]
 
     def dense(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
+        return (self.u * self.sigma).dot(self.v.T)
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.sigma))
@@ -147,7 +147,7 @@ class FactoredMatrix:
         """Wrap fresh float arrays that no caller holds, read-only and
         without the copies and shape checks of __init__."""
         for a in (u, sigma, v):
-            a.flags.writeable = False
+            a.setflags(write=False)
         self = object.__new__(cls)
         self.u, self.sigma, self.v = u, sigma, v
         self._p = self._q = None

@@ -170,7 +170,7 @@ def _fgd_point(x: FactoredMatrix, g: np.ndarray, eta: float) -> np.ndarray:
     """L+ R+^T, the factored step from the point and its gradient g,
     before it is refactored."""
     lf, rf = x.balanced_factors()
-    return (lf - eta * (g @ rf)) @ (rf - eta * (g.T @ lf)).T
+    return (lf - eta * g.dot(rf)).dot((rf - eta * g.T.dot(lf)).T)
 
 
 def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
@@ -200,7 +200,7 @@ def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
     if top <= 0.0 or min(mag) <= GRAM_BREAKDOWN_RATIO * top:
         gram = factor.T @ factor
         return rhs @ np.linalg.pinv(gram + reg * np.eye(len(mag)) if reg != 0.0 else gram)
-    return ((rhs @ v) / shifted) @ v.T
+    return (rhs.dot(v) / shifted).dot(v.T)
 
 
 def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
@@ -208,8 +208,8 @@ def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
     """The preconditioned step from the factors, the gradient g at L R^T and
     the stacked Gram eigendecomposition that gram_condition returns."""
     (w_l, w_r), (v_l, v_r) = gram_eig
-    gl = _gram_apply_inverse(g @ rf, rf, w_r, v_r, reg)
-    gr = _gram_apply_inverse(g.T @ lf, lf, w_l, v_l, reg)
+    gl = _gram_apply_inverse(g.dot(rf), rf, w_r, v_r, reg)
+    gr = _gram_apply_inverse(g.T.dot(lf), lf, w_l, v_l, reg)
     return lf - eta * gl, rf - eta * gr
 
 
@@ -240,8 +240,8 @@ def gram_condition(lf: np.ndarray, rf: np.ndarray):
     matrix plus any ridge without decomposing it again.  Raises LinAlgError
     when the eigendecomposition does not converge."""
     grams = np.empty((2, lf.shape[1], lf.shape[1]))
-    np.matmul(lf.T, lf, out=grams[0])
-    np.matmul(rf.T, rf, out=grams[1])
+    lf.T.dot(lf, out=grams[0])
+    rf.T.dot(rf, out=grams[1])
     w, v = _lapack_eigh(grams, signature="d->dd")
     worst = 1.0
     for ev in np.abs(w).tolist():
@@ -370,13 +370,13 @@ def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
 def _point_kernel(f, x0, cfg, rank, rng, trace):
     """The projected step, and fgd's factored step, on the factored point."""
     psd = bool(getattr(f, "symmetric_psd", False))
-    fgd = trace.algorithm == "fgd"
+    fgd, eta = trace.algorithm == "fgd", cfg.eta
 
     def step(x, xd, fv, g):
         if not fgd:
-            z, k, z_psd = xd - cfg.eta * g, rank, psd
+            z, k, z_psd = xd - eta * g, rank, psd
         elif x.rank:
-            z, k, z_psd = _fgd_point(x, g, cfg.eta), x.rank, False
+            z, k, z_psd = _fgd_point(x, g, eta), x.rank, False
         else:
             return x, xd, x.sigma_r(rank), BRANCH_GRADIENT
         if not np.isfinite(z).all():
@@ -398,12 +398,12 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
         trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
         reg = math.sqrt(max(fv, 0.0)) if trace.algorithm == "precgd" else 0.0
         lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_eig)
-        new_xd = lf @ rf.T
+        new_xd = lf.dot(rf.T)
         sigma_r = _sigma_r_dense(new_xd, rank) if np.isfinite(new_xd).all() else float("nan")
         return (lf, rf), new_xd, sigma_r, BRANCH_GRADIENT
 
     lf, rf = x0.balanced_factors()
-    xd = lf @ rf.T
+    xd = lf.dot(rf.T)
     return (lf, rf), xd, _sigma_r_dense(xd, rank), step
 
 

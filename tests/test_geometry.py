@@ -696,7 +696,8 @@ def _dot_operands(rng):
     them from an 8 x 8 frame array at k = 3 (5 x 3 . 3 x 3, 3 x 3 . 3 x 5,
     transposed views, 3 x 5 . 5 x 3 into a 3 x 3 block) and at k = 1, whose
     7 x 1 and 1 x 1 blocks numpy routes away from gemm, and the 8 x 8
-    P Y Q^T and P^T G Q frame products (P is Q on the PSD set)."""
+    P Y Q^T and P^T G Q frame products (P is Q on the PSD set); then those
+    of the driver iterate (see _driver_dot_operands)."""
     for trial in range(60):
         for k in (3, 1):
             y = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-3, 3)
@@ -709,14 +710,51 @@ def _dot_operands(rng):
             yield from ((y[k:, :k], winv), (winv, y[:k, k:]),
                         (l_winv, y[:k, k:]), (l_winv.T, go), (lw_go, winv_r.T),
                         (go, winv_r.T), (p, y), (p.dot(y), q.T), (p.T, y), (p.T.dot(y), q))
+    yield from _driver_dot_operands(rng)
+
+
+def _driver_dot_operands(rng):
+    """(a, b) pairs of the driver's products, in the layouts it forms them:
+    the sensing operator's (m, n^2) . (n^2,) apply, (m,) . (m, n^2) adjoint
+    and res . res at the shipped (m, n); and at r = 1-4, where rank-1
+    products route away from gemm, dense's (u sigma) . v^T (v a transposed
+    view of the SVD's rows), fgd's g R, g^T L and L+ R+^T, and the Gram
+    inverse's rhs V and (rhs V / w) V^T with V from gram_condition."""
+    for m, n in ((120, 10), (400, 10), (72, 8), (144, 12)):
+        flat = (rng.standard_normal((m, n, n)) / np.sqrt(m)).reshape(m, -1)
+        for trial in range(4):
+            x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            res = flat.dot(x.ravel())
+            yield from ((flat, x.ravel()), (res, flat), (res, res))
+            u, s, vt = np.linalg.svd(x)
+            g = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            for r in range(1, 5):
+                v, root = vt[:r].T, np.sqrt(s[:r])
+                lf, rf = u[:, :r] * root, v * root
+                _, ((w_l, w_r), (v_l, v_r)) = solvers.gram_condition(lf, rf)
+                rhs = g.dot(rf)
+                yield from ((u[:, :r] * s[:r], v.T), (g, rf), (g.T, lf),
+                            (lf - 0.4 * rhs, (rf - 0.4 * g.T.dot(lf)).T),
+                            (rhs, v_r), (rhs.dot(v_r) / w_r, v_r.T))
 
 
 def test_ndarray_dot_matches_matmul_bit_for_bit():
-    # the pullback kernel calls a.dot(b) for its small products, for less
-    # call overhead than a @ b; fails by name when a numpy release routes
-    # either call to a different kernel for these shapes and layouts
+    # the pullback kernel and the driver iterate call a.dot(b) for their
+    # small products, for less call overhead than a @ b; fails by name when
+    # a numpy release routes either call to a different kernel for these
+    # shapes and layouts
     for a, b in _dot_operands(make_rng(139)):
         assert a.dot(b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape)
+    # gram_condition fills its stack with F^T.dot(F, out=) on the factors
+    rng = make_rng(140)
+    for n in (8, 10, 12):
+        for r in range(1, 5):
+            for _ in range(20):
+                f = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3, 3)
+                by_dot, by_matmul = np.empty((2, 2, r, r))
+                f.T.dot(f, out=by_dot[1])
+                np.matmul(f.T, f, out=by_matmul[1])
+                assert by_dot[1].tobytes() == by_matmul[1].tobytes(), (n, r)
 
 
 def _svd_inputs(rng):

@@ -169,23 +169,39 @@ def test_psd_sensing_gradient_symmetric():
 
 @pytest.mark.parametrize("psd", [False, True])
 def test_sensing_value_and_grad_matches_separate_calls(psd):
-    p = generate_sensing(n=7, r=3, r_star=2, kappa=4.0, seed=16, symmetric_psd=psd)
-    f = sensing_objective(p)
-    rng = make_rng(17)
-    for _ in range(5):
-        x = rng.standard_normal((7, 7))
-        if psd:
-            x = x @ x.T
-        fv, g = f.value_and_grad(x)
-        assert fv == f.value(x)
-        assert np.array_equal(g, f.gradient(x))
-        # the flat (m, n*n) operator gives the tensor contraction's bits
-        res = np.tensordot(p.operators, x, axes=([1, 2], [0, 1])) - p.observations
-        ref = np.tensordot(res, p.operators, axes=(0, 0))
-        if psd:
-            ref = 0.5 * (ref + ref.T)
-        assert fv == 0.5 * float(res @ res)
-        assert np.array_equal(g, ref)
+    # at the shipped sizes: fig1 and fig2 (m = 3nr at n = 10, r = 4) and
+    # fig3 (m = 10nr), and a small odd n
+    for n, m in ((7, 63), (10, 120), (10, 400)):
+        p = generate_sensing(n=n, r=3, r_star=2, kappa=4.0, m=m, seed=16, symmetric_psd=psd)
+        f = sensing_objective(p)
+        rng = make_rng(17)
+        for _ in range(5):
+            x = rng.standard_normal((n, n))
+            if psd:
+                x = x @ x.T
+            fv, g = f.value_and_grad(x)
+            assert fv == f.value(x), (n, m)
+            assert g.tobytes() == f.gradient(x).tobytes(), (n, m)
+            # the flat (m, n*n) operator gives the tensor contraction's bits
+            res = np.tensordot(p.operators, x, axes=([1, 2], [0, 1])) - p.observations
+            ref = np.tensordot(res, p.operators, axes=(0, 0))
+            if psd:
+                ref = 0.5 * (ref + ref.T)
+            assert fv == 0.5 * float(res @ res), (n, m)
+            assert g.tobytes() == ref.tobytes(), (n, m)
+
+
+def test_sensing_gradient_is_one_operator_pass_pair(monkeypatch):
+    # gradient forms the residual and its adjoint only: one apply, one adjoint
+    from rankmin.objectives import SensingProblem
+    calls = []
+    for name in ("apply", "adjoint"):
+        fn = getattr(SensingProblem, name)
+        monkeypatch.setattr(SensingProblem, name,
+                            lambda self, a, name=name, fn=fn: calls.append(name) or fn(self, a))
+    f = sensing_objective(generate_sensing(n=6, r=2, r_star=2, kappa=2.0, seed=14))
+    f.gradient(make_rng(15).standard_normal((6, 6)))
+    assert calls == ["apply", "adjoint"]
 
 
 def test_quadratic_value_and_grad_matches_separate_calls():
