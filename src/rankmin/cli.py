@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .diagnostics import BudgetExceededError, landscape_probe
+from .diagnostics import MAX_PROBE_EVALUATIONS, BudgetExceededError, landscape_probe
 from .harness import SpecFileError
 from .objectives import generate_sensing, quadratic_objective, random_ground_truth, sensing_objective
 from .verify import verify_suite
@@ -108,7 +108,7 @@ def _cmd_grid(spec, args, default_name: str) -> int:
 _PROBE_DEFAULTS = {
     "objective": "quadratic", "n": 3, "r": 2, "r_star": 2, "kappa": 2.0,
     "psd": False, "m_factor": 3, "seed": 0, "starts": 64, "iters": 3000,
-    "budget": 10_000_000, "eps": 1e-6, "gamma": 0.0,
+    "eps": 1e-6, "gamma": 0.0,
 }
 # each key parses as the type of its default
 _PROBE_SCHEMA = {"probe": {key: harness._parse_bool if isinstance(v, bool) else type(v)
@@ -160,12 +160,12 @@ def _cmd_probe(args) -> int:
         x_star = problem.ground_truth
         f = sensing_objective(problem)
     points = landscape_probe(f, n, r, seed=cfg["seed"], starts=cfg["starts"],
-                             iters=cfg["iters"], budget=cfg["budget"],
-                             eps=cfg["eps"], gamma=cfg["gamma"])
+                             iters=cfg["iters"], eps=cfg["eps"], gamma=cfg["gamma"])
     xsd = x_star.dense()
     xs_norm = float(np.linalg.norm(xsd))
     report = {
-        "instance": cfg,
+        # the report states the evaluation cap the census ran under
+        "instance": dict(cfg, budget=MAX_PROBE_EVALUATIONS),
         "points": [
             {
                 "f_value": _num(p.f_value),

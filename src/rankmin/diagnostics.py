@@ -38,6 +38,8 @@ EIG_ZERO_TOL_SCALE = 1e-7
 CLUSTER_RADIUS_SCALE = 10.0
 # ambient stationarity margin at a second-order stop: (8/3)(eps + eps_t/eta)
 AMBIENT_STATIONARITY_FACTOR = 8.0 / 3.0
+# the landscape probe plans at most this many objective evaluations
+MAX_PROBE_EVALUATIONS = 10_000_000
 
 CLASS_MINIMIZER = "second-order-minimizer"
 CLASS_SADDLE = "saddle"
@@ -46,7 +48,7 @@ CLASS_INDETERMINATE = "indeterminate"
 
 
 class BudgetExceededError(RuntimeError):
-    """Landscape probe would exceed its objective-evaluation budget."""
+    """Landscape probe would exceed MAX_PROBE_EVALUATIONS."""
 
 
 def _dense(x) -> np.ndarray:
@@ -55,7 +57,7 @@ def _dense(x) -> np.ndarray:
 
 def _lipschitz(f) -> float:
     """The L of f's smoothness_constants, or 1 when f has none."""
-    consts = f.smoothness_constants() if hasattr(f, "smoothness_constants") else None
+    consts = f.smoothness_constants()
     return consts[0] if consts else 1.0
 
 
@@ -65,7 +67,6 @@ class SecondOrderCertificate:
     min_eig: float              # smallest pullback Hessian eigenvalue, nan when rank-deficient
     sigma_r: float
     ambient_grad_norm: float    # spectral norm of grad f(X)
-    ambient_grad_fro: float
     classification: str
     eps: float
     gamma: float
@@ -99,7 +100,6 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
     producing run are supplied."""
     rank = x.rank if rank is None else int(rank)
     g = np.asarray(f.gradient(x.dense()), dtype=float)
-    ambient_fro = float(np.linalg.norm(g))
     ambient_spec = float(np.linalg.norm(g, 2))
     if x.rank >= rank:
         grad_norm = project_tangent(g, x).norm()
@@ -116,8 +116,7 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
                                  ambient_threshold, eig_tol)
     return SecondOrderCertificate(
         grad_norm=grad_norm, min_eig=min_eig, sigma_r=x.sigma_r(rank),
-        ambient_grad_norm=ambient_spec, ambient_grad_fro=ambient_fro,
-        classification=label, eps=eps, gamma=gamma,
+        ambient_grad_norm=ambient_spec, classification=label, eps=eps, gamma=gamma,
         ambient_threshold=ambient_threshold, eig_tol=eig_tol,
     )
 
@@ -275,7 +274,7 @@ class StationaryPoint:
 
 
 def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: int = 3000,
-                    budget: int = 10_000_000, eps: float = 1e-6, gamma: float = 0.0):
+                    eps: float = 1e-6, gamma: float = 0.0):
     """Brute-force stationary-point census for tiny instances (n <= 4, r <= 2).
 
     Multi-start projected gradient with step 0.25/L (L from f's
@@ -289,26 +288,26 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: i
     500 refinement steps and a certificate: the exact Hessian's gradient
     and stacked Hessian-vector product plus 4 value and gradient calls.
     The pass each driver run makes at its own start point is not counted;
-    a run's last record gives the f value of its terminal point."""
+    a run's last record gives the f value of its terminal point.  A plan
+    above MAX_PROBE_EVALUATIONS raises BudgetExceededError before any run."""
     if n > 4 or r > 2:
         raise ValueError("landscape probe is for n <= 4, r <= 2 only")
     eta = 0.25 / max(_lipschitz(f), 1e-12)
     planned = starts * (iters + 500 + 2 + 4)
-    if planned > budget:
-        raise BudgetExceededError(
-            f"planned {planned} objective evaluations exceed budget {budget}")
+    if planned > MAX_PROBE_EVALUATIONS:
+        raise BudgetExceededError(f"planned {planned} objective evaluations exceed "
+                                  f"the budget of {MAX_PROBE_EVALUATIONS}")
     tol = 1e-12     # relative step-norm stop of the descent runs
     descent = SolverConfig(eta=eta, max_iters=iters, tol_step=tol)
     # refinement pass with a smaller step before certifying
     refine = SolverConfig(eta=eta / 4.0, max_iters=500, tol_step=0.1 * tol)
     rng = make_rng(seed, stream=13)
-    psd = bool(getattr(f, "symmetric_psd", False))
     scales = (0.1, 1.0, 10.0)
     terminals = []  # (terminal point, its f value)
     for i in range(starts):
         scale = scales[i % len(scales)]
         raw = rng.standard_normal((n, n)) * scale
-        if psd:
+        if f.symmetric_psd:
             x = project_psd_rank_r(raw @ raw.T / n, r)
         else:
             x = project_rank_r(raw, r)
@@ -339,20 +338,3 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: i
     points.sort(key=lambda p: p.f_value)
     return points
 
-
-# re-exported so callers can pin the constant the checkers read
-__all__ = [
-    "PROJECTION_RATIO_BOUND",
-    "BudgetExceededError",
-    "SecondOrderCertificate",
-    "DescentReport",
-    "ProjectionReport",
-    "StationaryPoint",
-    "classify_certificate",
-    "certify_second_order",
-    "check_descent_lemma",
-    "check_projection_lemma",
-    "estimate_linear_rate",
-    "swapped_direction_saddle",
-    "landscape_probe",
-]

@@ -347,21 +347,16 @@ def project_tangent(z, base: FactoredMatrix) -> TangentVector:
     return TangentVector._wrap(st, base)
 
 
-def _value_and_grad_of(f):
-    """f's fused value_and_grad, or a function of its separate value and gradient."""
-    return getattr(f, "value_and_grad", None) or (lambda x: (f.value(x), f.gradient(x)))
-
-
 class _Pullback:
     """The retraction, and the pullback of f when one is given, at one base
     point, with all that is fixed for the base built once: the frames P and
     Q, sigma on the core diagonal of an n1 x n2 array, sigma_k and sigma_1,
     and f's gradient and fused value-and-gradient, those of f.in_frames(P, Q)
-    when f has in_frames.  Its methods take bare frame arrays st (see
+    when that is not None.  Its methods take bare frame arrays st (see
     TangentVector).  grad, the escape's inner step, evaluates only the
-    gradient (value_and_grad(...)[1] when f has none) and corrects that fresh
-    array in place; only value_grad evaluates the value.  The block products
-    call ndarray.dot: the same bytes as @ here, with less call overhead."""
+    gradient and corrects that fresh array in place; only value_grad
+    evaluates the value.  The block products call ndarray.dot: the same
+    bytes as @ here, with less call overhead."""
 
     def __init__(self, base: FactoredMatrix, f=None):
         k = self.k = base.rank
@@ -369,12 +364,11 @@ class _Pullback:
         self.sigma_diag = np.zeros(base.shape)
         self.sigma_diag.ravel()[:k * (base.shape[1] + 1):base.shape[1] + 1] = base.sigma
         self.sigma_k, self.sigma_1 = (float(base.sigma[-1]), float(base.sigma[0])) if k else (0.0, 0.0)
-        in_frames = getattr(f, "in_frames", None)
-        self.rotate = in_frames is None
         if f is not None:
-            g = f if self.rotate else in_frames(self.p, self.q)
-            self.value_and_grad = _value_and_grad_of(g)
-            self.gradient = getattr(g, "gradient", None) or (lambda y: g.value_and_grad(y)[1])
+            framed = f.in_frames(self.p, self.q)
+            self.rotate = framed is None
+            g = f if self.rotate else framed
+            self.value_and_grad, self.gradient = g.value_and_grad, g.gradient
 
     def clears(self, c: float) -> bool:
         """Whether every core with ||core||_F <= c passes point's floor test:
@@ -469,7 +463,7 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
     """Value and gradient of the pulled-back objective f(Retr_base(s)).
 
     The retracted point is formed in the base's full frames (see retract),
-    with no factorisation.  When f has in_frames, f.in_frames(P, Q) is
+    with no factorisation.  When f.in_frames(P, Q) is not None, it is
     evaluated at that frame array directly, so no n x n rotation runs;
     otherwise f is evaluated at the dense point P Y Q^T and its gradient
     rotated into the frames.  The gradient is returned as a tangent vector

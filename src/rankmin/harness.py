@@ -354,7 +354,6 @@ def _atomic_write(path, data: str):
 class RunResult:
     out_dir: str
     files: list
-    summaries: list
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResult:
@@ -392,7 +391,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
         _atomic_write(os.path.join(out_dir, "manifest.json"),
                       json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         files.append("manifest.json")
-    return RunResult(out_dir=out_dir, files=sorted(files), summaries=summaries)
+    return RunResult(out_dir=out_dir, files=sorted(files))
 
 
 def _sweep_table(summaries) -> str:

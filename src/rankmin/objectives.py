@@ -37,20 +37,21 @@ def haar_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 
 class Objective:
-    """Minimal interface the solvers need: value, gradient, and (optionally)
-    the fused value_and_grad, the Hessian-vector product that the
-    second-order certificate needs, and restricted smoothness/convexity
-    constants (L, mu, rho).
+    """The interface every objective subclasses and the solvers read
+    directly: value and gradient, which a subclass defines; value_and_grad,
+    which defaults to the two separate calls; the Hessian-vector product
+    that the second-order certificate needs; the symmetric_psd flag (False);
+    and restricted smoothness/convexity constants (L, mu, rho), None by
+    default.
 
-    Optional: in_frames(p, q), for square orthogonal p and q, returns an
-    objective g with g(Y) = f(p Y q^T) whose gradient(Y) gives
-    p^T grad f(p Y q^T) q.  The pullback builds g once per base point (once
-    per escape) and evaluates it in the base's full frames when f has it,
-    and otherwise rotates each point and gradient.  Each inner step of the
-    escape calls only the gradient, that of g or f, or value_and_grad(...)[1]
-    when the objective has no gradient, and corrects the returned array in
-    place, so that array must be fresh; the value is computed only through
-    pullback_value_grad."""
+    in_frames(p, q), for square orthogonal p and q, returns an objective g
+    with g(Y) = f(p Y q^T) whose gradient(Y) gives p^T grad f(p Y q^T) q,
+    or None (the default) when f has no such form.  The pullback builds g
+    once per base point (once per escape) and evaluates it in the base's
+    full frames when there is one, and otherwise rotates each point and
+    gradient.  Each inner step of the escape calls only the gradient, that
+    of g or f, and corrects the returned array in place, so that array must
+    be fresh; the value is computed only through pullback_value_grad."""
 
     symmetric_psd = False
 
@@ -69,6 +70,9 @@ class Objective:
         raise NotImplementedError
 
     def smoothness_constants(self):
+        return None
+
+    def in_frames(self, p: np.ndarray, q: np.ndarray):
         return None
 
 
@@ -119,8 +123,8 @@ def random_ground_truth(n: int, r_star: int, kappa: float, seed_or_rng,
     to 1/kappa and Haar-random frames (shared frame in the PSD case)."""
     if not 1 <= r_star <= n:
         raise ValueError("need 1 <= r_star <= n")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+    if not (np.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else make_rng(seed_or_rng)
     sigma = np.linspace(1.0, 1.0 / kappa, r_star)
     u = haar_frame(rng, n, r_star)

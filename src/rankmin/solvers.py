@@ -23,7 +23,6 @@ from .geometry import (
     _Pullback,
     _truncate,
     _truncate_psd,
-    _value_and_grad_of,
     project_psd_rank_r,
     project_rank_r,
     retract,
@@ -78,8 +77,10 @@ class PprojgdParams:
         radius = _positive("perturb_radius", eps if self.perturb_radius is None
                            else float(self.perturb_radius))
         j_max = (math.ceil(1.0 / (eta_t * math.sqrt(eps))) if self.max_tangent_iters is None
-                 else int(_positive("max_tangent_iters", self.max_tangent_iters)))
-        return PprojgdParams(eps, eps_t, eta_t, radius, _positive("max_tangent_iters", j_max))
+                 else _positive("max_tangent_iters", self.max_tangent_iters))
+        if not isinstance(j_max, (int, np.integer)):
+            raise ValueError(f"max_tangent_iters must be an integer, got {j_max!r}")
+        return PprojgdParams(eps, eps_t, eta_t, radius, int(j_max))
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if self.diverge_threshold <= 0:
             raise ValueError("diverge_threshold must be positive")
         if self.tol_step is not None and self.tol_step < 0:
@@ -155,15 +156,13 @@ class SolverTrace:
         return "\n".join(lines) + "\n"
 
 
-def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None,
-                psd: Optional[bool] = None) -> FactoredMatrix:
-    """One projected gradient step: rank-r (or PSD rank-r) truncation of
-    X - eta * grad f(X)."""
+def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None) -> FactoredMatrix:
+    """One projected gradient step: rank-r truncation of X - eta * grad f(X),
+    PSD rank-r when f is symmetric_psd."""
     rank = x.rank if rank is None else int(rank)
-    psd = bool(getattr(f, "symmetric_psd", False)) if psd is None else psd
     xd = x.dense()
     z = xd - eta * np.asarray(f.gradient(xd), dtype=float)
-    return project_psd_rank_r(z, rank) if psd else project_rank_r(z, rank)
+    return project_psd_rank_r(z, rank) if f.symmetric_psd else project_rank_r(z, rank)
 
 
 def _fgd_point(x: FactoredMatrix, g: np.ndarray, eta: float) -> np.ndarray:
@@ -286,7 +285,7 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     symmetric, right = left^T) before it is scaled, so that with the
     symmetric gradient every inner point stays symmetric."""
     s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
-    if getattr(f, "symmetric_psd", False):
+    if f.symmetric_psd:
         # a PSD point has u = v, so both frames are one array and the
         # symmetric part of the frame array is the symmetric perturbation
         s = TangentVector._wrap(0.5 * (s.st + s.st.T), x)
@@ -369,7 +368,7 @@ def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
 
 def _point_kernel(f, x0, cfg, rank, rng, trace):
     """The projected step, and fgd's factored step, on the factored point."""
-    psd = bool(getattr(f, "symmetric_psd", False))
+    psd = f.symmetric_psd
     fgd, eta = trace.algorithm == "fgd", cfg.eta
 
     def step(x, xd, fv, g):
@@ -446,7 +445,7 @@ def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
     run as diverged.  Returns (final state, trace)."""
     rank = x0.rank if rank is None else int(rank)
     builder = _TraceBuilder(algo, f, cfg, x_star)
-    record, value_and_grad = builder.record, _value_and_grad_of(f)
+    record, value_and_grad = builder.record, f.value_and_grad
     with np.errstate(over="ignore", invalid="ignore"):
         state, xd, sigma_r, step = _KERNELS[algo](f, x0, cfg, rank, rng, builder.trace)
         it, step_norm, branch = 0, float("nan"), BRANCH_INIT

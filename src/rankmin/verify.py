@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import harness
+from . import diagnostics, harness
 from .diagnostics import (
     check_derivative_bound_lemma,
     check_descent_lemma,
@@ -324,7 +324,8 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
     stops = 20 if full else 5
     eta = 1.0 / 3.0
     resolved = PprojgdParams().resolve(eta)
-    stop_bound = (8.0 / 3.0) * (resolved.epsilon + resolved.epsilon_t / eta) + 1e-8
+    stop_bound = (diagnostics.AMBIENT_STATIONARITY_FACTOR
+                  * (resolved.epsilon + resolved.epsilon_t / eta) + 1e-8)
     for s in range(stops):
         _, fq, x_end, tr = _corridor_stop(900, s, eta)
         gnorm = float(np.linalg.norm(fq.gradient(x_end.dense()), 2))

@@ -438,9 +438,11 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE + "gamma = inf\n", "gamma"),
     (PROBE + "gamma = -1\n", "gamma"),
     (PROBE + "psd = true\n", "psd"),
+    (PROBE + "budget = 100\n", "budget"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
         "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
-        "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic"])
+        "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic",
+        "budget_key"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2
@@ -450,9 +452,12 @@ def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
 
 
 def test_probe_budget_guard(tmp_path, capsys):
-    cfg = write(tmp_path / "probe.ini", PROBE + "budget = 100\n")
+    # 18 starts x (10^6 + 506) planned evaluations exceed the fixed cap
+    cfg = write(tmp_path / "probe.ini", PROBE.replace("iters = 1500", "iters = 1000000"))
     assert cli.main(["probe", cfg]) == 2
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"budget of {diagnostics.MAX_PROBE_EVALUATIONS}" in err
 
 
 def test_console_script_help():

@@ -226,6 +226,15 @@ def test_projection_lemma_mutation_is_caught(monkeypatch):
     assert not criterion_lemma_suites("quick").passed
 
 
+def test_stop_bound_mutation_is_caught(monkeypatch):
+    # the lemma suites read the ambient stationarity factor at call time too
+    monkeypatch.setattr(diagnostics, "AMBIENT_STATIONARITY_FACTOR", 1e-3)
+    from rankmin.verify import criterion_lemma_suites
+    result = criterion_lemma_suites("quick")
+    assert not result.passed
+    assert result.details["stop_worst_grad"] > result.details["stop_bound"]
+
+
 # -------------------------------------------------- derivative bound lemma
 
 
@@ -308,7 +317,7 @@ def _hand_probe(f, n, r, seed, starts, iters, tol=1e-12):
     f value, cluster size, label) sorted by f value."""
     eta = 0.25
     rng = make_rng(seed, stream=13)
-    psd = bool(getattr(f, "symmetric_psd", False))
+    psd = f.symmetric_psd
     terminals = []
     for i in range(starts):
         raw = rng.standard_normal((n, n)) * (0.1, 1.0, 10.0)[i % 3]
@@ -316,7 +325,7 @@ def _hand_probe(f, n, r, seed, starts, iters, tol=1e-12):
         if x.rank == 0:
             continue
         for _ in range(iters):
-            x_new = projgd_step(x, f, eta, rank=r, psd=psd)
+            x_new = projgd_step(x, f, eta, rank=r)
             step = float(np.linalg.norm(x_new.dense() - x.dense()))
             x = x_new
             if step <= tol * max(1.0, x.frobenius_norm()):
@@ -336,7 +345,7 @@ def _hand_probe(f, n, r, seed, starts, iters, tol=1e-12):
     for rep, _, count in clusters:
         x = rep
         for _ in range(500):
-            x_new = projgd_step(x, f, eta / 4.0, rank=r, psd=psd)
+            x_new = projgd_step(x, f, eta / 4.0, rank=r)
             step = float(np.linalg.norm(x_new.dense() - x.dense()))
             x = x_new
             if step <= 0.1 * tol * max(1.0, x.frobenius_norm()):
@@ -379,6 +388,9 @@ def test_probe_size_limits():
 
 
 def test_probe_budget_guard():
+    # raised from the plan, before any run: 2900 x (3000 + 506) > 10^7
     f = quadratic_objective(random_ground_truth(3, 1, 1.0, make_rng(15)))
     with pytest.raises(BudgetExceededError):
-        landscape_probe(f, 3, 1, starts=64, iters=3000, budget=1000)
+        landscape_probe(f, 3, 1, starts=2900, iters=3000)
+    with pytest.raises(BudgetExceededError):
+        landscape_probe(f, 3, 1, starts=1, iters=diagnostics.MAX_PROBE_EVALUATIONS)

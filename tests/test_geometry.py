@@ -31,6 +31,7 @@ from rankmin.geometry import (
     tangent_dim,
 )
 from rankmin.objectives import (
+    Objective,
     QuadraticObjective,
     haar_frame,
     make_rng,
@@ -412,7 +413,7 @@ def test_pullback_value_is_composition():
     assert abs(val - f.value(retract(base, s).dense())) < 1e-14 * max(1.0, abs(val))
 
 
-class SeparateCalls:
+class SeparateCalls(Objective):
     """The objective without its fused value_and_grad."""
 
     def __init__(self, f):
@@ -905,13 +906,18 @@ def test_escape_rotates_the_quadratic_target_once():
     assert len(f.rotated) == 1
 
 
-class RecordingQuadratic:
+class RecordingQuadratic(Objective):
     """The quadratic objective, remembering the last point it was called at.
-    It has no in_frames, so the pullback evaluates it at the dense point."""
+    It keeps the base class's in_frames (None), so the pullback evaluates it
+    at the dense point."""
 
     def __init__(self, f):
         self.f = f
         self.x = None
+
+    def gradient(self, x):
+        self.x = x
+        return self.f.gradient(x)
 
     def value_and_grad(self, x):
         self.x = x
@@ -940,7 +946,7 @@ def test_frame_path_matches_the_rotation_path():
             ref_val, ref_grad = pullback_value_grad(rotated, base, s)
             assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
             assert np.linalg.norm(grad.st - ref_grad.st) <= 1e-12 * np.linalg.norm(ref_grad.st)
-            # the gradient-only kernel: in frames, and value_and_grad(...)[1] rotated
+            # the gradient-only kernel: in frames, and the gradient rotated
             assert _Pullback(base, f).grad(s.st).tobytes() == grad.st.tobytes()
             assert _Pullback(base, rotated).grad(s.st).tobytes() == ref_grad.st.tobytes()
             y = _Pullback(base).point(s.st)[0]

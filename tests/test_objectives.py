@@ -123,6 +123,15 @@ def test_sensing_determinism_and_param_validation():
         generate_sensing(n=5, r=2, r_star=2, kappa=0.9)
 
 
+@pytest.mark.parametrize("kappa", [float("inf"), float("nan")])
+def test_non_finite_kappa_is_rejected(kappa):
+    # inf would give a zero singular value, nan an all-nan truth
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        random_ground_truth(5, 3, kappa, 0)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        generate_sensing(n=5, r=3, r_star=3, kappa=kappa)
+
+
 def test_adjoint_identity():
     p = generate_sensing(n=6, r=2, r_star=2, kappa=3.0, seed=8)
     rng = make_rng(9)

@@ -20,6 +20,7 @@ from rankmin.geometry import (
 )
 from rankmin.diagnostics import swapped_direction_saddle
 from rankmin.objectives import (
+    Objective,
     generate_sensing,
     haar_frame,
     make_rng,
@@ -53,7 +54,7 @@ def sensing_setup(r_star, kappa, seed, m_factor=3, psd=False, n=10, r=4):
     return p, sensing_objective(p), spectral_init(p)
 
 
-class ZeroGradient:
+class ZeroGradient(Objective):
     """f constant: gradient identically zero."""
 
     def value(self, x):
@@ -63,7 +64,7 @@ class ZeroGradient:
         return np.zeros_like(x)
 
 
-class LinearPull:
+class LinearPull(Objective):
     """f(X) = -c <D, X>: constant gradient -c D."""
 
     def __init__(self, d, c):
@@ -99,7 +100,7 @@ def test_projgd_zero_gradient_is_identity():
 
 def test_projgd_psd_variant_keeps_symmetry():
     p, f, x0 = sensing_setup(2, 2.0, 5, psd=True)
-    y = projgd_step(x0, f, 0.4, rank=4, psd=True)
+    y = projgd_step(x0, f, 0.4, rank=4)
     d = y.dense()
     assert np.linalg.norm(d - d.T) < 1e-12
     assert np.array_equal(y.u, y.v)
@@ -328,8 +329,25 @@ def test_solver_config_rejects_bad_tol_step(bad):
         SolverConfig(eta=0.4, tol_step=bad)
 
 
-class SeparateCalls:
-    """Duck-typed objective with value and gradient but no value_and_grad."""
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 3.0, -1])
+def test_solver_config_rejects_non_integer_max_iters(bad):
+    # inf with tol_rel_err=None would never stop; checked at construction only
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+        SolverConfig(eta=0.4, max_iters=bad, tol_rel_err=None)
+    assert SolverConfig(eta=0.4, max_iters=np.int64(7)).max_iters == 7
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0])
+def test_pprojgd_params_reject_non_integer_max_tangent_iters(bad):
+    # a fractional count is an error, not truncated
+    with pytest.raises(ValueError, match="^max_tangent_iters must be an integer"):
+        PprojgdParams(max_tangent_iters=bad).resolve(0.4)
+    resolved = PprojgdParams(max_tangent_iters=np.int64(3)).resolve(0.4)
+    assert type(resolved.max_tangent_iters) is int and resolved.max_tangent_iters == 3
+
+
+class SeparateCalls(Objective):
+    """An objective with value and gradient and the base class's value_and_grad."""
 
     def __init__(self, f):
         self.f = f
@@ -500,12 +518,10 @@ def test_failed_decomposition_raises_through_the_driver(monkeypatch, algo, psd, 
 # -------------------------------------------------- the driver's lean path
 
 
-class FiniteValueInfGradient:
-    """Duck-typed objective whose value is always 1 and whose constant
+class FiniteValueInfGradient(Objective):
+    """An objective whose value is always 1 and whose constant
     gradient has an inf entry, so the first step gives a non-finite iterate
     at which f is still finite."""
-
-    symmetric_psd = False
 
     def value(self, x):
         return 1.0
@@ -714,7 +730,7 @@ def _count_pullback_calls(monkeypatch):
     return calls
 
 
-class CountingGradient:
+class CountingGradient(Objective):
     """f, counting its gradient and its value evaluations."""
 
     def __init__(self, f):
