@@ -9,6 +9,8 @@ Q = [V V_perp] of the base point, as one n1 x n2 array
 
 with a core k x k block, a left (n1-k) x k block and a right k x (n2-k)
 block, so that Z = U core V^T + U_perp left V^T + U right V_perp^T.
+The tangent coordinates are defined once, by _coordinates(base); tangent_dim,
+TangentVector.coords/from_coords and pullback_hessian read them.
 
 All kernels are written for desk-scale dense matrices (n up to a few
 hundred); nothing here is sparse or randomized.
@@ -284,23 +286,15 @@ class TangentVector:
         return p @ self.st @ q.T
 
     def coords(self) -> np.ndarray:
-        return np.concatenate([self.core.ravel(), self.left.ravel(), self.right.ravel()])
+        return _coordinates(self.base).dot(self.st.ravel())
 
     @classmethod
     def from_coords(cls, x, base: FactoredMatrix) -> "TangentVector":
-        k = base.rank
-        n1, n2 = base.shape
+        c = _coordinates(base)
         x = np.asarray(x, dtype=float)
-        if x.shape != (tangent_dim(base),):
+        if x.shape != (c.shape[0],):
             raise ValueError("coordinate vector has wrong length")
-        a = k * k
-        b = a + (n1 - k) * k
-        return cls(
-            x[:a].reshape(k, k),
-            x[a:b].reshape(n1 - k, k),
-            x[b:].reshape(k, n2 - k),
-            base,
-        )
+        return cls._wrap(x.dot(c).reshape(base.shape), base)
 
     @classmethod
     def zero(cls, base: FactoredMatrix) -> "TangentVector":
@@ -328,10 +322,20 @@ class TangentVector:
         return float(np.vdot(self.st, other.st))
 
 
-def tangent_dim(base: FactoredMatrix) -> int:
+def _coordinates(base: FactoredMatrix) -> np.ndarray:
+    """The one definition of the tangent coordinates at base: the (d, n1*n2)
+    matrix C whose rows are the raveled frame arrays of the orthonormal
+    basis, the core block, then left, then right, each row by row.  C has
+    0/1 entries, so C st and C^T x only select entries."""
     k = base.rank
-    n1, n2 = base.shape
-    return k * (n1 + n2 - k)
+    index = np.arange(base.shape[0] * base.shape[1]).reshape(base.shape)
+    rows = np.concatenate([index[:k, :k].ravel(), index[k:, :k].ravel(), index[:k, k:].ravel()])
+    return np.eye(index.size)[rows]
+
+
+def tangent_dim(base: FactoredMatrix) -> int:
+    """k(n1+n2-k), the number of rows of _coordinates(base)."""
+    return _coordinates(base).shape[0]
 
 
 def project_tangent(z, base: FactoredMatrix) -> TangentVector:
@@ -482,48 +486,35 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
     return val, TangentVector._wrap(gt, base)
 
 
-def _tangent_basis(base: FactoredMatrix) -> np.ndarray:
-    """The dense matrices of the orthonormal coordinate basis of the tangent
-    space, shape (d, n1, n2), in the order of TangentVector.coords."""
-    u, v, up, vp = base.u, base.v, base.u_perp, base.v_perp
-    blocks = (
-        np.einsum("ia,jb->abij", u, v),      # core (a, b):  u_a v_b^T
-        np.einsum("ip,ja->paij", up, v),     # left (p, a):  up_p v_a^T
-        np.einsum("ib,jq->bqij", u, vp),     # right (b, q): u_b vp_q^T
-    )
-    return np.concatenate([blk.reshape(-1, *base.shape) for blk in blocks])
-
-
 def pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
-    """Hessian of the pullback at s = 0 over the orthonormal coordinate basis
-    of the tangent space (dimension k(n1+n2-k)), in closed form.
+    """Hessian of the pullback at s = 0 over the coordinates C of
+    _coordinates (dimension k(n1+n2-k)), in closed form.
 
     The retraction is second order, so this is the Riemannian Hessian: the
-    tangent part of the Euclidean Hessian, <e_i, hess f(X)[e_j]>, from one
-    stacked f.hessian_vector call, plus the Weingarten coupling of the left
-    and right blocks through the outer block Go of grad f(X):
+    tangent part of the Euclidean Hessian, <e_i, hess f(X)[e_j]> over the
+    dense basis e = P C Q^T, from one stacked f.hessian_vector call, plus
+    the Weingarten term C Wg(C)^T.  Wg maps each row of C, as a frame array
+    xi, to the frame array with zero core and outer blocks and, for Go the
+    outer block of P^T grad f(X) Q,
 
-        d left = Go xi.right^T Sigma^{-1}      d right = Sigma^{-1} xi.left^T Go
+        left = Go xi.right^T Sigma^{-1}      right = Sigma^{-1} xi.left^T Go
 
     f must provide hessian_vector(x, z).  The matrix is returned as computed,
     not symmetrized.
     """
     x = base.dense()
-    basis = _tangent_basis(base)
-    d = basis.shape[0]
-    flat = basis.reshape(d, -1)
-    hess = flat @ np.asarray(f.hessian_vector(x, basis), dtype=float).reshape(d, -1).T
-    k = base.rank
-    n1, n2 = base.shape
+    c = _coordinates(base)
+    d, k = c.shape[0], base.rank
     p, q = base._frames()
+    xi = c.reshape(d, *base.shape)
+    basis = p @ xi @ q.T
+    hess = basis.reshape(d, -1) @ np.asarray(f.hessian_vector(x, basis), dtype=float).reshape(d, -1).T
     go = (p.T @ np.asarray(f.gradient(x), dtype=float) @ q)[k:, k:]
-    # left coordinate (p, a) against right coordinate (b, q): Go[p, q] [a == b] / sigma_a
-    coupling = np.einsum("pq,ab->pabq", go, np.diag(1.0 / base.sigma))
-    coupling = coupling.reshape((n1 - k) * k, k * (n2 - k))
-    lo, hi = k * k, k * k + (n1 - k) * k
-    hess[lo:hi, hi:] += coupling
-    hess[hi:, lo:hi] += coupling.T
-    return hess
+    inv_sigma = 1.0 / base.sigma
+    wg = np.zeros_like(xi)
+    wg[:, k:, :k] = (go @ xi[:, :k, k:].transpose(0, 2, 1)) * inv_sigma
+    wg[:, :k, k:] = inv_sigma[:, None] * (xi[:, k:, :k].transpose(0, 2, 1) @ go)
+    return hess + c.dot(wg.reshape(d, -1).T)
 
 
 def pullback_hessian_min_eig(f, base: FactoredMatrix):

@@ -95,8 +95,9 @@ class ExperimentSpec:
         finite = {"eta": self.etas, "kappa": self.kappa,
                   "tol_rel_err": (self.tol_rel_err,),
                   "diverge_threshold": (self.diverge_threshold,)}
+        # the float keys only: ints are finite, and a huge one overflows isfinite
         finite.update((f"pprojgd.{key}", (getattr(self.pprojgd, key),))
-                      for key in _SCHEMA["pprojgd"])
+                      for key, parse in _SCHEMA["pprojgd"].items() if parse is float)
         for name, values in finite.items():
             bad = [v for v in values if v is not None and not math.isfinite(v)]
             if bad:

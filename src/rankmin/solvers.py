@@ -47,6 +47,10 @@ ALGORITHMS = ("projgd", "fgd", "scaledgd", "precgd", "pprojgd")
 # treated as numerically singular: pseudo-inverse, and the run is flagged.
 GRAM_BREAKDOWN_RATIO = 1e-12
 
+# cap on the inner steps of one tangent escape, explicit or derived: 100x
+# the default budget at eta >= 0.01
+MAX_TANGENT_ITERS = 10 ** 6
+
 CSV_COLUMNS = ("iter", "f_value", "f_gap", "rel_err", "step_norm", "sigma_r", "branch")
 
 
@@ -61,7 +65,8 @@ def _positive(name: str, value):
 class PprojgdParams:
     """Knobs of the perturbed solver.  None fields resolve to the defaults
     epsilon_t = sqrt(epsilon), eta_t = min(epsilon_t, eta),
-    perturb_radius = epsilon, max_tangent_iters = ceil(1/(eta_t*sqrt(epsilon)))."""
+    perturb_radius = epsilon, max_tangent_iters = ceil(1/(eta_t*sqrt(epsilon))),
+    which like an explicit budget must not exceed MAX_TANGENT_ITERS."""
 
     epsilon: float = 1e-4
     epsilon_t: Optional[float] = None
@@ -76,11 +81,17 @@ class PprojgdParams:
         eta_t = _positive("eta_t", min(eps_t, eta) if self.eta_t is None else float(self.eta_t))
         radius = _positive("perturb_radius", eps if self.perturb_radius is None
                            else float(self.perturb_radius))
-        j_max = (math.ceil(1.0 / (eta_t * math.sqrt(eps))) if self.max_tangent_iters is None
-                 else _positive("max_tangent_iters", self.max_tangent_iters))
-        if not isinstance(j_max, (int, np.integer)):
-            raise ValueError(f"max_tangent_iters must be an integer, got {j_max!r}")
-        return PprojgdParams(eps, eps_t, eta_t, radius, int(j_max))
+        if self.max_tangent_iters is None:
+            rate = eta_t * math.sqrt(eps)       # zero once the product underflows
+            j_max = 1.0 / rate if rate else math.inf
+        else:
+            j_max = _positive("max_tangent_iters", self.max_tangent_iters)
+            if not isinstance(j_max, (int, np.integer)):
+                raise ValueError(f"max_tangent_iters must be an integer, got {j_max!r}")
+        if j_max > MAX_TANGENT_ITERS:
+            raise ValueError(f"max_tangent_iters exceeds the cap of {MAX_TANGENT_ITERS} "
+                             "(unset, it is ceil(1/(eta_t*sqrt(epsilon))))")
+        return PprojgdParams(eps, eps_t, eta_t, radius, math.ceil(j_max))
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,23 @@ def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
     ("projgd", "diverge_threshold = -1", "diverge_threshold must be positive"),
     ("pprojgd", "[pprojgd]\nepsilon = -1", "pprojgd.epsilon must be positive"),
     ("pprojgd", "[pprojgd]\nmax_tangent_iters = 0", "pprojgd.max_tangent_iters must be positive"),
-], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_max_tangent_iters"))
-def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, algo, extra, needle):
-    # extra lands in the last section of CFG, [run], or opens its own
+    # eta_t * sqrt(epsilon) underflows to zero: the derived budget is unbounded
+    ("pprojgd", "[pprojgd]\neta_t = 1e-300\nepsilon = 1e-300",
+     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    ("pprojgd", "[pprojgd]\neta_t = 1e-300",
+     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    ("pprojgd", "[pprojgd]\nmax_tangent_iters = 1000001",
+     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    # too large for math.isfinite
+    ("pprojgd", f"[pprojgd]\nmax_tangent_iters = 1{'0' * 400}",
+     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_max_tangent_iters", "pprojgd_underflow",
+        "pprojgd_derived_budget", "pprojgd_budget", "pprojgd_huge_budget"))
+def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, monkeypatch,
+                                                        algo, extra, needle):
+    # validate rejects each before any run; extra lands in the last section
+    # of CFG, [run], or opens its own
+    _forbid_operator_allocation(monkeypatch)
     text = CFG.replace("algorithms = projgd", f"algorithms = {algo}")
     cfg = write(tmp_path / "grid.ini", f"{text}{extra}\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2

@@ -321,6 +321,19 @@ def test_frame_array_outer_block_stays_exactly_zero():
             assert np.shares_memory(v.core, v.st) and np.shares_memory(v.right, v.st)
 
 
+def test_coordinates_are_core_then_left_then_right_row_by_row():
+    # the escape's random draw consumes coordinates in this order
+    rng = make_rng(135)
+    for n1, n2, k in SHAPES:
+        base = random_base(rng, n1, k, n2=n2)
+        core, left, right = (rng.standard_normal(shape) for shape in ((k, k), (n1 - k, k), (k, n2 - k)))
+        s = TangentVector(core, left, right, base)
+        x = s.coords()
+        assert x.tobytes() == np.concatenate([core.ravel(), left.ravel(), right.ravel()]).tobytes()
+        assert TangentVector.from_coords(x, base).st.tobytes() == s.st.tobytes()
+        assert tangent_dim(base) == k * (n1 + n2 - k) == x.size
+
+
 def test_frame_array_inner_and_norm_match_block_sums():
     rng = make_rng(134)
 

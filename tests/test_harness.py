@@ -26,7 +26,7 @@ from rankmin.harness import (
     run_filename,
     spec_to_text,
 )
-from rankmin.solvers import CSV_COLUMNS, PprojgdParams
+from rankmin.solvers import CSV_COLUMNS, MAX_TANGENT_ITERS, PprojgdParams
 
 TINY = """
 [problem]
@@ -117,6 +117,13 @@ def test_validation_rejects_non_finite_numbers():
             parse_spec_text(text)
 
 
+def test_finite_check_skips_an_integer_too_large_for_isfinite():
+    # without pprojgd among the algorithms, nothing resolves the budget
+    spec = parse_spec_text(f"[pprojgd]\nmax_tangent_iters = 1{'0' * 400}\n")
+    assert spec.algorithms == ("projgd",) and spec.pprojgd.max_tangent_iters == 10 ** 400
+    assert parse_spec_text(spec_to_text(spec)) == spec
+
+
 def test_grid_cap_counts_runs_without_building_seeds(monkeypatch):
     monkeypatch.setattr(ExperimentSpec, "resolved_seeds",
                         lambda self: pytest.fail("the seed tuple was built"))
@@ -151,7 +158,7 @@ def _specs(draw):
         epsilon_t=draw(st.none() | _positive),
         eta_t=draw(st.none() | _positive),
         perturb_radius=draw(st.none() | _positive),
-        max_tangent_iters=draw(st.none() | st.integers(1, 10**18)),
+        max_tangent_iters=draw(st.none() | st.integers(1, MAX_TANGENT_ITERS)),
     )
     seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple))
     spec = ExperimentSpec(
@@ -174,7 +181,14 @@ def _specs(draw):
     # valid specs stay within the grid-size cap
     runs = math.prod(map(len, (spec.r_star, spec.kappa, spec.algorithms, spec.etas,
                                spec.resolved_seeds())))
-    return replace(spec, max_iters=min(spec.max_iters, harness.MAX_GRID_ITERATIONS // runs))
+    spec = replace(spec, max_iters=min(spec.max_iters, harness.MAX_GRID_ITERATIONS // runs))
+    # and within the escape-budget cap: a derived budget above it becomes the cap
+    try:
+        for eta in spec.etas:
+            pprojgd.resolve(eta)
+    except ValueError:
+        spec = replace(spec, pprojgd=replace(pprojgd, max_tangent_iters=MAX_TANGENT_ITERS))
+    return spec
 
 
 @settings(max_examples=200, deadline=None)

@@ -346,6 +346,18 @@ def test_pprojgd_params_reject_non_integer_max_tangent_iters(bad):
     assert type(resolved.max_tangent_iters) is int and resolved.max_tangent_iters == 3
 
 
+def test_pprojgd_params_cap_the_escape_budget():
+    # resolved only, no run: an explicit or a derived budget above the cap
+    # is an error, including a derived one whose product underflows
+    cap = solvers.MAX_TANGENT_ITERS
+    assert PprojgdParams(max_tangent_iters=cap).resolve(0.4).max_tangent_iters == cap
+    assert PprojgdParams().resolve(0.01).max_tangent_iters == 10_000
+    for params, eta in ((PprojgdParams(max_tangent_iters=cap + 1), 0.4), (PprojgdParams(), 1e-300),
+                        (PprojgdParams(1e-300, eta_t=1e-300), 0.4)):
+        with pytest.raises(ValueError, match=f"^max_tangent_iters exceeds the cap of {cap} "):
+            params.resolve(eta)
+
+
 class SeparateCalls(Objective):
     """An objective with value and gradient and the base class's value_and_grad."""
 
