@@ -9,8 +9,7 @@ Q = [V V_perp] of the base point, as one n1 x n2 array
 
 with a core k x k block, a left (n1-k) x k block and a right k x (n2-k)
 block, so that Z = U core V^T + U_perp left V^T + U right V_perp^T.
-The tangent coordinates are defined once, by _coordinates(base); tangent_dim,
-TangentVector.coords/from_coords and pullback_hessian read them.
+The tangent coordinates are defined once, by _coordinates(base).
 
 All kernels are written for desk-scale dense matrices (n up to a few
 hundred); nothing here is sparse or randomized.
@@ -286,15 +285,17 @@ class TangentVector:
         return p @ self.st @ q.T
 
     def coords(self) -> np.ndarray:
-        return _coordinates(self.base).dot(self.st.ravel())
+        return self.st.ravel()[_coordinates(self.base)]
 
     @classmethod
     def from_coords(cls, x, base: FactoredMatrix) -> "TangentVector":
-        c = _coordinates(base)
+        rows = _coordinates(base)
         x = np.asarray(x, dtype=float)
-        if x.shape != (c.shape[0],):
+        if x.shape != rows.shape:
             raise ValueError("coordinate vector has wrong length")
-        return cls._wrap(x.dot(c).reshape(base.shape), base)
+        st = np.zeros(base.shape)
+        st.ravel()[rows] = x
+        return cls._wrap(st, base)
 
     @classmethod
     def zero(cls, base: FactoredMatrix) -> "TangentVector":
@@ -323,19 +324,17 @@ class TangentVector:
 
 
 def _coordinates(base: FactoredMatrix) -> np.ndarray:
-    """The one definition of the tangent coordinates at base: the (d, n1*n2)
-    matrix C whose rows are the raveled frame arrays of the orthonormal
-    basis, the core block, then left, then right, each row by row.  C has
-    0/1 entries, so C st and C^T x only select entries."""
+    """The one definition of the tangent coordinates at base: the flat indices
+    into st.ravel() of the core block, then left, then right, each row by row.
+    tangent_dim, TangentVector.coords/from_coords and pullback_hessian read it."""
     k = base.rank
     index = np.arange(base.shape[0] * base.shape[1]).reshape(base.shape)
-    rows = np.concatenate([index[:k, :k].ravel(), index[k:, :k].ravel(), index[:k, k:].ravel()])
-    return np.eye(index.size)[rows]
+    return np.concatenate([index[:k, :k].ravel(), index[k:, :k].ravel(), index[:k, k:].ravel()])
 
 
 def tangent_dim(base: FactoredMatrix) -> int:
-    """k(n1+n2-k), the number of rows of _coordinates(base)."""
-    return _coordinates(base).shape[0]
+    """k(n1+n2-k), the length of _coordinates(base)."""
+    return _coordinates(base).size
 
 
 def project_tangent(z, base: FactoredMatrix) -> TangentVector:
@@ -487,15 +486,15 @@ def pullback_value_grad(f, base: FactoredMatrix, s: TangentVector):
 
 
 def pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
-    """Hessian of the pullback at s = 0 over the coordinates C of
-    _coordinates (dimension k(n1+n2-k)), in closed form.
+    """Hessian of the pullback at s = 0 over the coordinates of _coordinates
+    (dimension k(n1+n2-k)), in closed form.
 
     The retraction is second order, so this is the Riemannian Hessian: the
     tangent part of the Euclidean Hessian, <e_i, hess f(X)[e_j]> over the
-    dense basis e = P C Q^T, from one stacked f.hessian_vector call, plus
-    the Weingarten term C Wg(C)^T.  Wg maps each row of C, as a frame array
-    xi, to the frame array with zero core and outer blocks and, for Go the
-    outer block of P^T grad f(X) Q,
+    dense basis e_i = P xi_i Q^T (xi_i the frame array with a 1 at index i of
+    _coordinates), from one stacked f.hessian_vector call, plus the
+    Weingarten term <xi_i, Wg xi_j>.  Wg xi has only the left and right
+    blocks; for Go the outer block of P^T grad f(X) Q,
 
         left = Go xi.right^T Sigma^{-1}      right = Sigma^{-1} xi.left^T Go
 
@@ -503,18 +502,20 @@ def pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
     not symmetrized.
     """
     x = base.dense()
-    c = _coordinates(base)
-    d, k = c.shape[0], base.rank
+    rows = _coordinates(base)
+    d, k = rows.size, base.rank
+    a, b = np.divmod(rows, base.shape[1])
     p, q = base._frames()
-    xi = c.reshape(d, *base.shape)
-    basis = p @ xi @ q.T
+    xi = np.zeros((d, *base.shape))
+    xi[np.arange(d), a, b] = 1.0
+    basis = p.T[a][:, :, None] * q.T[b][:, None, :]    # P xi Q^T = p_a q_b^T
     hess = basis.reshape(d, -1) @ np.asarray(f.hessian_vector(x, basis), dtype=float).reshape(d, -1).T
     go = (p.T @ np.asarray(f.gradient(x), dtype=float) @ q)[k:, k:]
     inv_sigma = 1.0 / base.sigma
     wg = np.zeros_like(xi)
     wg[:, k:, :k] = (go @ xi[:, :k, k:].transpose(0, 2, 1)) * inv_sigma
     wg[:, :k, k:] = inv_sigma[:, None] * (xi[:, k:, :k].transpose(0, 2, 1) @ go)
-    return hess + c.dot(wg.reshape(d, -1).T)
+    return hess + wg.reshape(d, -1)[:, rows].T
 
 
 def pullback_hessian_min_eig(f, base: FactoredMatrix):

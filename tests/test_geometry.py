@@ -5,6 +5,7 @@ the implementation's own formulas."""
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,25 @@ def test_coordinates_are_core_then_left_then_right_row_by_row():
         assert x.tobytes() == np.concatenate([core.ravel(), left.ravel(), right.ravel()]).tobytes()
         assert TangentVector.from_coords(x, base).st.tobytes() == s.st.tobytes()
         assert tangent_dim(base) == k * (n1 + n2 - k) == x.size
+
+
+def test_coordinate_reads_use_memory_linear_in_the_matrix_size():
+    # at n = 200 one (n1 n2)^2 float array would be 12.8 GB; the coordinate
+    # reads must stay within a few copies of one n1 x n2 array
+    rng = make_rng(136)
+    n, k = 200, 1
+    base = random_base(rng, n, k)
+    x = rng.standard_normal(k * (2 * n - k))
+    tracemalloc.start()
+    try:
+        d = tangent_dim(base)
+        s = TangentVector.from_coords(x, base)
+        back = s.coords()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == x.size and np.array_equal(back, x)
+    assert peak < 4 * n * n * 8
 
 
 def test_frame_array_inner_and_norm_match_block_sums():
