@@ -19,7 +19,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +36,9 @@ REL_CLIP_HI = 1e3
 MAX_OPERATOR_FLOATS = 64 * 2 ** 20 // 8
 # desk-size cap on a grid's runs x max_iters (fig2 is 320 runs x 1000)
 MAX_GRID_ITERATIONS = 10 ** 7
+# seeds lie in [0, MAX_SEED): make_rng reduces a seed mod 2^64, so a wider
+# range would build one instance under two seeds
+MAX_SEED = 2 ** 63
 
 
 class SpecFileError(ValueError):
@@ -124,6 +126,11 @@ class ExperimentSpec:
         if runs * self.max_iters > MAX_GRID_ITERATIONS:
             raise SpecFileError(f"{runs} runs x max_iters {self.max_iters} exceed the cap "
                                 f"of {MAX_GRID_ITERATIONS} iterations")
+        lo, hi = ((min(self.seeds), max(self.seeds)) if self.seeds is not None else
+                  (self.master_seed, self.master_seed + self.seed_count - 1))
+        if lo < 0 or hi >= MAX_SEED:
+            raise SpecFileError("every seed, master_seed + seed_count - 1 included, "
+                                "must lie in [0, 2**63)")
         bad = set(self.formats) - {"csv", "svg", "json"}
         if bad:
             raise SpecFileError(f"unknown formats: {sorted(bad)}")
@@ -365,6 +372,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(spec,) + t for t in _grid(spec)]
     runs = {}                           # name -> (summary, rel_err column)
+    if jobs > 1:
+        # imported only here: it costs every single-process import of rankmin
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         results = pool.map(_execute_one, tasks, chunksize=4) if pool else map(_execute_one, tasks)
         for name, csv_text, summary, rel in results:

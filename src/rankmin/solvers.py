@@ -19,6 +19,7 @@ from .geometry import (
     TangentVector,
     _fro,
     _lapack_eigh,
+    _lapack_svd,
     _lapack_svdvals,
     _Pullback,
     _truncate,
@@ -194,32 +195,46 @@ def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
     return project_rank_r(_fgd_point(x, g, eta), x.rank)
 
 
-def _gram_apply_inverse(rhs: np.ndarray, factor: np.ndarray, w: np.ndarray,
-                        v: np.ndarray, reg: float) -> np.ndarray:
-    """rhs @ (F^T F + reg I)^{-1} from the eigendecomposition F^T F =
-    V diag(w) V^T, with a pseudo-inverse fallback on numerically singular
-    matrices."""
-    shifted = w + reg
-    # F^T F is symmetric PSD, so the singular values of F^T F + reg I are
-    # |w + reg|; for a handful of values Python's min and max are cheaper
-    # than numpy's reductions
-    mag = np.abs(shifted).tolist()
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.pinv(a) at its default cutoff, bit for bit: the same SVD
+    gufunc, singular values at or below 1e-15 sigma_max inverted to 0, and
+    the same product, without pinv's per-call dispatch."""
+    u, s, vt = _lapack_svd(a, signature="d->ddd")
+    if math.isnan(s[0]):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    large = s > 1e-15 * s[0]
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
+
+
+def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, shifted: np.ndarray,
+                        v: np.ndarray, mag: list, reg: float) -> np.ndarray:
+    """rhs @ (G + reg I)^{-1} for the Gram matrix G = F^T F = V diag(w) V^T,
+    given shifted = w + reg and mag = |w + reg| as Python floats (the
+    singular values of G + reg I, G being symmetric PSD).  A numerically
+    singular matrix falls back to the pseudo-inverse, which matches
+    np.linalg.pinv bit for bit."""
     if not mag:
         return rhs
+    # for a handful of values Python's min and max are cheaper than numpy's
     top = max(mag)
     if top <= 0.0 or min(mag) <= GRAM_BREAKDOWN_RATIO * top:
-        gram = factor.T @ factor
-        return rhs @ np.linalg.pinv(gram + reg * np.eye(len(mag)) if reg != 0.0 else gram)
+        return rhs @ _pinv(gram + reg * np.eye(len(mag)) if reg != 0.0 else gram)
     return (rhs.dot(v) / shifted).dot(v.T)
 
 
 def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
                    reg: float, gram_eig):
     """The preconditioned step from the factors, the gradient g at L R^T and
-    the stacked Gram eigendecomposition that gram_condition returns."""
-    (w_l, w_r), (v_l, v_r) = gram_eig
-    gl = _gram_apply_inverse(g.dot(rf), rf, w_r, v_r, reg)
-    gr = _gram_apply_inverse(g.T.dot(lf), lf, w_l, v_l, reg)
+    the stacked Gram matrices and eigendecomposition that gram_condition
+    returns."""
+    grams, w, v, mag = gram_eig
+    if reg != 0.0:
+        w = w + reg
+        mag = np.abs(w).tolist()
+    gl = _gram_apply_inverse(g.dot(rf), grams[1], w[1], v[1], mag[1], reg)
+    gr = _gram_apply_inverse(g.T.dot(lf), grams[0], w[0], v[0], mag[0], reg)
     return lf - eta * gl, rf - eta * gr
 
 
@@ -243,24 +258,27 @@ def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float):
 
 
 def gram_condition(lf: np.ndarray, rf: np.ndarray):
-    """(max over both factors of cond(F^T F), (w, V)), where w[i] and V[i]
-    are the eigenvalues and eigenvectors of L^T L (i = 0) and R^T R (i = 1),
-    taken in one stacked eigh call.  The condition number is inf when a Gram
-    matrix is singular; (w, V) gives precgd_step the inverse of each Gram
-    matrix plus any ridge without decomposing it again.  Raises LinAlgError
-    when the eigendecomposition does not converge."""
+    """(max over both factors of cond(F^T F), (G, w, V, |w|)), where G[i] is
+    the Gram matrix L^T L (i = 0) or R^T R (i = 1), w[i] and V[i] are its
+    eigenvalues and eigenvectors, taken in one stacked eigh call, and |w|[i]
+    lists their magnitudes as Python floats.  The condition number is inf
+    when a Gram matrix is singular; the second item gives precgd_step the
+    inverse of each Gram matrix plus any ridge, or its pseudo-inverse,
+    without forming or decomposing it again.  Raises LinAlgError when the
+    eigendecomposition does not converge."""
     grams = np.empty((2, lf.shape[1], lf.shape[1]))
     lf.T.dot(lf, out=grams[0])
     rf.T.dot(rf, out=grams[1])
     w, v = _lapack_eigh(grams, signature="d->dd")
+    mag = np.abs(w).tolist()
     worst = 1.0
-    for ev in np.abs(w).tolist():
+    for ev in mag:
         if ev:
             if math.isnan(ev[0]):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             lo = min(ev)
             worst = max(worst, float("inf") if lo <= 0 else max(ev) / lo)
-    return worst, (w, v)
+    return worst, (grams, w, v, mag)
 
 
 def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:
@@ -362,6 +380,13 @@ class _TraceBuilder:
         return self.trace
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), tested by the norm first: a NaN or inf entry
+    makes the norm NaN or inf, so only a finite matrix whose norm overflows
+    takes the entrywise test."""
+    return math.isfinite(_fro(a)) or bool(np.isfinite(a).all())
+
+
 def _sigma_r_dense(xd: np.ndarray, rank: int) -> float:
     sv = _lapack_svdvals(xd, signature="d->d")
     if math.isnan(sv[0]):
@@ -389,7 +414,7 @@ def _point_kernel(f, x0, cfg, rank, rng, trace):
             z, k, z_psd = _fgd_point(x, g, eta), x.rank, False
         else:
             return x, xd, x.sigma_r(rank), BRANCH_GRADIENT
-        if not np.isfinite(z).all():
+        if not _all_finite(z):
             return x, z, float("nan"), BRANCH_GRADIENT
         x = _truncate_psd(z, k) if z_psd else _truncate(z, k)
         return x, x.dense(), x.sigma_r(rank), BRANCH_GRADIENT
@@ -403,13 +428,14 @@ def _preconditioned_kernel(f, x0, cfg, rank, rng, trace):
     def step(factors, xd, fv, g):
         lf, rf = factors
         cond, gram_eig = gram_condition(lf, rf)
-        # running max over the steps (fmax skips the initial nan); cond is
-        # inf for a singular Gram matrix, which then pins the max at inf
-        trace.gram_cond_max = float(np.fmax(trace.gram_cond_max, cond))
+        # running max over the steps, which replaces the initial nan; cond
+        # is inf for a singular Gram matrix, which then pins the max at inf
+        if not trace.gram_cond_max >= cond:
+            trace.gram_cond_max = cond
         reg = math.sqrt(max(fv, 0.0)) if trace.algorithm == "precgd" else 0.0
         lf, rf = _precgd_update(lf, rf, g, cfg.eta, reg, gram_eig)
         new_xd = lf.dot(rf.T)
-        sigma_r = _sigma_r_dense(new_xd, rank) if np.isfinite(new_xd).all() else float("nan")
+        sigma_r = _sigma_r_dense(new_xd, rank) if _all_finite(new_xd) else float("nan")
         return (lf, rf), new_xd, sigma_r, BRANCH_GRADIENT
 
     lf, rf = x0.balanced_factors()

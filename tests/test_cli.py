@@ -171,6 +171,30 @@ def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, monkey
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra, flags", [
+    (f"seeds = 1{'0' * 400}", []),
+    (f"master_seed = {2 ** 63}", []),
+    # with seed_count = 2 the second seed is 2**63
+    (f"master_seed = {2 ** 63 - 1}", []),
+    ("seeds = 3 -1", []),
+    ("", ["--seed", "-1"]),
+], ids=("huge_seed", "master_seed_2_63", "last_seed_2_63", "negative_seed", "negative_flag"))
+def test_run_seed_out_of_range_is_one_line_usage_error(tmp_path, capsys, monkeypatch,
+                                                       extra, flags):
+    # validate bounds every seed to [0, 2**63) before any run starts; the
+    # --seed override reaches validate inside run_experiment
+    monkeypatch.setattr(harness, "generate_sensing", lambda *a, **k: pytest.fail("a run started"))
+    cfg = write(tmp_path / "grid.ini", f"{CFG}{extra}\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "must lie in [0, 2**63)" in err
+    assert not (tmp_path / "o").exists()
+    # the largest seeds in range pass
+    for last in (f"master_seed = {2 ** 63 - 2}", f"seeds = 0 {2 ** 63 - 1}"):
+        harness.parse_spec_text(f"{CFG}{last}\n").validate()
+
+
 @pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
 def test_huge_step_size_ends_the_run_as_diverged(tmp_path, capsys, algo):
     text = (CFG.replace("algorithms = projgd", f"algorithms = {algo}")

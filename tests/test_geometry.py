@@ -765,7 +765,7 @@ def _driver_dot_operands(rng):
             for r in range(1, 5):
                 v, root = vt[:r].T, np.sqrt(s[:r])
                 lf, rf = u[:, :r] * root, v * root
-                _, ((w_l, w_r), (v_l, v_r)) = solvers.gram_condition(lf, rf)
+                _, (_, (w_l, w_r), (v_l, v_r), _) = solvers.gram_condition(lf, rf)
                 rhs = g.dot(rf)
                 yield from ((u[:, :r] * s[:r], v.T), (g, rf), (g.T, lf),
                             (lf - 0.4 * rhs, (rf - 0.4 * g.T.dot(lf)).T),

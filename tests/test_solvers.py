@@ -205,6 +205,34 @@ def test_gram_breakdown_on_an_exactly_singular_gram():
     assert tr.gram_cond_max == math.inf and tr.gram_breakdown
 
 
+def test_gram_pseudo_inverse_matches_numpy_pinv_bit_for_bit():
+    # on singular Gram matrices (rank-deficient factors) at reg = 0, on
+    # ridged ones at reg > 0, and through the fallback of the Gram inverse
+    rng, fallbacks = make_rng(219), 0
+    for k in range(1, 5):
+        for trial in range(60):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            lf = rng.standard_normal((8, k)) * scale
+            rf = rng.standard_normal((8, k - 1)).dot(rng.standard_normal((k - 1, k))) * scale
+            if trial % 3 == 0:
+                rf[:, -1] = 0.0                   # an exactly zero column
+            _, (grams, w, v, mag) = solvers.gram_condition(lf, rf)
+            gram = rf.T @ rf
+            assert grams[0].tobytes() == (lf.T @ lf).tobytes() and grams[1].tobytes() == gram.tobytes()
+            rhs = rng.standard_normal((8, k))
+            top = max(mag[1]) or scale ** 2
+            for reg in (0.0, 1e-14 * top, rng.uniform(0.1, 10.0) * top):
+                ridged = gram + reg * np.eye(k) if reg else gram
+                assert solvers._pinv(ridged).tobytes() == np.linalg.pinv(ridged).tobytes(), (k, reg)
+                shifted = w[1] + reg
+                m = np.abs(shifted).tolist()
+                if min(m) <= solvers.GRAM_BREAKDOWN_RATIO * max(m):
+                    fallbacks += 1
+                    got = solvers._gram_apply_inverse(rhs, grams[1], shifted, v[1], m, reg)
+                    assert got.tobytes() == (rhs @ np.linalg.pinv(ridged)).tobytes(), (k, reg)
+    assert fallbacks >= 400
+
+
 def test_precgd_reg_zero_reduces_to_scaledgd():
     from rankmin.solvers import precgd_step
     rng = make_rng(204)
@@ -586,6 +614,46 @@ def test_public_steps_reject_non_finite_input():
     for step in (projgd_step, fgd_step):
         with pytest.raises(ValueError, match="non-finite"):
             step(x0, nan_grad, 0.1)
+
+
+class PoisonedGradient(Objective):
+    """The quadratic toward x_star, whose gradient is replaced by the
+    constant `poison` from the objective's third pass on."""
+
+    def __init__(self, x_star, poison):
+        self.base, self.poison, self.passes = quadratic_objective(x_star), poison, 0
+
+    def value(self, x):
+        return self.base.value(x)
+
+    def gradient(self, x):
+        self.passes += 1
+        g = self.base.gradient(x)
+        return np.full_like(g, self.poison) if self.passes > 2 else g
+
+
+@pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
+@pytest.mark.parametrize("poison", ["nan", "inf", "overflowing norm"])
+def test_finiteness_test_matches_the_entrywise_test(monkeypatch, algo, poison):
+    # the kernels test a step matrix by its norm first; the rows must be
+    # those of the entrywise np.isfinite(a).all(), also for a finite
+    # matrix whose norm overflows
+    big = 1e200 if algo in ("projgd", "pprojgd") else 1e100   # factored steps square it
+    value = {"nan": np.nan, "inf": np.inf, "overflowing norm": big}[poison]
+    xs = random_ground_truth(6, 2, 2.0, make_rng(217))
+    x0 = random_ground_truth(6, 2, 1.0, make_rng(218))
+    cfg = SolverConfig(eta=0.3, max_iters=6, tol_rel_err=None)
+    tested = []
+    all_finite = solvers._all_finite
+    monkeypatch.setattr(solvers, "_all_finite", lambda a: tested.append(a.copy()) or all_finite(a))
+    trace = run_solver(algo, PoisonedGradient(xs, value), x0, cfg, x_star=xs)
+    monkeypatch.setattr(solvers, "_all_finite", lambda a: bool(np.isfinite(a).all()))
+    reference = run_solver(algo, PoisonedGradient(xs, value), x0, cfg, x_star=xs)
+    assert trace.csv_text() == reference.csv_text() and trace.status == reference.status
+    assert trace.status == "diverged"
+    with np.errstate(over="ignore"):
+        overflowed = [a for a in tested if np.isfinite(a).all() and math.isinf(geometry._fro(a))]
+    assert bool(overflowed) == (poison == "overflowing norm")
 
 
 def test_csv_text_matches_field_by_field_formatting():
