@@ -127,6 +127,8 @@ def parse_probe_file(path) -> dict:
         raise SpecFileError("the probe is for n <= 4, r <= 2 only")
     if not 1 <= cfg["r_star"] <= cfg["r"] <= cfg["n"]:
         raise SpecFileError("need 1 <= r_star <= r <= n")
+    if not 0 <= cfg["seed"] < harness.MAX_SEED:
+        raise SpecFileError("seed must lie in [0, 2**63)")
     if cfg["starts"] < 1 or cfg["iters"] < 1:
         raise SpecFileError("starts and iters must be >= 1")
     if not (np.isfinite(cfg["kappa"]) and cfg["kappa"] >= 1):

@@ -358,8 +358,10 @@ class _Pullback:
     when that is not None.  Its methods take bare frame arrays st (see
     TangentVector).  grad, the escape's inner step, evaluates only the
     gradient and corrects that fresh array in place; only value_grad
-    evaluates the value.  The block products call ndarray.dot: the same
-    bytes as @ here, with less call overhead."""
+    evaluates the value.  Each point Y is written into one reused buffer,
+    so a frame objective is called at it and must keep no reference to it
+    after the call.  The block products call ndarray.dot: the same bytes as
+    @ here, with less call overhead."""
 
     def __init__(self, base: FactoredMatrix, f=None):
         k = self.k = base.rank
@@ -367,6 +369,9 @@ class _Pullback:
         self.sigma_diag = np.zeros(base.shape)
         self.sigma_diag.ravel()[:k * (base.shape[1] + 1):base.shape[1] + 1] = base.sigma
         self.sigma_k, self.sigma_1 = (float(base.sigma[-1]), float(base.sigma[0])) if k else (0.0, 0.0)
+        # one buffer for every point Y, and views of its blocks
+        y = self.y = np.empty(base.shape)
+        self.w, self.s_r, self.s_l, self.corner = y[:k, :k], y[:k, k:], y[k:, :k], y[k:, k:]
         if f is not None:
             framed = f.in_frames(self.p, self.q)
             self.rotate = framed is None
@@ -382,7 +387,8 @@ class _Pullback:
 
     def point(self, st: np.ndarray, cleared: bool = False):
         """(Y, S_l W^{-1}, W^{-1} S_r) with W = diag(sigma) + S_core, where Y
-        is the retracted point in the base's full frames,
+        is the retracted point in the base's full frames, in the kernel's
+        buffer until the next call,
 
             Y = P^T Retr_base(S) Q = [[W, S_r], [S_l, S_l W^{-1} S_r]].
 
@@ -391,9 +397,9 @@ class _Pullback:
         on the singular values of W unless cleared (the caller checked clears
         for every core it passes) or clears(||S_core||_F)."""
         k = self.k
-        y = st + self.sigma_diag
+        y = np.add(st, self.sigma_diag, out=self.y)
         if not (cleared or self.clears(math.sqrt(np.vdot(st[:k, :k], st[:k, :k])))):
-            sv = np.linalg.svd(y[:k, :k], compute_uv=False)
+            sv = np.linalg.svd(self.w, compute_uv=False)
             if sv.size == 0 or sv[-1] <= RETRACTION_CORE_FLOOR * max(1.0, float(sv[0])):
                 raise RetractionUndefinedError(
                     f"retraction undefined: core Sigma + S_core is singular "
@@ -401,11 +407,10 @@ class _Pullback:
                 )
         # W is a float64 view that the floor test or a clearance passed, so
         # np.linalg.inv's dtype coercion and singular-matrix error have nothing to do
-        winv = _lapack_inv(y[:k, :k], signature="d->d")
-        s_r = y[:k, k:]
-        l_winv = y[k:, :k].dot(winv)
-        winv_r = winv.dot(s_r)
-        y[k:, k:] = l_winv.dot(s_r)
+        winv = _lapack_inv(self.w, signature="d->d")
+        l_winv = self.s_l.dot(winv)
+        winv_r = winv.dot(self.s_r)
+        self.corner[...] = l_winv.dot(self.s_r)
         return y, l_winv, winv_r
 
     def _at(self, y: np.ndarray) -> np.ndarray:
@@ -419,13 +424,14 @@ class _Pullback:
         # a fresh gradient array [[Gc, Gr], [Gl, Go]], corrected in place
         gt = self.p.T.dot(g).dot(self.q) if self.rotate else g
         k = self.k
-        # views, so that each in-place update is one operation
-        gc, gr, gl, go = gt[:k, :k], gt[:k, k:], gt[k:, :k], gt[k:, k:]
+        gl, go = gt[k:, :k], gt[k:, k:]
         lw_go = l_winv.T.dot(go)        # W^{-T} S_l^T Go
         winv_r_t = winv_r.T
-        gc -= lw_go.dot(winv_r_t)
+        # the top k rows are contiguous in C order: one add of [-C | W^{-T} S_l^T Go]
+        # gives Gc - C and Gr + W^{-T} S_l^T Go bit for bit, with C the product
+        # below; the bottom rows keep their view updates, cheaper than assembling
+        gt[:k] += np.concatenate((np.negative(lw_go.dot(winv_r_t)), lw_go), axis=1)
         gl += go.dot(winv_r_t)
-        gr += lw_go
         go.fill(0.0)
         return gt
 

@@ -51,7 +51,8 @@ class Objective:
     full frames when there is one, and otherwise rotates each point and
     gradient.  Each inner step of the escape calls only the gradient, that
     of g or f, and corrects the returned array in place, so that array must
-    be fresh; the value is computed only through pullback_value_grad."""
+    be fresh; the value is computed only through pullback_value_grad.  g is
+    called at one reused buffer and must keep no reference to it after."""
 
     symmetric_psd = False
 

@@ -477,10 +477,12 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE + "gamma = -1\n", "gamma"),
     (PROBE + "psd = true\n", "psd"),
     (PROBE + "budget = 100\n", "budget"),
+    (PROBE + "seed = 18446744073709551616\n", "seed"),
+    (PROBE + "seed = -1\n", "seed"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
         "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
         "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic",
-        "budget_key"])
+        "budget_key", "seed_2_64", "seed_negative"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2

@@ -997,6 +997,122 @@ def test_pullback_point_is_the_retraction():
         assert np.linalg.norm(f.x - retract(base, s).dense()) < 1e-12
 
 
+def _strided_correction(pull, g, l_winv, winv_r):
+    """The pullback gradient correction as one in-place update per block
+    view and a fill of the outer block: the reference for _Pullback's
+    update of the top rows as one block."""
+    gt = pull.p.T.dot(g).dot(pull.q) if pull.rotate else np.array(g, dtype=float)
+    k = pull.k
+    gc, gr, gl, go = gt[:k, :k], gt[:k, k:], gt[k:, :k], gt[k:, k:]
+    lw_go = l_winv.T.dot(go)
+    gc -= lw_go.dot(winv_r.T)
+    gl += go.dot(winv_r.T)
+    gr += lw_go
+    go.fill(0.0)
+    return gt
+
+
+class PoisonedQuadratic(Objective):
+    """The quadratic objective with a fixed array added to every gradient,
+    in frames (the array is the frame gradient's) or, with rotate, at the
+    dense point."""
+
+    def __init__(self, f, poison, rotate=False):
+        self.f, self.poison, self.rotate = f, poison, rotate
+
+    def gradient(self, x):
+        return self.f.gradient(x) + self.poison
+
+    def value_and_grad(self, x):
+        val, g = self.f.value_and_grad(x)
+        return val, g + self.poison
+
+    def in_frames(self, p, q):
+        return None if self.rotate else PoisonedQuadratic(self.f.in_frames(p, q), self.poison)
+
+
+def _correction_cases(rng):
+    """Bases and targets: the rectangular shapes, k = 1, k = min(n1, n2)
+    (an empty outer block) and a shared PSD frame."""
+    yield from _frame_path_cases(rng)
+    for n1, n2, k in ((6, 4, 1), (4, 7, 4), (6, 3, 3), (5, 5, 5)):
+        yield random_base(rng, n1, k, sigma_min=0.2, n2=n2), rng.standard_normal((n1, n2))
+
+
+def test_row_block_correction_matches_the_strided_reference_bit_for_bit():
+    rng = make_rng(137)
+    for base, target in _correction_cases(rng):
+        f = quadratic_objective(target)
+        for g in (f, RecordingQuadratic(f)):
+            pull = _Pullback(base, g)
+            for _ in range(4):
+                st = TangentVector.from_coords(0.05 * rng.standard_normal(tangent_dim(base)), base).st
+                y, l_winv, winv_r = pull.point(st)
+                ref = _strided_correction(pull, pull.gradient(pull._at(y)), l_winv, winv_r)
+                assert pull.grad(st).tobytes() == ref.tobytes()
+                assert pull.value_grad(st)[1].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_row_block_correction_zeroes_a_non_finite_outer_block(bad):
+    # a non-finite Go spreads into the other three blocks as the strided
+    # updates spread it, and the outer block stays exactly +0.0 as fill made it
+    rng = make_rng(138)
+    for base, target in _correction_cases(rng):
+        k = base.rank
+        n1, n2 = base.shape
+        core_nan = np.zeros(base.shape)
+        core_nan[0, 0] = np.nan
+        outer = np.zeros(base.shape)
+        if k < min(n1, n2):
+            outer[n1 - 1, k] = bad
+        f = quadratic_objective(target)
+        for poison, rotate in ((outer, False), (core_nan, False), (outer + core_nan, False),
+                               (outer, True), (core_nan, True)):
+            pull = _Pullback(base, PoisonedQuadratic(f, poison, rotate))
+            st = TangentVector.from_coords(0.05 * rng.standard_normal(tangent_dim(base)), base).st
+            y, l_winv, winv_r = pull.point(st)
+            with np.errstate(invalid="ignore"):
+                ref = _strided_correction(pull, pull.gradient(pull._at(y)), l_winv, winv_r)
+                got = (pull.grad(st), pull.value_grad(st)[1])
+            # the poison reaches the corrected blocks (an empty outer block has none)
+            assert np.isfinite(ref).all() == (not np.isnan(poison).any() and not outer.any())
+            for gt in got:
+                assert np.array_equal(gt, ref, equal_nan=True)
+                if np.isnan(poison[0, 0]):      # a NaN outside the outer block stays NaN
+                    assert np.isnan(gt[0, 0])
+                assert gt[k:, k:].tobytes() == np.zeros((n1 - k, n2 - k)).tobytes()
+
+
+def test_pullback_buffer_holds_only_until_the_next_call():
+    rng = make_rng(139)
+    base = random_base(rng, 8, 3, sigma_min=0.2)
+    f = quadratic_objective(rng.standard_normal((8, 8)))
+    pull = _Pullback(base, f)
+    tangents = [TangentVector.from_coords(0.05 * rng.standard_normal(tangent_dim(base)), base).st
+                for _ in range(4)]
+    g = pull.grad(tangents[0])
+    kept = g.tobytes()
+    pull.grad(tangents[1])
+    pull.value_grad(tangents[2])
+    y = pull.point(tangents[3])[0]
+    assert g.tobytes() == kept
+    assert not np.shares_memory(g, y)
+    # a singular core raises after part of the buffer is written; the next
+    # valid core still gets a fresh kernel's bytes
+    singular = tangents[0].copy()
+    singular[:3, :3] = -np.diag(base.sigma)
+    with pytest.raises(RetractionUndefinedError):
+        pull.point(singular)
+    with pytest.raises(RetractionUndefinedError):
+        pull.grad(singular)
+    fresh = _Pullback(base, f)
+    for st in tangents:
+        assert pull.point(st)[0].tobytes() == fresh.point(st)[0].tobytes()
+        assert pull.grad(st).tobytes() == fresh.grad(st).tobytes()
+        assert pull.value_grad(st)[1].tobytes() == _Pullback(base, f).value_grad(st)[1].tobytes()
+
+
 def test_pullback_value_grad_factors_nothing_larger_than_the_core(monkeypatch):
     rng = make_rng(132)
     base = random_base(rng, 8, 3)
