@@ -125,21 +125,16 @@ def parse_probe_file(path) -> dict:
         raise SpecFileError("psd = true needs objective = sensing (the quadratic has no PSD mode)")
     if cfg["n"] > 4 or cfg["r"] > 2:
         raise SpecFileError("the probe is for n <= 4, r <= 2 only")
-    if not 1 <= cfg["r_star"] <= cfg["r"] <= cfg["n"]:
-        raise SpecFileError("need 1 <= r_star <= r <= n")
-    if not 0 <= cfg["seed"] < harness.MAX_SEED:
-        raise SpecFileError("seed must lie in [0, 2**63)")
     if cfg["starts"] < 1 or cfg["iters"] < 1:
         raise SpecFileError("starts and iters must be >= 1")
-    if not (np.isfinite(cfg["kappa"]) and cfg["kappa"] >= 1):
-        raise SpecFileError("kappa must be finite and >= 1")
-    if cfg["m_factor"] < 1:
-        raise SpecFileError("m_factor must be >= 1")
-    harness.check_operator_size(cfg["n"], cfg["r"], cfg["m_factor"])
     if not (np.isfinite(cfg["eps"]) and cfg["eps"] > 0):
         raise SpecFileError("eps must be finite and > 0")
     if not (np.isfinite(cfg["gamma"]) and cfg["gamma"] >= 0):
         raise SpecFileError("gamma must be finite and >= 0")
+    # the instance obeys the rules of a one-cell grid, with its messages
+    harness.ExperimentSpec(n=cfg["n"], r=cfg["r"], r_star=(cfg["r_star"],),
+                           kappa=(cfg["kappa"],), m_factor=cfg["m_factor"],
+                           seeds=(cfg["seed"],)).validate()
     return cfg
 
 

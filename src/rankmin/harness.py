@@ -19,6 +19,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -43,16 +44,6 @@ MAX_SEED = 2 ** 63
 
 class SpecFileError(ValueError):
     """Raised for malformed experiment spec files (unknown keys are errors)."""
-
-
-def check_operator_size(n: int, r: int, m_factor: int):
-    """Reject a sensing instance whose m = m_factor n r operators of n x n
-    floats would exceed MAX_OPERATOR_FLOATS, before anything is allocated."""
-    floats = m_factor * n * r * n * n
-    if floats > MAX_OPERATOR_FLOATS:
-        raise SpecFileError(
-            f"sensing operators of {floats} floats (m = m_factor*n*r = {m_factor * n * r}, "
-            f"n = {n}) exceed the cap of {MAX_OPERATOR_FLOATS} (64 MiB of float64)")
 
 
 @dataclass(frozen=True)
@@ -82,21 +73,28 @@ class ExperimentSpec:
 
     def validate(self):
         lists = {"r_star": self.r_star, "kappa": self.kappa,
-                 "algorithms": self.algorithms, "eta": self.etas, "formats": self.formats}
-        for name, values in lists.items():
+                 "algorithms": self.algorithms, "eta": self.etas}
+        for name, values in dict(lists, formats=self.formats).items():
             if not values:
                 raise SpecFileError(f"{name} needs at least one value")
+        # a repeated value would run a cell twice under one CSV name
+        for name, values in dict(lists, seeds=self.seeds or ()).items():
+            repeated = [v for v, count in Counter(values).items() if count > 1]
+            if repeated:
+                raise SpecFileError(f"{name} lists {repeated[0]!r} more than once")
         if not (1 <= min(self.r_star) and max(self.r_star) <= self.r <= self.n):
             raise SpecFileError("need 1 <= r_star <= r <= n")
         if self.m_factor < 1:
             raise SpecFileError("m_factor must be >= 1")
-        check_operator_size(self.n, self.r, self.m_factor)
+        m = self.m_factor * self.n * self.r     # checked before anything is allocated
+        if m * self.n * self.n > MAX_OPERATOR_FLOATS:
+            raise SpecFileError(
+                f"sensing operators of {m * self.n * self.n} floats (m = m_factor*n*r = {m}, "
+                f"n = {self.n}) exceed the cap of {MAX_OPERATOR_FLOATS} (64 MiB of float64)")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecFileError(f"unknown algorithm {a!r} (have {', '.join(ALGORITHMS)})")
-        finite = {"eta": self.etas, "kappa": self.kappa,
-                  "tol_rel_err": (self.tol_rel_err,),
-                  "diverge_threshold": (self.diverge_threshold,)}
+        finite = {"kappa": self.kappa}
         # the float keys only: ints are finite, and a huge one overflows isfinite
         finite.update((f"pprojgd.{key}", (getattr(self.pprojgd, key),))
                       for key, parse in _SCHEMA["pprojgd"].items() if parse is float)
@@ -104,12 +102,13 @@ class ExperimentSpec:
             bad = [v for v in values if v is not None and not math.isfinite(v)]
             if bad:
                 raise SpecFileError(f"{name} must be finite, got {bad[0]!r}")
-        if any(e <= 0 for e in self.etas):
-            raise SpecFileError("eta values must be positive")
-        if self.diverge_threshold <= 0:
-            raise SpecFileError("diverge_threshold must be positive")
-        if "pprojgd" in self.algorithms:
-            for eta in self.etas:
+        for eta in self.etas:
+            try:
+                SolverConfig(eta=eta, tol_rel_err=self.tol_rel_err,
+                             diverge_threshold=self.diverge_threshold)
+            except ValueError as e:
+                raise SpecFileError(str(e)) from e
+            if "pprojgd" in self.algorithms:
                 try:
                     self.pprojgd.resolve(eta)
                 except ValueError as e:

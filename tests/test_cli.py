@@ -1,6 +1,8 @@
 """Command-line behavior: verbs, output-directory resolution, overrides,
 and the documented exit codes (0 ok, 1 failed check, 2 usage, 3 I/O)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rankmin.cli as cli
 import rankmin.diagnostics as diagnostics
@@ -511,3 +515,103 @@ def test_console_script_help():
     assert proc.returncode == 0
     for verb in ("run", "preset", "plot", "verify", "probe"):
         assert verb in proc.stdout
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("r_star = 2", "r_star = 2 1 2", "r_star"),
+    ("kappa = 1", "kappa = 1 1.0", "kappa"),
+    ("algorithms = projgd", "algorithms = projgd fgd projgd", "algorithms"),
+    ("eta = 0.4", "eta = 0.4 0.4", "eta"),
+    ("seed_count = 2", "seeds = 0 0", "seeds"),
+], ids=lambda v: v.split()[0])
+def test_run_repeated_value_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new, name):
+    # a repeated value would run a cell twice under one CSV name
+    monkeypatch.setattr(harness, "generate_sensing", lambda *a, **k: pytest.fail("a run started"))
+    cfg = write(tmp_path / "grid.ini", CFG.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} lists ")
+    assert err.endswith(" more than once\n")
+    assert not (tmp_path / "o").exists()
+
+
+_INSTANCE = {"n": "3", "r": "1", "r_star": "1", "kappa": "1", "m_factor": "3", "seed": "0"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r_star", "2"), ("r_star", "0"), ("kappa", "0.5"), ("kappa", "inf"), ("m_factor", "0"),
+    ("m_factor", "1000000"), ("seed", "-1"), ("seed", str(2 ** 63)),
+], ids=("r_star_above_r", "r_star0", "kappa_below_1", "kappa_inf", "m_factor0",
+        "oversized_operators", "seed_negative", "seed_2_63"))
+def test_probe_and_spec_file_share_each_instance_rule(tmp_path, capsys, monkeypatch, key, value):
+    # one bad instance value, written once as a one-cell grid and once as a
+    # probe, gives the same exit code and error line
+    _forbid_operator_allocation(monkeypatch)
+    instance = dict(_INSTANCE, **{key: value})
+    seed = instance.pop("seed")
+    problem = "".join(f"{k} = {v}\n" for k, v in instance.items())
+    spec = write(tmp_path / "grid.ini", f"[problem]\n{problem}[run]\nseeds = {seed}\n")
+    probe = write(tmp_path / "probe.ini", f"[probe]\nobjective = sensing\n{problem}seed = {seed}\n")
+    errs = []
+    for argv in (["run", spec, "--out", str(tmp_path / "o"), "--jobs", "1"], ["probe", probe]):
+        assert cli.main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].count("\n") == 1 and errs[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+# edge values for the config-file property, per parser: typed (0, -1, nan,
+# inf, 1e308, 10**400) and, now and then, empty, repeated or of the wrong type;
+# a list value may also be empty or repeat a token
+_HUGE = "1" + "0" * 400
+_INTS = (("0", "1", "2", "3", "-1", _HUGE), ("", "1 1", "1e308", "nan", "x"))
+_FLOATS = (("0", "1", "0.4", "2", "-1", "nan", "inf", "1e308", _HUGE), ("", "1 1", "x"))
+_WORDS = ((*harness.ALGORITHMS, "csv", "svg", "json", "quadratic", "sensing", "x"), ("",))
+_EDGES = {int: _INTS, float: _FLOATS, str: _WORDS,
+          harness._parse_bool: (("true", "false"), ("", "maybe")),
+          harness._parse_ints: _INTS, harness._parse_floats: _FLOATS, harness._parse_words: _WORDS}
+_LIST_PARSERS = (harness._parse_ints, harness._parse_floats, harness._parse_words)
+# true about one time in ten: an unknown section or key, a badly typed value
+_RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def _config_texts(draw, schema):
+    """INI text over schema's sections and keys, now and then with an
+    unknown section or key."""
+    lines = ["[bogus]"] if draw(_RARELY) else []
+    for section in draw(st.lists(st.sampled_from(list(schema)), unique=True)):
+        parsers = schema[section]
+        lines.append(f"[{section}]")
+        lines += ["bogus = 1"] if draw(_RARELY) else []
+        for key in draw(st.lists(st.sampled_from(list(parsers)), unique=True)):
+            typed, wrong = _EDGES[parsers[key]]
+            tokens = st.sampled_from(wrong if draw(_RARELY) else typed)
+            if parsers[key] in _LIST_PARSERS:
+                lines.append(f"{key} = {' '.join(draw(st.lists(tokens, max_size=3)))}")
+            else:
+                lines.append(f"{key} = {draw(tokens)}")
+    return "\n".join(lines) + "\n"
+
+
+def _validate_only(spec, out_dir=None, jobs=1):
+    spec.validate()
+    return harness.RunResult(out_dir=out_dir, files=[])
+
+
+@pytest.mark.parametrize("verb, schema", [("run", harness._SCHEMA), ("probe", cli._PROBE_SCHEMA)])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_file_exits_with_at_most_one_error_line(tmp_path, monkeypatch, verb, schema,
+                                                           data):
+    # no run starts: the grid only validates, and the census finds nothing
+    monkeypatch.setattr(harness, "run_experiment", _validate_only)
+    monkeypatch.setattr(cli, "landscape_probe", lambda *a, **k: [])
+    cfg = write(tmp_path / "config.ini", data.draw(_config_texts(schema)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([verb, cfg, "--out", str(tmp_path / "o")])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

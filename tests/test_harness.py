@@ -105,6 +105,13 @@ def test_validation_errors():
         parse_spec_text("[problem]\nkappa = 0.5\n")
     with pytest.raises(SpecFileError, match="max_iters must be >= 1"):
         parse_spec_text("[run]\nmax_iters = 0\n")
+    for text, name in (("[problem]\nr_star = 1 2 1\n", "r_star"),
+                       ("[problem]\nkappa = 1 1.0\n", "kappa"),
+                       ("[solvers]\nalgorithms = projgd fgd PROJGD\n", "algorithms"),
+                       ("[solvers]\neta = 0.4 0.4\n", "eta"),
+                       ("[run]\nseeds = 0 0\n", "seeds")):
+        with pytest.raises(SpecFileError, match=f"^{name} lists .+ more than once$"):
+            parse_spec_text(text)
 
 
 def test_validation_rejects_non_finite_numbers():
@@ -151,6 +158,7 @@ _positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_inf
 
 @st.composite
 def _specs(draw):
+    # valid specs repeat no value in a list
     n = draw(st.integers(1, 12))
     r = draw(st.integers(1, n))
     pprojgd = PprojgdParams(
@@ -160,15 +168,17 @@ def _specs(draw):
         perturb_radius=draw(st.none() | _positive),
         max_tangent_iters=draw(st.none() | st.integers(1, MAX_TANGENT_ITERS)),
     )
-    seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple))
+    seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4,
+                                       unique=True).map(tuple))
     spec = ExperimentSpec(
         n=n, r=r,
-        r_star=tuple(draw(st.lists(st.integers(1, r), min_size=1, max_size=3))),
-        kappa=tuple(draw(st.lists(st.floats(1.0, 1e8), min_size=1, max_size=3))),
+        r_star=tuple(draw(st.lists(st.integers(1, r), min_size=1, max_size=3, unique=True))),
+        kappa=tuple(draw(st.lists(st.floats(1.0, 1e8), min_size=1, max_size=3, unique=True))),
         m_factor=draw(st.integers(1, 10)),
         psd=draw(st.booleans()),
-        algorithms=tuple(draw(st.lists(st.sampled_from(rankmin.ALGORITHMS), min_size=1, max_size=3))),
-        etas=tuple(draw(st.lists(_positive, min_size=1, max_size=4))),
+        algorithms=tuple(draw(st.lists(st.sampled_from(rankmin.ALGORITHMS), min_size=1, max_size=3,
+                                        unique=True))),
+        etas=tuple(draw(st.lists(_positive, min_size=1, max_size=4, unique=True))),
         pprojgd=pprojgd,
         seed_count=draw(st.integers(1, 20)),
         master_seed=draw(st.integers(0, 10**6)),
