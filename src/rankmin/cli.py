@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: config, then $%s)" % OUT_ENV)
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: logical cores)")
+                        help="worker processes, 1 to the logical core count (default: all)")
         sp.add_argument("--format", dest="formats",
                         help="comma list of outputs: csv,svg,json")
 
@@ -90,8 +90,11 @@ def _apply_overrides(spec, args):
 
 
 def _cmd_grid(spec, args, default_name: str) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+    cores = os.cpu_count() or 1
+    # a process pool starts all of its workers at once
+    if args.jobs is not None and not 1 <= args.jobs <= cores:
+        print(f"error: --jobs must lie in [1, {cores}], the logical core count "
+              f"(got {args.jobs})", file=sys.stderr)
         return EXIT_USAGE
     spec = _apply_overrides(spec, args)
     out = _resolve_out(args.out, spec.out_dir, default_name)
@@ -99,7 +102,7 @@ def _cmd_grid(spec, args, default_name: str) -> int:
         print("error: no output directory (use --out, the config file, or $%s)" % OUT_ENV,
               file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else cores
     result = harness.run_experiment(spec, out_dir=out, jobs=jobs)
     print(f"wrote {len(result.files)} files to {result.out_dir}")
     return EXIT_OK
@@ -116,8 +119,7 @@ _PROBE_SCHEMA = {"probe": {key: harness._parse_bool if isinstance(v, bool) else 
 
 
 def parse_probe_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        sections = harness.read_schema_text(fh.read(), _PROBE_SCHEMA, str(path))
+    sections = harness.read_schema_text(harness.read_config_file(path), _PROBE_SCHEMA, str(path))
     cfg = dict(_PROBE_DEFAULTS, **sections.get("probe", {}))
     if cfg["objective"] not in ("quadratic", "sensing"):
         raise SpecFileError("objective must be 'quadratic' or 'sensing'")

@@ -220,9 +220,17 @@ def parse_spec_text(text: str, source: str = "<string>") -> ExperimentSpec:
     return ExperimentSpec(**kwargs).validate()
 
 
+def read_config_file(path) -> str:
+    """Text of a spec or probe file; one that is not UTF-8 raises SpecFileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise SpecFileError(f"{path}: not UTF-8 text ({e.reason})") from e
+
+
 def parse_spec_file(path) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read(), source=str(path))
+    return parse_spec_text(read_config_file(path), source=str(path))
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
@@ -319,21 +327,26 @@ def _grid(spec: ExperimentSpec):
     return tasks
 
 
-def _execute_one(args):
-    spec, idx, algo, kappa, r_star, eta, seed = args
+def run_cell(spec: ExperimentSpec, algo, kappa, r_star, eta, seed, rng=None):
+    """The SolverTrace of one grid cell: the spec's sensing instance for
+    (kappa, r_star, seed), its spectral init, and one solver run at eta.
+    rng feeds pprojgd's perturbations only."""
     problem = generate_sensing(
         n=spec.n, r=spec.r, r_star=r_star, kappa=kappa,
         m=spec.m_factor * spec.n * spec.r, seed=seed,
         symmetric_psd=spec.psd,
     )
-    f = sensing_objective(problem)
-    x0 = spectral_init(problem)
     cfg = SolverConfig(
         eta=eta, max_iters=spec.max_iters, tol_rel_err=spec.tol_rel_err,
         diverge_threshold=spec.diverge_threshold, pprojgd=spec.pprojgd,
     )
-    rng = make_rng(seed, stream=idx)
-    trace = run_solver(algo, f, x0, cfg, x_star=problem.ground_truth, rng=rng)
+    return run_solver(algo, sensing_objective(problem), spectral_init(problem), cfg,
+                      x_star=problem.ground_truth, rng=rng)
+
+
+def _execute_one(args):
+    spec, idx, algo, kappa, r_star, eta, seed = args
+    trace = run_cell(spec, algo, kappa, r_star, eta, seed, make_rng(seed, stream=idx))
     last = trace.records[-1]
     summary = {
         "algo": algo, "kappa": kappa, "r_star": r_star, "eta": eta,
@@ -494,8 +507,11 @@ def read_trace_csv(path):
         lines = fh.read().strip().split("\n")
     cols = lines[0].split(",")
     out = {c: [] for c in cols}
-    for line in lines[1:]:
-        for c, tok in zip(cols, line.split(",")):
+    for row, line in enumerate(lines[1:], 1):
+        toks = line.split(",")
+        if len(toks) != len(cols):
+            raise ValueError(f"row {row} has {len(toks)} fields, the header {len(cols)}")
+        for c, tok in zip(cols, toks):
             out[c].append(tok if c == "branch" else float(tok))
     return out
 

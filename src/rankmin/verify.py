@@ -1,11 +1,12 @@
 """End-to-end acceptance checks.
 
-Each criterion function runs a self-contained experiment and returns a
-CriterionResult; verify_suite runs them all, prints one PASS/FAIL line per
-criterion, and can dump the verdict as JSON.  level="full" uses the stated
-seed/sample counts; level="quick" shrinks counts only, never tolerances or
-thresholds, so a quick pass is a weaker but honest version of the same
-assertion.
+Each criterion function runs a self-contained experiment and returns
+(passed, summary, details); the @criterion wrapper times it, registers it
+in CRITERIA and turns its result into a CriterionResult.  verify_suite
+runs them all, prints one PASS/FAIL line per criterion, and can dump the
+verdict as JSON.  level="full" uses the stated seed/sample counts;
+level="quick" shrinks counts only, never tolerances or thresholds, so a
+quick pass is a weaker but honest version of the same assertion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,19 +38,10 @@ from .geometry import (
     TangentVector,
     tangent_dim,
 )
-from .objectives import (
-    generate_sensing,
-    haar_frame,
-    make_rng,
-    quadratic_objective,
-    random_ground_truth,
-    sensing_objective,
-    spectral_init,
-)
+from .objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
 from .solvers import PprojgdParams, SolverConfig, pprojgd, run_solver
 
 SUCCESS_REL = 1e-14     # sweep classification: run converged
-ABORT_REL = 1e2         # sweep classification: run aborted
 STALL_REL = 1e-1        # no-recovery level (spectral init starts near 3e-1)
 WITNESS_WINDOW = (0.55, 0.9)
 HESSIAN_FD_STEP = 1e-4  # finite-difference scale of the pullback Hessian oracle
@@ -60,19 +52,26 @@ class CriterionResult:
     cid: str
     passed: bool
     summary: str
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    details: dict
+    seconds: float
 
 
-def _sensing_trace(algo, *, r_star, kappa, eta, seed, m_factor, max_iters, tol=1e-14):
-    """One run on an asymmetric sensing instance with n = 10, r = 4."""
-    problem = generate_sensing(n=10, r=4, r_star=r_star, kappa=kappa,
-                               m=m_factor * 10 * 4, seed=seed)
-    f = sensing_objective(problem)
-    x0 = spectral_init(problem)
-    cfg = SolverConfig(eta=eta, max_iters=max_iters, tol_rel_err=tol,
-                       diverge_threshold=ABORT_REL)
-    return run_solver(algo, f, x0, cfg, x_star=problem.ground_truth)
+CRITERIA = {}       # id -> criterion, in definition order (the verdict's order)
+
+
+def criterion(fn):
+    """Register fn, named criterion_<id>, in CRITERIA under <id>, wrapped to
+    return a timed CriterionResult."""
+    cid = fn.__name__.removeprefix("criterion_")
+
+    def timed(level: str = "full") -> CriterionResult:
+        t0 = time.perf_counter()
+        passed, summary, details = fn(level)
+        return CriterionResult(cid, passed, summary, _jsonable(details),
+                               time.perf_counter() - t0)
+
+    CRITERIA[cid] = timed
+    return timed
 
 
 def _iters_to(trace, tol):
@@ -81,47 +80,45 @@ def _iters_to(trace, tol):
 
 
 # ---------------------------------------------------------------------------
-# 1. trace-panel replication: m = 3nr, eta = 0.4
+# 1. trace-panel replication: the fig1 preset's cells at eta = 0.4
 
 
-def criterion_trace_panels(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
-    seeds = range(10) if level == "full" else range(3)
+@criterion
+def criterion_trace_panels(level):
+    spec = harness.preset_fig1()
+    if level != "full":
+        spec = replace(spec, seed_count=3)
+    seeds = spec.resolved_seeds()
     eta, tol = 0.4, 1e-10
-    panels = [(k, rs) for k in (1.0, 20.0) for rs in (4, 2)]
+    hard_kappa, low_rank = max(spec.kappa), min(spec.r_star)
 
-    proj_med = {}
-    for kappa, r_star in panels:
-        its = [_iters_to(_sensing_trace("projgd", r_star=r_star, kappa=kappa,
-                                        eta=eta, seed=s, m_factor=3,
-                                        max_iters=1000), tol)
-               for s in seeds]
-        proj_med[(kappa, r_star)] = float(np.median(its))
+    def iters(algo, kappa, r_star):
+        return [_iters_to(harness.run_cell(spec, algo, kappa, r_star, eta, s), tol)
+                for s in seeds]
+
+    proj_med = {(kappa, r_star): float(np.median(iters("projgd", kappa, r_star)))
+                for kappa in spec.kappa for r_star in spec.r_star}
     pass_a = all(math.isfinite(v) for v in proj_med.values())
 
     ratios = {}
-    for r_star in (4, 2):
-        a, b = proj_med[(1.0, r_star)], proj_med[(20.0, r_star)]
-        ratios[r_star] = (max(a, b) / min(a, b)) if (math.isfinite(a) and math.isfinite(b)) else math.inf
+    for r_star in spec.r_star:
+        meds = [proj_med[(kappa, r_star)] for kappa in spec.kappa]
+        ratios[r_star] = max(meds) / min(meds) if all(map(math.isfinite, meds)) else math.inf
     pass_b = all(v < 2.0 for v in ratios.values())
 
-    fgd_hard = [_iters_to(_sensing_trace("fgd", r_star=4, kappa=20.0, eta=eta,
-                                         seed=s, m_factor=3, max_iters=1000), tol)
-                for s in seeds]
-    fgd_hard_med = float(np.median(fgd_hard))
-    pass_c = (not math.isfinite(fgd_hard_med)) or fgd_hard_med > 3.0 * proj_med[(20.0, 4)]
+    fgd_hard_med = float(np.median(iters("fgd", hard_kappa, spec.r)))
+    pass_c = (not math.isfinite(fgd_hard_med)
+              or fgd_hard_med > 3.0 * proj_med[(hard_kappa, spec.r)])
 
-    stall_rates = {}
-    for kappa in (1.0, 20.0):
-        rates = []
-        for s in seeds:
-            tr = _sensing_trace("fgd", r_star=2, kappa=kappa, eta=eta, seed=s,
-                                m_factor=3, max_iters=1000, tol=1e-16)
-            rates.append(estimate_linear_rate(tr, window=50))
-        stall_rates[kappa] = float(np.median(rates))
+    # a tolerance no run reaches, so each run lasts long enough to measure its stall rate
+    stall_spec = replace(spec, tol_rel_err=1e-16)
+    stall_rates = {
+        kappa: float(np.median([estimate_linear_rate(
+            harness.run_cell(stall_spec, "fgd", kappa, low_rank, eta, s), window=50)
+            for s in seeds]))
+        for kappa in spec.kappa}
     pass_d = all(v > 0.99 for v in stall_rates.values())
 
-    passed = pass_a and pass_b and pass_c and pass_d
     details = {
         "projgd_median_iters": {f"k{int(k)}_rs{rs}": v for (k, rs), v in proj_med.items()},
         "kappa_ratio": {f"rs{rs}": v for rs, v in ratios.items()},
@@ -130,39 +127,39 @@ def criterion_trace_panels(level: str = "full") -> CriterionResult:
         "subchecks": {"a": pass_a, "b": pass_b, "c": pass_c, "d": pass_d},
     }
     summary = (f"panels {'all converge' if pass_a else 'incomplete'}; "
-               f"kappa ratios {ratios[4]:.2f}/{ratios[2]:.2f}; "
+               f"kappa ratios {'/'.join(f'{v:.2f}' for v in ratios.values())}; "
                f"fgd hard median {fgd_hard_med}; "
-               f"fgd stall rates {stall_rates[1.0]:.5f}/{stall_rates[20.0]:.5f}")
-    return CriterionResult("trace_panels", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+               f"fgd stall rates {'/'.join(f'{v:.5f}' for v in stall_rates.values())}")
+    return pass_a and pass_b and pass_c and pass_d, summary, details
 
 
 # ---------------------------------------------------------------------------
-# 2. step-size sweep: m = 10nr, 80 iterations
+# 2. step-size sweep: the fig3 preset's cells, m = 10nr, 80 iterations
 
 
-def criterion_step_size_sweep(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
-    seeds = list(range(10)) if level == "full" else list(range(3))
-    etas = harness.preset_fig3().etas
-    algos = ("projgd", "fgd", "scaledgd")
+@criterion
+def criterion_step_size_sweep(level):
+    spec = harness.preset_fig3()
+    if level != "full":
+        spec = replace(spec, seed_count=3)
+    seeds, etas, algos = spec.resolved_seeds(), spec.etas, spec.algorithms
+    (kappa,), (r_star,) = spec.kappa, spec.r_star
+    baselines = [a for a in algos if a != "projgd"]
 
     finals = {}
     for algo in algos:
         for s in seeds:
             for eta in etas:
-                tr = _sensing_trace(algo, r_star=4, kappa=1.0, eta=eta, seed=s,
-                                    m_factor=10, max_iters=80)
-                rel = tr.final_record.rel_err
-                finals[(algo, s, eta)] = ABORT_REL * 10 if not np.isfinite(rel) else rel
+                rel = harness.run_cell(spec, algo, kappa, r_star, eta, s).final_record.rel_err
+                finals[(algo, s, eta)] = rel if np.isfinite(rel) else 10 * spec.diverge_threshold
 
     def success_set(algo, s):
         return {eta for eta in etas if finals[(algo, s, eta)] < SUCCESS_REL}
 
     contained = 0
     for s in seeds:
-        p, f, g = success_set("projgd", s), success_set("fgd", s), success_set("scaledgd", s)
-        if f <= p and g <= p and p != f and p != g:
+        p = success_set("projgd", s)
+        if all(success_set(a, s) < p for a in baselines):
             contained += 1
     need = math.ceil(0.7 * len(seeds))
     pass_containment = contained >= need
@@ -175,11 +172,10 @@ def criterion_step_size_sweep(level: str = "full") -> CriterionResult:
         med = {a: float(np.median([finals[(a, s, eta)] for s in seeds])) for a in algos}
         # baselines count as failed when they never recover (final error at or
         # above the init level); the abort threshold is reported for context
-        if med["projgd"] < SUCCESS_REL and med["fgd"] > STALL_REL and med["scaledgd"] > STALL_REL:
+        if med["projgd"] < SUCCESS_REL and all(med[a] > STALL_REL for a in baselines):
             witness_eta = eta
             witness_medians = med
             break
-    passed = pass_containment and witness_eta is not None
     details = {
         "containment_seeds": contained, "containment_needed": need,
         "witness_eta": witness_eta, "witness_medians": witness_medians,
@@ -188,18 +184,17 @@ def criterion_step_size_sweep(level: str = "full") -> CriterionResult:
     }
     summary = (f"containment {contained}/{len(seeds)} (need {need}); "
                + (f"witness eta={witness_eta} medians "
-                  f"p={witness_medians['projgd']:.1e} f={witness_medians['fgd']:.1e} "
-                  f"s={witness_medians['scaledgd']:.1e}" if witness_eta else "no witness eta"))
-    return CriterionResult("step_size_sweep", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+                  + " ".join(f"{a[0]}={m:.1e}" for a, m in witness_medians.items())
+                  if witness_eta else "no witness eta"))
+    return pass_containment and witness_eta is not None, summary, details
 
 
 # ---------------------------------------------------------------------------
 # 3. local rate bound on the quadratic (kappa_f = 1)
 
 
-def criterion_local_rate(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion
+def criterion_local_rate(level):
     seeds = range(50) if level == "full" else range(10)
     etas = (0.1, 0.2, 0.3, 0.45)
     n, r = 12, 3
@@ -227,20 +222,18 @@ def criterion_local_rate(level: str = "full") -> CriterionResult:
                     worst = max(worst, ratio - bound)
                     if ratio > bound:
                         violations += 1
-    passed = violations == 0 and entered == len(list(seeds)) * len(etas)
     details = {"violations": violations, "entered_runs": entered,
                "worst_slack": worst}
     summary = f"{violations} ratio violations, {entered} runs entered the local region, worst slack {worst:.2e}"
-    return CriterionResult("local_rate", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+    return violations == 0 and entered == len(list(seeds)) * len(etas), summary, details
 
 
 # ---------------------------------------------------------------------------
 # 4. global step-size window on the quadratic
 
 
-def criterion_global_window(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion
+def criterion_global_window(level):
     count = 100 if level == "full" else 20
     etas = (0.1, 0.5, 0.9)
     n, r = 8, 2
@@ -267,13 +260,11 @@ def criterion_global_window(level: str = "full") -> CriterionResult:
                 rep = check_descent_lemma(tr, 1.0, eta)
                 if rep.applicable:
                     descent_violations += rep.violations
-    passed = not failures and descent_violations == 0
     details = {"initializations": count, "failures": failures,
                "descent_violations": descent_violations}
     summary = (f"{count} inits x {len(etas)} etas: {len(failures)} non-converged, "
                f"{descent_violations} descent violations")
-    return CriterionResult("global_window", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+    return not failures and descent_violations == 0, summary, details
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +287,8 @@ def _corridor_stop(seed: int, stream: int, eta: float):
     return xs, fq, x_end, trace
 
 
-def criterion_lemma_suites(level: str = "full") -> CriterionResult:
+@criterion
+def criterion_lemma_suites(level):
     t0 = time.perf_counter()
     full = level == "full"
 
@@ -347,7 +339,7 @@ def criterion_lemma_suites(level: str = "full") -> CriterionResult:
     summary = (f"descent ok={descent_ok}; projection ratio {proj.min_contraction_ratio:.4f} "
                f"margin {proj.min_spectral_margin:.2e}; derivative slack {deriv_worst:.1e}; "
                f"stop grad {stop_worst:.2e} <= {stop_bound:.2e}; {elapsed:.1f}s")
-    return CriterionResult("lemma_suites", passed, summary, _jsonable(details), elapsed)
+    return passed, summary, details
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +365,8 @@ def _fd_pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
     return hess
 
 
-def criterion_geometry_oracles(level: str = "full") -> CriterionResult:
+@criterion
+def criterion_geometry_oracles(level):
     t0 = time.perf_counter()
     full = level == "full"
     rng = make_rng(42, stream=3)
@@ -447,7 +440,7 @@ def criterion_geometry_oracles(level: str = "full") -> CriterionResult:
     summary = (f"candidate dominance={ey_ok}; retraction {retr_worst:.1e}; "
                f"fd gradient {fd_worst:.1e}; hessian asymmetry {sym_worst:.1e}; "
                f"exact vs fd hessian {hess_worst:.1e}; {elapsed:.1f}s")
-    return CriterionResult("geometry_oracles", passed, summary, _jsonable(details), elapsed)
+    return passed, summary, details
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +469,8 @@ def escape_margin(f_saddle: float, epsilon: float, epsilon_t: float) -> float:
     return math.sqrt(epsilon ** 3 / rho_t) / 50.0
 
 
-def criterion_saddle_escape(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion
+def criterion_saddle_escape(level):
     seeds = range(50) if level == "full" else range(10)
     target, saddle, x_star = _escape_instance()
     f = quadratic_objective(target)
@@ -512,23 +505,21 @@ def criterion_saddle_escape(level: str = "full") -> CriterionResult:
         if trq.status != "second-order-stop" or dist > 2.0 * params.epsilon + 1e-8:
             cor_ok = False
 
-    passed = stays and pass_escape and cor_ok
     details = {"escapes": escapes, "needed": need, "margin": margin,
                "f_saddle": f_saddle, "projgd_stay_worst": stay_worst,
                "terminal_worst_dist": cor_worst,
                "terminal_bound": 2.0 * params.epsilon}
     summary = (f"escapes {escapes}/{len(list(seeds))} (need {need}); projgd stays "
                f"within {stay_worst:.1e}; terminal dist {cor_worst:.2e} <= {2.0 * params.epsilon:.1e}")
-    return CriterionResult("saddle_escape", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+    return stays and pass_escape and cor_ok, summary, details
 
 
 # ---------------------------------------------------------------------------
 # 8. determinism
 
 
-def criterion_determinism(level: str = "full") -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion
+def criterion_determinism(level):
     spec = harness.preset_fig1()
     if level != "full":
         spec = replace(spec, seed_count=3, etas=(0.4,))
@@ -543,25 +534,12 @@ def criterion_determinism(level: str = "full") -> CriterionResult:
             digests.append(digest)
     same_names = sorted(digests[0]) == sorted(digests[1])
     mismatched = [k for k in digests[0] if digests[0][k] != digests[1].get(k)]
-    passed = same_names and not mismatched
     details = {"files": len(digests[0]), "mismatched": mismatched}
     summary = f"{len(digests[0])} files, {len(mismatched)} byte mismatches"
-    return CriterionResult("determinism", passed, summary, _jsonable(details),
-                           time.perf_counter() - t0)
+    return same_names and not mismatched, summary, details
 
 
 # ---------------------------------------------------------------------------
-
-CRITERIA = {
-    "trace_panels": criterion_trace_panels,
-    "step_size_sweep": criterion_step_size_sweep,
-    "local_rate": criterion_local_rate,
-    "global_window": criterion_global_window,
-    "lemma_suites": criterion_lemma_suites,
-    "geometry_oracles": criterion_geometry_oracles,
-    "saddle_escape": criterion_saddle_escape,
-    "determinism": criterion_determinism,
-}
 
 
 def _jsonable(obj):

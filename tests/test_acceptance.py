@@ -12,6 +12,13 @@ def run_criterion(cid: str):
     return res
 
 
+def test_criteria_are_listed_in_verdict_order():
+    # the JSON verdict lists the criteria in this order
+    assert list(CRITERIA) == ["trace_panels", "step_size_sweep", "local_rate", "global_window",
+                              "lemma_suites", "geometry_oracles", "saddle_escape",
+                              "determinism"]
+
+
 def test_trace_panels():
     run_criterion("trace_panels")
 

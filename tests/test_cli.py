@@ -47,7 +47,8 @@ iters = 1500
 
 
 def write(path, text):
-    path.write_text(text)
+    # a lone surrogate "\udcXX" in text writes the raw byte XX
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -82,6 +83,19 @@ def test_jobs_below_one_is_one_line_usage_error(tmp_path, capsys, monkeypatch, v
     assert cli.main([verb, target, "--out", str(out), "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "--jobs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "preset"])
+def test_jobs_above_core_count_is_one_line_usage_error(tmp_path, capsys, monkeypatch, verb):
+    # a process pool forks all of its workers on the first submit
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("grid ran"))
+    target = write(tmp_path / "grid.ini", CFG) if verb == "run" else "fig1"
+    out = tmp_path / "results"
+    assert cli.main([verb, target, "--out", str(out), "--jobs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --jobs must lie in [1, 2], the logical core count (got 3)\n"
     assert not out.exists()
 
 
@@ -159,8 +173,9 @@ def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
     # too large for math.isfinite
     ("pprojgd", f"[pprojgd]\nmax_tangent_iters = 1{'0' * 400}",
      "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    ("projgd", "max_iters = 30\udcff", "grid.ini: not UTF-8 text (invalid start byte)"),
 ], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_max_tangent_iters", "pprojgd_underflow",
-        "pprojgd_derived_budget", "pprojgd_budget", "pprojgd_huge_budget"))
+        "pprojgd_derived_budget", "pprojgd_budget", "pprojgd_huge_budget", "not_utf8"))
 def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, monkeypatch,
                                                         algo, extra, needle):
     # validate rejects each before any run; extra lands in the last section
@@ -365,6 +380,13 @@ def _empty_run_csv(out):
     (out / harness.run_filename("projgd", 1.0, 2, 0.4, 1)).write_text("")
 
 
+def _short_run_row(out):
+    path = out / harness.run_filename("projgd", 1.0, 2, 0.4, 0)
+    lines = path.read_text().split("\n")
+    lines[1] = ",".join(lines[1].split(",")[:3])
+    path.write_text("\n".join(lines))
+
+
 @pytest.mark.parametrize("corrupt, needle", [
     (_corrupt_manifest_text, "not JSON"),
     (_corrupt_manifest_config, "'config'"),
@@ -373,9 +395,10 @@ def _empty_run_csv(out):
     (_corrupt_run_entry, "bad run entry"),
     (_drop_run_entry, "no run for projgd_k1_rs2_eta0.4_s1.csv"),
     (_empty_run_csv, "no rel_err values"),
+    (_short_run_row, "row 1 has 3 fields, the header "),
 ], ids=["manifest_not_json", "manifest_without_config", "manifest_without_runs",
         "csv_not_a_number", "run_entry_without_algo", "run_missing_from_grid",
-        "csv_empty"])
+        "csv_empty", "csv_short_row"])
 def test_plot_bad_directory_is_one_line_usage_error(tmp_path, capsys, corrupt, needle):
     cfg = write(tmp_path / "grid.ini", CFG)
     out = tmp_path / "results"
@@ -483,10 +506,12 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE + "budget = 100\n", "budget"),
     (PROBE + "seed = 18446744073709551616\n", "seed"),
     (PROBE + "seed = -1\n", "seed"),
+    (PROBE.replace("\nn = 3\n", "\nn = 3\udcff\n"),
+     "probe.ini: not UTF-8 text (invalid start byte)"),
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
         "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
         "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic",
-        "budget_key", "seed_2_64", "seed_negative"])
+        "budget_key", "seed_2_64", "seed_negative", "not_utf8"])
 def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2
@@ -572,14 +597,15 @@ _EDGES = {int: _INTS, float: _FLOATS, str: _WORDS,
           harness._parse_bool: (("true", "false"), ("", "maybe")),
           harness._parse_ints: _INTS, harness._parse_floats: _FLOATS, harness._parse_words: _WORDS}
 _LIST_PARSERS = (harness._parse_ints, harness._parse_floats, harness._parse_words)
-# true about one time in ten: an unknown section or key, a badly typed value
+# true about one time in ten: an unknown section or key, a badly typed value,
+# a byte that is not UTF-8
 _RARELY = st.sampled_from([False] * 9 + [True])
 
 
 @st.composite
 def _config_texts(draw, schema):
     """INI text over schema's sections and keys, now and then with an
-    unknown section or key."""
+    unknown section or key or a byte that is not UTF-8."""
     lines = ["[bogus]"] if draw(_RARELY) else []
     for section in draw(st.lists(st.sampled_from(list(schema)), unique=True)):
         parsers = schema[section]
@@ -592,6 +618,7 @@ def _config_texts(draw, schema):
                 lines.append(f"{key} = {' '.join(draw(st.lists(tokens, max_size=3)))}")
             else:
                 lines.append(f"{key} = {draw(tokens)}")
+    lines += ["\udcff"] if draw(_RARELY) else []
     return "\n".join(lines) + "\n"
 
 

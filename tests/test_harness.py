@@ -26,6 +26,7 @@ from rankmin.harness import (
     run_filename,
     spec_to_text,
 )
+from rankmin.objectives import make_rng
 from rankmin.solvers import CSV_COLUMNS, MAX_TANGENT_ITERS, PprojgdParams
 
 TINY = """
@@ -267,6 +268,19 @@ def test_trace_csv_schema(tmp_path):
     assert cols["iter"] == sorted(cols["iter"])
     assert len(cols["iter"]) <= spec.max_iters + 1
     assert all(np.isfinite(v) for v in cols["f_value"])
+
+
+def test_run_cell_gives_the_bytes_the_grid_writes(tmp_path):
+    # the acceptance suite reruns preset cells through run_cell; pprojgd
+    # draws from the grid's per-run stream, the other solvers draw nothing
+    spec = replace(tiny_spec(), algorithms=("projgd", "pprojgd"), max_iters=5,
+                   formats=("csv",))
+    run_experiment(spec, out_dir=str(tmp_path))
+    for idx, algo, kappa, r_star, eta, seed in harness._grid(spec):
+        written = (tmp_path / run_filename(algo, kappa, r_star, eta, seed)).read_bytes()
+        rng = make_rng(seed, stream=idx) if algo == "pprojgd" else None
+        trace = harness.run_cell(spec, algo, kappa, r_star, eta, seed, rng)
+        assert trace.csv_text().encode() == written
 
 
 def test_manifest_is_self_describing(tmp_path):
