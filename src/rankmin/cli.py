@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: config, then $%s)" % OUT_ENV)
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes, 1 to the logical core count (default: all)")
+                        help="worker processes, 1 to the usable core count (default: all)")
         sp.add_argument("--format", dest="formats",
                         help="comma list of outputs: csv,svg,json")
 
@@ -82,7 +82,7 @@ def _resolve_out(flag_out, spec_out, name: str):
 
 def _apply_overrides(spec, args):
     if args.seed is not None:
-        spec = replace(spec, master_seed=int(args.seed), seeds=None)
+        spec = replace(spec, master_seed=int(args.seed))
     if args.formats:
         fmts = tuple(s.strip() for s in args.formats.split(",") if s.strip())
         spec = replace(spec, formats=fmts)
@@ -90,10 +90,12 @@ def _apply_overrides(spec, args):
 
 
 def _cmd_grid(spec, args, default_name: str) -> int:
-    cores = os.cpu_count() or 1
+    # the CPUs this process may run on; an affinity mask (taskset) can narrow them
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     # a process pool starts all of its workers at once
     if args.jobs is not None and not 1 <= args.jobs <= cores:
-        print(f"error: --jobs must lie in [1, {cores}], the logical core count "
+        print(f"error: --jobs must lie in [1, {cores}], the usable core count "
               f"(got {args.jobs})", file=sys.stderr)
         return EXIT_USAGE
     spec = _apply_overrides(spec, args)
@@ -136,7 +138,7 @@ def parse_probe_file(path) -> dict:
     # the instance obeys the rules of a one-cell grid, with its messages
     harness.ExperimentSpec(n=cfg["n"], r=cfg["r"], r_star=(cfg["r_star"],),
                            kappa=(cfg["kappa"],), m_factor=cfg["m_factor"],
-                           seeds=(cfg["seed"],)).validate()
+                           master_seed=cfg["seed"], seed_count=1).validate()
     return cfg
 
 

@@ -59,7 +59,6 @@ class ExperimentSpec:
     pprojgd: PprojgdParams = field(default_factory=PprojgdParams)
     seed_count: int = 10
     master_seed: int = 0
-    seeds: tuple | None = None          # explicit list wins over count
     max_iters: int = 1000
     tol_rel_err: float = 1e-14
     diverge_threshold: float = 1e2
@@ -67,9 +66,7 @@ class ExperimentSpec:
     formats: tuple = ("csv", "svg", "json")
 
     def resolved_seeds(self) -> tuple:
-        if self.seeds is not None:
-            return tuple(int(s) for s in self.seeds)
-        return tuple(self.master_seed + i for i in range(self.seed_count))
+        return tuple(range(self.master_seed, self.master_seed + self.seed_count))
 
     def validate(self):
         lists = {"r_star": self.r_star, "kappa": self.kappa,
@@ -78,7 +75,7 @@ class ExperimentSpec:
             if not values:
                 raise SpecFileError(f"{name} needs at least one value")
         # a repeated value would run a cell twice under one CSV name
-        for name, values in dict(lists, seeds=self.seeds or ()).items():
+        for name, values in lists.items():
             repeated = [v for v, count in Counter(values).items() if count > 1]
             if repeated:
                 raise SpecFileError(f"{name} lists {repeated[0]!r} more than once")
@@ -94,12 +91,8 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecFileError(f"unknown algorithm {a!r} (have {', '.join(ALGORITHMS)})")
-        finite = {"kappa": self.kappa}
-        # the float keys only: ints are finite, and a huge one overflows isfinite
-        finite.update((f"pprojgd.{key}", (getattr(self.pprojgd, key),))
-                      for key, parse in _SCHEMA["pprojgd"].items() if parse is float)
-        for name, values in finite.items():
-            bad = [v for v in values if v is not None and not math.isfinite(v)]
+        for name, values in (("kappa", self.kappa), ("pprojgd.epsilon", (self.pprojgd.epsilon,))):
+            bad = [v for v in values if not math.isfinite(v)]
             if bad:
                 raise SpecFileError(f"{name} must be finite, got {bad[0]!r}")
         for eta in self.etas:
@@ -119,15 +112,13 @@ class ExperimentSpec:
             raise SpecFileError("max_iters must be >= 1")
         # counted from the list lengths: the seed tuple itself may be huge
         runs = math.prod(map(len, (self.algorithms, self.kappa, self.r_star, self.etas)))
-        runs *= len(self.seeds) if self.seeds is not None else max(self.seed_count, 0)
+        runs *= max(self.seed_count, 0)
         if not runs:
             raise SpecFileError("empty seed list")
         if runs * self.max_iters > MAX_GRID_ITERATIONS:
             raise SpecFileError(f"{runs} runs x max_iters {self.max_iters} exceed the cap "
                                 f"of {MAX_GRID_ITERATIONS} iterations")
-        lo, hi = ((min(self.seeds), max(self.seeds)) if self.seeds is not None else
-                  (self.master_seed, self.master_seed + self.seed_count - 1))
-        if lo < 0 or hi >= MAX_SEED:
+        if self.master_seed < 0 or self.master_seed + self.seed_count - 1 >= MAX_SEED:
             raise SpecFileError("every seed, master_seed + seed_count - 1 included, "
                                 "must lie in [0, 2**63)")
         bad = set(self.formats) - {"csv", "svg", "json"}
@@ -169,11 +160,10 @@ _SCHEMA = {
         "algorithms": _parse_words, "eta": _parse_floats,
     },
     "pprojgd": {
-        "epsilon": float, "epsilon_t": float, "eta_t": float,
-        "perturb_radius": float, "max_tangent_iters": int,
+        "epsilon": float,
     },
     "run": {
-        "seeds": _parse_ints, "seed_count": int, "master_seed": int,
+        "seed_count": int, "master_seed": int,
         "max_iters": int, "tol_rel_err": float, "diverge_threshold": float,
     },
     "output": {
@@ -245,9 +235,6 @@ def spec_to_text(spec: ExperimentSpec) -> str:
             values = {key: getattr(spec.pprojgd, key) for key in keys}
         else:
             values = {key: getattr(spec, _FIELD_RENAMES.get(key, key)) for key in keys}
-        if section == "run" and spec.seeds is not None:
-            # explicit seeds win; the count and master seed are not written
-            del values["seed_count"], values["master_seed"]
         lines.append(f"[{section}]")
         lines += [f"{key} = {_fmt_value(v)}" for key, v in values.items() if v not in (None, "")]
         lines.append("")
@@ -541,7 +528,7 @@ def render_dir(path) -> list:
         try:
             key = _run_key(s)
             name = run_filename(*key)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SpecFileError(f"{mpath}: bad run entry {s!r}") from e
         csv_path = os.path.join(path, name)
         try:

@@ -48,51 +48,42 @@ ALGORITHMS = ("projgd", "fgd", "scaledgd", "precgd", "pprojgd")
 # treated as numerically singular: pseudo-inverse, and the run is flagged.
 GRAM_BREAKDOWN_RATIO = 1e-12
 
-# cap on the inner steps of one tangent escape, explicit or derived: 100x
-# the default budget at eta >= 0.01
+# cap on the inner steps of one tangent escape: 100x the budget at eta >= 0.01
 MAX_TANGENT_ITERS = 10 ** 6
 
 CSV_COLUMNS = ("iter", "f_value", "f_gap", "rel_err", "step_norm", "sigma_r", "branch")
 
 
-def _positive(name: str, value):
-    """value, or a ValueError naming it when it is not positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+class _ResolvedPprojgd(NamedTuple):
+    epsilon: float
+    epsilon_t: float
+    eta_t: float
+    perturb_radius: float
+    max_tangent_iters: int
 
 
 @dataclass(frozen=True)
 class PprojgdParams:
-    """Knobs of the perturbed solver.  None fields resolve to the defaults
-    epsilon_t = sqrt(epsilon), eta_t = min(epsilon_t, eta),
-    perturb_radius = epsilon, max_tangent_iters = ceil(1/(eta_t*sqrt(epsilon))),
-    which like an explicit budget must not exceed MAX_TANGENT_ITERS."""
+    """The accuracy epsilon of the perturbed solver.  At step size eta it
+    sets epsilon_t = sqrt(epsilon), eta_t = min(epsilon_t, eta), the
+    perturbation radius epsilon and an escape budget of
+    ceil(1/(eta_t*epsilon_t)) inner steps, which must not exceed
+    MAX_TANGENT_ITERS."""
 
     epsilon: float = 1e-4
-    epsilon_t: Optional[float] = None
-    eta_t: Optional[float] = None
-    perturb_radius: Optional[float] = None
-    max_tangent_iters: Optional[int] = None
 
-    def resolve(self, eta: float) -> "PprojgdParams":
-        eps = _positive("epsilon", float(self.epsilon))
-        eps_t = _positive("epsilon_t", math.sqrt(eps) if self.epsilon_t is None
-                          else float(self.epsilon_t))
-        eta_t = _positive("eta_t", min(eps_t, eta) if self.eta_t is None else float(self.eta_t))
-        radius = _positive("perturb_radius", eps if self.perturb_radius is None
-                           else float(self.perturb_radius))
-        if self.max_tangent_iters is None:
-            rate = eta_t * math.sqrt(eps)       # zero once the product underflows
-            j_max = 1.0 / rate if rate else math.inf
-        else:
-            j_max = _positive("max_tangent_iters", self.max_tangent_iters)
-            if not isinstance(j_max, (int, np.integer)):
-                raise ValueError(f"max_tangent_iters must be an integer, got {j_max!r}")
+    def resolve(self, eta: float) -> _ResolvedPprojgd:
+        eps = float(self.epsilon)
+        if not 0 < eps < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
+        eps_t = math.sqrt(eps)
+        eta_t = min(eps_t, eta)
+        rate = eta_t * eps_t                # zero once the product underflows
+        j_max = 1.0 / rate if rate else math.inf
         if j_max > MAX_TANGENT_ITERS:
             raise ValueError(f"max_tangent_iters exceeds the cap of {MAX_TANGENT_ITERS} "
-                             "(unset, it is ceil(1/(eta_t*sqrt(epsilon))))")
-        return PprojgdParams(eps, eps_t, eta_t, radius, math.ceil(j_max))
+                             "(it is ceil(1/(eta_t*sqrt(epsilon))))")
+        return _ResolvedPprojgd(eps, eps_t, eta_t, eps, math.ceil(j_max))
 
 
 @dataclass(frozen=True)

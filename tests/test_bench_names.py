@@ -1,27 +1,31 @@
 """The benchmark reaches into the package by name: bench/spans.py wraps
-functions and methods it looks up by module and attribute, and
-bench/micro.py calls rankmin.<attr> chains.  A rename or deletion in the
-package would silently blind the tracer or break a micro row, so every
-such name must still resolve."""
+functions and methods it looks up by module and attribute,
+bench/micro.py calls rankmin.<attr> chains, and bench/workloads.py builds
+its inputs and checks its passes through the harness, the solver
+parameters and the verify helpers.  A rename or deletion in the package
+would silently blind the tracer, break a micro row or fail a workload,
+so every such name must still resolve and a workload pass still run."""
 
 import ast
 import importlib.util
 import os
+import sys
 
 import rankmin
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", os.path.join(BENCH, "spans.py"))
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    tracer = _load_spans().Tracer()
+    tracer = _load_bench("spans").Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
@@ -29,23 +33,38 @@ def test_every_traced_name_resolves():
         tracer.uninstall()
 
 
-def _rankmin_chains(tree):
-    """Every dotted name rankmin.a.b... in the tree, as its attribute list."""
+def _assert_chains_resolve(filename, root, module):
+    """Every dotted name root.a.b... in bench/filename, where root names
+    module, resolves as an attribute chain of module."""
+    with open(os.path.join(BENCH, filename), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    chains = []
     for node in ast.walk(tree):
         chain = []
         while isinstance(node, ast.Attribute):
             chain.append(node.attr)
             node = node.value
-        if chain and isinstance(node, ast.Name) and node.id == "rankmin":
-            yield chain[::-1]
+        if chain and isinstance(node, ast.Name) and node.id == root:
+            chains.append(chain[::-1])
+    assert chains
+    for chain in chains:
+        obj = module
+        for attr in chain:
+            assert hasattr(obj, attr), f"{root}." + ".".join(chain)
+            obj = getattr(obj, attr)
 
 
 def test_every_micro_attribute_chain_resolves():
-    with open(os.path.join(BENCH, "micro.py"), encoding="utf-8") as fh:
-        chains = list(_rankmin_chains(ast.parse(fh.read())))
-    assert chains
-    for chain in chains:
-        obj = rankmin
-        for attr in chain:
-            assert hasattr(obj, attr), "rankmin." + ".".join(chain)
-            obj = getattr(obj, attr)
+    _assert_chains_resolve("micro.py", "rankmin", rankmin)
+
+
+def test_workloads_build_and_an_escape_pass_is_clean(tmp_path):
+    # a grid pass takes seconds, so the names it reads are resolved and
+    # its inputs built, and only the escape workload runs a pass
+    _assert_chains_resolve("workloads.py", "rankmin", rankmin)
+    _assert_chains_resolve("workloads.py", "harness", rankmin.harness)
+    workloads = _load_bench("workloads")
+    grid = workloads.GridWorkload(0, str(tmp_path))
+    assert grid.operations == len(grid.cells) + 1
+    result = workloads.EscapeWorkload(0).run_pass()
+    assert result.failures == []

@@ -1,10 +1,12 @@
 """Command-line behavior: verbs, output-directory resolution, overrides,
 and the documented exit codes (0 ok, 1 failed check, 2 usage, 3 I/O)."""
 
+import configparser
 import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -88,14 +90,16 @@ def test_jobs_below_one_is_one_line_usage_error(tmp_path, capsys, monkeypatch, v
 
 @pytest.mark.parametrize("verb", ["run", "preset"])
 def test_jobs_above_core_count_is_one_line_usage_error(tmp_path, capsys, monkeypatch, verb):
-    # a process pool forks all of its workers on the first submit
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # a process pool forks all of its workers on the first submit; the
+    # bound is the CPUs this process may use, not all the host has
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("grid ran"))
     target = write(tmp_path / "grid.ini", CFG) if verb == "run" else "fig1"
     out = tmp_path / "results"
     assert cli.main([verb, target, "--out", str(out), "--jobs", "3"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: --jobs must lie in [1, 2], the logical core count (got 3)\n"
+    assert err == "error: --jobs must lie in [1, 2], the usable core count (got 3)\n"
     assert not out.exists()
 
 
@@ -159,29 +163,29 @@ def test_run_non_finite_config_is_usage_error(tmp_path, capsys, old, new, name):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("algo, extra, needle", [
+@pytest.mark.parametrize("solvers, extra, needle", [
     ("projgd", "diverge_threshold = -1", "diverge_threshold must be positive"),
     ("pprojgd", "[pprojgd]\nepsilon = -1", "pprojgd.epsilon must be positive"),
-    ("pprojgd", "[pprojgd]\nmax_tangent_iters = 0", "pprojgd.max_tangent_iters must be positive"),
-    # eta_t * sqrt(epsilon) underflows to zero: the derived budget is unbounded
-    ("pprojgd", "[pprojgd]\neta_t = 1e-300\nepsilon = 1e-300",
+    # eta_t * epsilon_t underflows to zero: the budget is unbounded
+    ("pprojgd\neta = 5e-324", "", "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    # eta_t = eta: a budget of 1e302
+    ("pprojgd\neta = 1e-300", "", "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
+    # ceil(1/(sqrt(9.9e-7))**2) = 1010102
+    ("pprojgd", "[pprojgd]\nepsilon = 9.9e-7",
      "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
-    ("pprojgd", "[pprojgd]\neta_t = 1e-300",
-     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
-    ("pprojgd", "[pprojgd]\nmax_tangent_iters = 1000001",
-     "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
-    # too large for math.isfinite
-    ("pprojgd", f"[pprojgd]\nmax_tangent_iters = 1{'0' * 400}",
+    # 1/(sqrt(1e-320))**2 overflows to inf
+    ("pprojgd", "[pprojgd]\nepsilon = 1e-320",
      "pprojgd.max_tangent_iters exceeds the cap of 1000000"),
     ("projgd", "max_iters = 30\udcff", "grid.ini: not UTF-8 text (invalid start byte)"),
-], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_max_tangent_iters", "pprojgd_underflow",
-        "pprojgd_derived_budget", "pprojgd_budget", "pprojgd_huge_budget", "not_utf8"))
+], ids=("diverge_threshold", "pprojgd_epsilon", "pprojgd_underflow", "pprojgd_derived_budget",
+        "pprojgd_budget", "pprojgd_huge_budget", "not_utf8"))
 def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, monkeypatch,
-                                                        algo, extra, needle):
-    # validate rejects each before any run; extra lands in the last section
-    # of CFG, [run], or opens its own
+                                                        solvers, extra, needle):
+    # validate rejects each before any run; solvers replaces the algorithms
+    # line of CFG and may set eta too (the default is 0.4), and extra lands
+    # in the last section of CFG, [run], or opens its own
     _forbid_operator_allocation(monkeypatch)
-    text = CFG.replace("algorithms = projgd", f"algorithms = {algo}")
+    text = CFG.replace("algorithms = projgd\neta = 0.4", f"algorithms = {solvers}")
     cfg = write(tmp_path / "grid.ini", f"{text}{extra}\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
     err = capsys.readouterr().err
@@ -191,11 +195,11 @@ def test_run_out_of_range_value_is_one_line_usage_error(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("extra, flags", [
-    (f"seeds = 1{'0' * 400}", []),
+    (f"master_seed = 1{'0' * 400}", []),
     (f"master_seed = {2 ** 63}", []),
     # with seed_count = 2 the second seed is 2**63
     (f"master_seed = {2 ** 63 - 1}", []),
-    ("seeds = 3 -1", []),
+    ("master_seed = -1", []),
     ("", ["--seed", "-1"]),
 ], ids=("huge_seed", "master_seed_2_63", "last_seed_2_63", "negative_seed", "negative_flag"))
 def test_run_seed_out_of_range_is_one_line_usage_error(tmp_path, capsys, monkeypatch,
@@ -210,8 +214,8 @@ def test_run_seed_out_of_range_is_one_line_usage_error(tmp_path, capsys, monkeyp
     assert "must lie in [0, 2**63)" in err
     assert not (tmp_path / "o").exists()
     # the largest seeds in range pass
-    for last in (f"master_seed = {2 ** 63 - 2}", f"seeds = 0 {2 ** 63 - 1}"):
-        harness.parse_spec_text(f"{CFG}{last}\n").validate()
+    spec = harness.parse_spec_text(f"{CFG}master_seed = {2 ** 63 - 2}\n")
+    assert spec.resolved_seeds() == (2 ** 63 - 2, 2 ** 63 - 1)
 
 
 @pytest.mark.parametrize("algo", ["projgd", "fgd", "scaledgd", "precgd", "pprojgd"])
@@ -251,9 +255,8 @@ def test_run_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("old, new", [
     ("seed_count = 2", "seed_count = 1000000000"),
-    ("seed_count = 2\nmax_iters = 30", "seeds = 1 2 3\nmax_iters = 4000000"),
     ("max_iters = 30", "max_iters = 10000000"),
-], ids=("seed_count", "seeds", "max_iters"))
+], ids=("seed_count", "max_iters"))
 def test_run_oversized_grid_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new):
     # runs x max_iters is counted from the list lengths; neither the seed
     # tuple nor the grid is ever built
@@ -387,6 +390,17 @@ def _short_run_row(out):
     path.write_text("\n".join(lines))
 
 
+def _overflowing_run_entry(key, literal):
+    """Set key of the first run entry to a JSON number literal that
+    overflows a float (1e400 loads as inf) or an int-to-float cast."""
+    def corrupt(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["runs"][0][key] = "OVERFLOW"
+        text = json.dumps(manifest).replace('"OVERFLOW"', literal)
+        (out / "manifest.json").write_text(text)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, needle", [
     (_corrupt_manifest_text, "not JSON"),
     (_corrupt_manifest_config, "'config'"),
@@ -396,9 +410,13 @@ def _short_run_row(out):
     (_drop_run_entry, "no run for projgd_k1_rs2_eta0.4_s1.csv"),
     (_empty_run_csv, "no rel_err values"),
     (_short_run_row, "row 1 has 3 fields, the header "),
+    (_overflowing_run_entry("kappa", "1e400"), "bad run entry"),
+    (_overflowing_run_entry("kappa", "-1e400"), "bad run entry"),
+    (_overflowing_run_entry("eta", "1" + "0" * 400), "bad run entry"),
 ], ids=["manifest_not_json", "manifest_without_config", "manifest_without_runs",
         "csv_not_a_number", "run_entry_without_algo", "run_missing_from_grid",
-        "csv_empty", "csv_short_row"])
+        "csv_empty", "csv_short_row", "run_entry_kappa_1e400", "run_entry_kappa_minus_1e400",
+        "run_entry_eta_10_400"])
 def test_plot_bad_directory_is_one_line_usage_error(tmp_path, capsys, corrupt, needle):
     cfg = write(tmp_path / "grid.ini", CFG)
     out = tmp_path / "results"
@@ -547,7 +565,6 @@ def test_console_script_help():
     ("kappa = 1", "kappa = 1 1.0", "kappa"),
     ("algorithms = projgd", "algorithms = projgd fgd projgd", "algorithms"),
     ("eta = 0.4", "eta = 0.4 0.4", "eta"),
-    ("seed_count = 2", "seeds = 0 0", "seeds"),
 ], ids=lambda v: v.split()[0])
 def test_run_repeated_value_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new, name):
     # a repeated value would run a cell twice under one CSV name
@@ -575,7 +592,8 @@ def test_probe_and_spec_file_share_each_instance_rule(tmp_path, capsys, monkeypa
     instance = dict(_INSTANCE, **{key: value})
     seed = instance.pop("seed")
     problem = "".join(f"{k} = {v}\n" for k, v in instance.items())
-    spec = write(tmp_path / "grid.ini", f"[problem]\n{problem}[run]\nseeds = {seed}\n")
+    spec = write(tmp_path / "grid.ini",
+                 f"[problem]\n{problem}[run]\nmaster_seed = {seed}\nseed_count = 1\n")
     probe = write(tmp_path / "probe.ini", f"[probe]\nobjective = sensing\n{problem}seed = {seed}\n")
     errs = []
     for argv in (["run", spec, "--out", str(tmp_path / "o"), "--jobs", "1"], ["probe", probe]):
@@ -591,7 +609,7 @@ def test_probe_and_spec_file_share_each_instance_rule(tmp_path, capsys, monkeypa
 # a list value may also be empty or repeat a token
 _HUGE = "1" + "0" * 400
 _INTS = (("0", "1", "2", "3", "-1", _HUGE), ("", "1 1", "1e308", "nan", "x"))
-_FLOATS = (("0", "1", "0.4", "2", "-1", "nan", "inf", "1e308", _HUGE), ("", "1 1", "x"))
+_FLOATS = (("0", "1", "0.4", "2", "-1", "nan", "inf", "1e308", "1e400", _HUGE), ("", "1 1", "x"))
 _WORDS = ((*harness.ALGORITHMS, "csv", "svg", "json", "quadratic", "sensing", "x"), ("",))
 _EDGES = {int: _INTS, float: _FLOATS, str: _WORDS,
           harness._parse_bool: (("true", "false"), ("", "maybe")),
@@ -640,5 +658,107 @@ def test_any_config_file_exits_with_at_most_one_error_line(tmp_path, monkeypatch
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([verb, cfg, "--out", str(tmp_path / "o")])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+# values a run entry of the manifest may hold after a bad edit; json writes
+# the infinities as Infinity, which loads as 1e400 does
+_JSON_EDGES = (0, -1, 1.5, 10 ** 400, float("inf"), float("-inf"), float("nan"),
+               "", "x", None, True, [], {})
+_GRID_EDITS = ("config", "run_entry", "csv_truncate", "csv_drop_column", "csv_cell", "delete")
+
+
+@pytest.fixture(scope="module")
+def tiny_grid(tmp_path_factory):
+    """One small grid directory: 2 step sizes x 2 seeds of 5 iterations."""
+    root = tmp_path_factory.mktemp("tiny_grid")
+    text = CFG.replace("eta = 0.4", "eta = 0.4 0.6").replace("max_iters = 30", "max_iters = 5")
+    cfg = write(root / "grid.ini", text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", cfg, "--out", str(root / "out"), "--jobs", "1"]) == 0
+    return root / "out"
+
+
+def _edit_config(data, manifest):
+    """Set one [section] key of the manifest's config text to an edge value."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(manifest["config"])
+    section = data.draw(st.sampled_from(list(harness._SCHEMA)))
+    key = data.draw(st.sampled_from(list(harness._SCHEMA[section])))
+    typed, wrong = _EDGES[harness._SCHEMA[section][key]]
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, data.draw(st.sampled_from(wrong if data.draw(_RARELY) else typed)))
+    text = io.StringIO()
+    cp.write(text)
+    manifest["config"] = text.getvalue()
+
+
+def _edit_run_entry(data, manifest):
+    """Set one key of one run entry to an edge value or, now and then,
+    delete the key or drop or replace the entry."""
+    runs = manifest["runs"]
+    i = data.draw(st.integers(0, len(runs) - 1))
+    how = data.draw(st.sampled_from(("del", "drop", "replace")) if data.draw(_RARELY)
+                    else st.just("set"))
+    if how == "drop":
+        del runs[i]
+    elif how == "replace":
+        runs[i] = data.draw(st.sampled_from(_JSON_EDGES))
+    else:
+        # the keys plot reads
+        key = data.draw(st.sampled_from(("algo", "kappa", "r_star", "eta", "seed")))
+        if how == "del":
+            del runs[i][key]
+        else:
+            runs[i][key] = data.draw(st.sampled_from(_JSON_EDGES))
+
+
+def _edit_csv(data, path, how):
+    """Truncate a run CSV, drop one of its columns, or put a non-numeric
+    value in one of its cells."""
+    text = path.read_text()
+    lines = text.split("\n")
+    if how == "csv_truncate":
+        text = text[:data.draw(st.integers(0, len(text)))]
+    elif how == "csv_drop_column":
+        j = data.draw(st.integers(0, len(lines[0].split(",")) - 1))
+        text = "\n".join(",".join(c for k, c in enumerate(line.split(",")) if k != j)
+                         for line in lines)
+    else:
+        i = data.draw(st.integers(1, len(lines) - 2))     # the text ends with a newline
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(("x", "", "-")))
+        lines[i] = ",".join(cells)
+        text = "\n".join(lines)
+    path.write_text(text)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_plot_of_any_mutated_grid_exits_with_at_most_one_error_line(tmp_path, tiny_grid, data):
+    # no solver runs: plot only reads the manifest and the run CSVs
+    work = tmp_path / "grid"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(tiny_grid, work)
+    edits = data.draw(st.lists(st.sampled_from(_GRID_EDITS), min_size=1, max_size=3, unique=True))
+    manifest = json.loads((work / "manifest.json").read_text())
+    if "config" in edits:
+        _edit_config(data, manifest)
+    if "run_entry" in edits:
+        _edit_run_entry(data, manifest)
+    (work / "manifest.json").write_text(json.dumps(manifest))
+    run_csvs = sorted(p for p in work.iterdir() if p.suffix == ".csv" and p.name != "eta_sweep.csv")
+    # the cell edit first: it needs the rows that a truncation may cut
+    for how in ("csv_cell", "csv_drop_column", "csv_truncate"):
+        if how in edits:
+            _edit_csv(data, data.draw(st.sampled_from(run_csvs)), how)
+    if "delete" in edits:
+        data.draw(st.sampled_from(sorted(work.iterdir()))).unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["plot", str(work)])
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

@@ -27,7 +27,7 @@ from rankmin.harness import (
     spec_to_text,
 )
 from rankmin.objectives import make_rng
-from rankmin.solvers import CSV_COLUMNS, MAX_TANGENT_ITERS, PprojgdParams
+from rankmin.solvers import CSV_COLUMNS, PprojgdParams
 
 TINY = """
 [problem]
@@ -68,12 +68,6 @@ def test_parse_empty_text_gives_defaults():
     assert parse_spec_text("") == ExperimentSpec()
 
 
-def test_parse_explicit_seeds_win():
-    spec = parse_spec_text("[run]\nseeds = 5 9\nseed_count = 3\n")
-    assert spec.resolved_seeds() == (5, 9)
-    assert parse_spec_text(spec_to_text(spec)).resolved_seeds() == (5, 9)
-
-
 def test_parse_unknown_section():
     with pytest.raises(SpecFileError, match="unknown section"):
         parse_spec_text("[slovers]\nalgorithms = projgd\n")
@@ -109,8 +103,7 @@ def test_validation_errors():
     for text, name in (("[problem]\nr_star = 1 2 1\n", "r_star"),
                        ("[problem]\nkappa = 1 1.0\n", "kappa"),
                        ("[solvers]\nalgorithms = projgd fgd PROJGD\n", "algorithms"),
-                       ("[solvers]\neta = 0.4 0.4\n", "eta"),
-                       ("[run]\nseeds = 0 0\n", "seeds")):
+                       ("[solvers]\neta = 0.4 0.4\n", "eta")):
         with pytest.raises(SpecFileError, match=f"^{name} lists .+ more than once$"):
             parse_spec_text(text)
 
@@ -125,13 +118,6 @@ def test_validation_rejects_non_finite_numbers():
             parse_spec_text(text)
 
 
-def test_finite_check_skips_an_integer_too_large_for_isfinite():
-    # without pprojgd among the algorithms, nothing resolves the budget
-    spec = parse_spec_text(f"[pprojgd]\nmax_tangent_iters = 1{'0' * 400}\n")
-    assert spec.algorithms == ("projgd",) and spec.pprojgd.max_tangent_iters == 10 ** 400
-    assert parse_spec_text(spec_to_text(spec)) == spec
-
-
 def test_grid_cap_counts_runs_without_building_seeds(monkeypatch):
     monkeypatch.setattr(ExperimentSpec, "resolved_seeds",
                         lambda self: pytest.fail("the seed tuple was built"))
@@ -141,8 +127,7 @@ def test_grid_cap_counts_runs_without_building_seeds(monkeypatch):
     assert replace(spec, seed_count=at_cap).validate()
     with pytest.raises(SpecFileError, match=f"{cells * (at_cap + 1)} runs x max_iters 10"):
         replace(spec, seed_count=at_cap + 1).validate()
-    for empty in (replace(spec, seed_count=0), replace(spec, seed_count=-3),
-                  replace(spec, seeds=())):
+    for empty in (replace(spec, seed_count=0), replace(spec, seed_count=-3)):
         with pytest.raises(SpecFileError, match="empty seed list"):
             empty.validate()
 
@@ -162,15 +147,6 @@ def _specs(draw):
     # valid specs repeat no value in a list
     n = draw(st.integers(1, 12))
     r = draw(st.integers(1, n))
-    pprojgd = PprojgdParams(
-        epsilon=draw(_positive),
-        epsilon_t=draw(st.none() | _positive),
-        eta_t=draw(st.none() | _positive),
-        perturb_radius=draw(st.none() | _positive),
-        max_tangent_iters=draw(st.none() | st.integers(1, MAX_TANGENT_ITERS)),
-    )
-    seeds = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4,
-                                       unique=True).map(tuple))
     spec = ExperimentSpec(
         n=n, r=r,
         r_star=tuple(draw(st.lists(st.integers(1, r), min_size=1, max_size=3, unique=True))),
@@ -180,10 +156,9 @@ def _specs(draw):
         algorithms=tuple(draw(st.lists(st.sampled_from(rankmin.ALGORITHMS), min_size=1, max_size=3,
                                         unique=True))),
         etas=tuple(draw(st.lists(_positive, min_size=1, max_size=4, unique=True))),
-        pprojgd=pprojgd,
+        pprojgd=PprojgdParams(epsilon=draw(_positive)),
         seed_count=draw(st.integers(1, 20)),
         master_seed=draw(st.integers(0, 10**6)),
-        seeds=seeds,
         max_iters=draw(st.integers(1, 10**6)),
         tol_rel_err=draw(st.floats(-1e3, 1e3)),
         diverge_threshold=draw(_positive),
@@ -193,25 +168,21 @@ def _specs(draw):
     runs = math.prod(map(len, (spec.r_star, spec.kappa, spec.algorithms, spec.etas,
                                spec.resolved_seeds())))
     spec = replace(spec, max_iters=min(spec.max_iters, harness.MAX_GRID_ITERATIONS // runs))
-    # and within the escape-budget cap: a derived budget above it becomes the cap
+    # and within the escape-budget cap: a spec whose budget exceeds it
+    # runs no pprojgd
     try:
         for eta in spec.etas:
-            pprojgd.resolve(eta)
+            spec.pprojgd.resolve(eta)
     except ValueError:
-        spec = replace(spec, pprojgd=replace(pprojgd, max_tangent_iters=MAX_TANGENT_ITERS))
+        spec = replace(spec, algorithms=tuple(a for a in spec.algorithms if a != "pprojgd")
+                       or ("projgd",))
     return spec
 
 
 @settings(max_examples=200, deadline=None)
 @given(_specs())
 def test_spec_text_round_trip_property(spec):
-    text = spec_to_text(spec)
-    back = parse_spec_text(text)
-    if spec.seeds is None:
-        assert back == spec
-    else:
-        # explicit seeds win; the seed count and master seed are not written
-        assert back == replace(spec, seed_count=back.seed_count, master_seed=back.master_seed)
+    assert parse_spec_text(spec_to_text(spec)) == spec
 
 
 def test_run_filename_formatting():

@@ -365,25 +365,38 @@ def test_solver_config_rejects_non_integer_max_iters(bad):
     assert SolverConfig(eta=0.4, max_iters=np.int64(7)).max_iters == 7
 
 
-@pytest.mark.parametrize("bad", [2.7, 3.0])
-def test_pprojgd_params_reject_non_integer_max_tangent_iters(bad):
-    # a fractional count is an error, not truncated
-    with pytest.raises(ValueError, match="^max_tangent_iters must be an integer"):
-        PprojgdParams(max_tangent_iters=bad).resolve(0.4)
-    resolved = PprojgdParams(max_tangent_iters=np.int64(3)).resolve(0.4)
-    assert type(resolved.max_tangent_iters) is int and resolved.max_tangent_iters == 3
+# (epsilon, eta) -> (epsilon, epsilon_t, eta_t, perturb_radius, max_tangent_iters),
+# as the parameters resolved when each of the last four could be set by hand
+_RESOLVED = {
+    (1e-4, 0.01): (1e-4, 0.01, 0.01, 1e-4, 10000),
+    (1e-4, 0.1): (1e-4, 0.01, 0.01, 1e-4, 10000),
+    (1e-4, 1 / 3): (1e-4, 0.01, 0.01, 1e-4, 10000),
+    (1e-4, 0.4): (1e-4, 0.01, 0.01, 1e-4, 10000),
+    (1e-4, 0.9): (1e-4, 0.01, 0.01, 1e-4, 10000),
+    (1e-2, 0.01): (1e-2, 0.1, 0.01, 1e-2, 1000),
+    (1e-2, 0.1): (1e-2, 0.1, 0.1, 1e-2, 100),
+    (1e-2, 1 / 3): (1e-2, 0.1, 0.1, 1e-2, 100),
+    (1e-2, 0.4): (1e-2, 0.1, 0.1, 1e-2, 100),
+    (1e-2, 0.9): (1e-2, 0.1, 0.1, 1e-2, 100),
+}
+
+
+@pytest.mark.parametrize("epsilon, eta", list(_RESOLVED), ids=str)
+def test_pprojgd_params_resolve_bit_for_bit(epsilon, eta):
+    resolved = PprojgdParams(epsilon).resolve(eta)
+    assert tuple(resolved) == _RESOLVED[epsilon, eta]
+    assert type(resolved.max_tangent_iters) is int
 
 
 def test_pprojgd_params_cap_the_escape_budget():
-    # resolved only, no run: an explicit or a derived budget above the cap
-    # is an error, including a derived one whose product underflows
+    # resolved only, no run: a budget above the cap is an error, including
+    # one whose product eta_t * epsilon_t underflows
     cap = solvers.MAX_TANGENT_ITERS
-    assert PprojgdParams(max_tangent_iters=cap).resolve(0.4).max_tangent_iters == cap
+    assert PprojgdParams(1e-6).resolve(0.4).max_tangent_iters == cap
     assert PprojgdParams().resolve(0.01).max_tangent_iters == 10_000
-    for params, eta in ((PprojgdParams(max_tangent_iters=cap + 1), 0.4), (PprojgdParams(), 1e-300),
-                        (PprojgdParams(1e-300, eta_t=1e-300), 0.4)):
+    for epsilon, eta in ((9.9e-7, 0.4), (1e-4, 1e-300), (1e-300, 0.4), (1e-4, 5e-324)):
         with pytest.raises(ValueError, match=f"^max_tangent_iters exceeds the cap of {cap} "):
-            params.resolve(eta)
+            PprojgdParams(epsilon).resolve(eta)
 
 
 class SeparateCalls(Objective):
@@ -676,14 +689,10 @@ def test_trace_record_fields_reject_assignment():
     assert rec == (0, 1.0, 0.5, 0.25, rec.step_norm, 1.0, "init")
 
 
-@pytest.mark.parametrize("field, value", [
-    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon_t", float("nan")),
-    ("eta_t", float("nan")), ("perturb_radius", float("inf")),
-    ("max_tangent_iters", float("nan")),
-])
+@pytest.mark.parametrize("field, value", [("epsilon", float("nan")), ("epsilon", float("inf"))])
 def test_pprojgd_params_reject_non_finite_values(field, value):
     # nan <= 0 is False, so a plain positivity check lets nan through
-    params = PprojgdParams(**{"max_tangent_iters": 5, field: value})
+    params = PprojgdParams(**{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
         params.resolve(0.4)
     x0 = random_ground_truth(5, 2, 2.0, make_rng(217))
@@ -766,7 +775,7 @@ def test_pprojgd_psd_survives_tangent_escapes():
     problem, f, _ = sensing_setup(3, 2.0, 3, n=8, r=3, psd=True)
     x_star = problem.ground_truth
     cfg = SolverConfig(eta=0.3, max_iters=6, tol_rel_err=None,
-                       pprojgd=PprojgdParams(max_tangent_iters=20))
+                       pprojgd=PprojgdParams(epsilon=1e-2))
     x_end, tr = pprojgd(f, x_star, cfg, rng=make_rng(6, stream=5), x_star=x_star)
     assert tr.status == "max-iters"
     assert sum(rec.branch == "tangent-escape" for rec in tr.records) >= 1
