@@ -151,8 +151,7 @@ def _cmd_probe(args) -> int:
     cfg = parse_probe_file(args.spec_file)
     n, r = cfg["n"], cfg["r"]
     if cfg["objective"] == "quadratic":
-        x_star = random_ground_truth(n, cfg["r_star"], cfg["kappa"], cfg["seed"],
-                                     symmetric_psd=cfg["psd"])
+        x_star = random_ground_truth(n, cfg["r_star"], cfg["kappa"], cfg["seed"])
         f = quadratic_objective(x_star)
     else:
         problem = generate_sensing(n=n, r=r, r_star=cfg["r_star"], kappa=cfg["kappa"],

@@ -43,7 +43,6 @@ MAX_PROBE_EVALUATIONS = 10_000_000
 
 CLASS_MINIMIZER = "second-order-minimizer"
 CLASS_SADDLE = "saddle"
-CLASS_AMBIENT = "ambient-stationary"
 CLASS_INDETERMINATE = "indeterminate"
 
 
@@ -68,39 +67,31 @@ class SecondOrderCertificate:
     sigma_r: float
     ambient_grad_norm: float    # spectral norm of grad f(X)
     classification: str
-    eps: float
-    gamma: float
-    ambient_threshold: float
     eig_tol: float
 
 
-def classify_certificate(grad_norm: float, min_eig: float, ambient_grad_norm: float,
-                         eps: float, gamma: float, ambient_threshold: float,
+def classify_certificate(grad_norm: float, min_eig: float, eps: float, gamma: float,
                          eig_tol: float) -> str:
     """Pure classification rule; a certificate's label is a function of its
-    own numbers and thresholds, nothing else."""
+    own numbers and thresholds, nothing else.  Non-finite numbers, as at a
+    rank-deficient point, are indeterminate."""
     if np.isfinite(grad_norm) and np.isfinite(min_eig):
         if grad_norm <= eps and min_eig >= -(gamma + eig_tol):
             return CLASS_MINIMIZER
         if min_eig < -(gamma + eig_tol):
             return CLASS_SADDLE
-    if np.isfinite(ambient_threshold) and ambient_grad_norm < ambient_threshold:
-        return CLASS_AMBIENT
     return CLASS_INDETERMINATE
 
 
 def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
-                         rank: Optional[int] = None, epsilon_t: Optional[float] = None,
-                         eta: Optional[float] = None) -> SecondOrderCertificate:
+                         rank: Optional[int] = None) -> SecondOrderCertificate:
     """Measure first- and second-order stationarity of f at a rank-r point.
 
     Full-rank points get the tangent gradient norm and the smallest pullback
-    Hessian eigenvalue; rank-deficient points only get ambient quantities
-    and can classify as ambient-stationary when (epsilon_t, eta) from the
-    producing run are supplied."""
+    Hessian eigenvalue; rank-deficient points only get the ambient gradient
+    norm and certify as indeterminate."""
     rank = x.rank if rank is None else int(rank)
     g = np.asarray(f.gradient(x.dense()), dtype=float)
-    ambient_spec = float(np.linalg.norm(g, 2))
     if x.rank >= rank:
         grad_norm = project_tangent(g, x).norm()
         min_eig, _ = pullback_hessian_min_eig(f, x)
@@ -108,16 +99,11 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
         grad_norm = float("nan")
         min_eig = float("nan")
     eig_tol = EIG_ZERO_TOL_SCALE * max(1.0, float(_lipschitz(f)))
-    if epsilon_t is not None and eta is not None:
-        ambient_threshold = AMBIENT_STATIONARITY_FACTOR * (eps + epsilon_t / eta)
-    else:
-        ambient_threshold = float("nan")
-    label = classify_certificate(grad_norm, min_eig, ambient_spec, eps, gamma,
-                                 ambient_threshold, eig_tol)
     return SecondOrderCertificate(
         grad_norm=grad_norm, min_eig=min_eig, sigma_r=x.sigma_r(rank),
-        ambient_grad_norm=ambient_spec, classification=label, eps=eps, gamma=gamma,
-        ambient_threshold=ambient_threshold, eig_tol=eig_tol,
+        ambient_grad_norm=float(np.linalg.norm(g, 2)),
+        classification=classify_certificate(grad_norm, min_eig, eps, gamma, eig_tol),
+        eig_tol=eig_tol,
     )
 
 

@@ -441,10 +441,10 @@ class _Pullback:
         y, l_winv, winv_r = self.point(st, cleared)
         return self._corrected(self.gradient(self._at(y)), l_winv, winv_r)
 
-    def value_grad(self, st: np.ndarray, cleared: bool = False):
+    def value_grad(self, st: np.ndarray):
         """(f(Retr_base(S)), frame array of its pullback gradient); see
-        pullback_value_grad.  cleared is as for point."""
-        y, l_winv, winv_r = self.point(st, cleared)
+        pullback_value_grad."""
+        y, l_winv, winv_r = self.point(st)
         fv, g = self.value_and_grad(self._at(y))
         return float(fv), self._corrected(g, l_winv, winv_r)
 

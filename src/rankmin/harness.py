@@ -86,8 +86,8 @@ class ExperimentSpec:
         m = self.m_factor * self.n * self.r     # checked before anything is allocated
         if m * self.n * self.n > MAX_OPERATOR_FLOATS:
             raise SpecFileError(
-                f"sensing operators of {m * self.n * self.n} floats (m = m_factor*n*r = {m}, "
-                f"n = {self.n}) exceed the cap of {MAX_OPERATOR_FLOATS} (64 MiB of float64)")
+                f"sensing operators of m_factor*n*r x n*n floats (m_factor = {self.m_factor}, "
+                f"n = {self.n}, r = {self.r}) exceed the cap of {MAX_OPERATOR_FLOATS} (64 MiB)")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecFileError(f"unknown algorithm {a!r} (have {', '.join(ALGORITHMS)})")
@@ -110,14 +110,14 @@ class ExperimentSpec:
             raise SpecFileError("kappa must be >= 1")
         if self.max_iters < 1:
             raise SpecFileError("max_iters must be >= 1")
-        # counted from the list lengths: the seed tuple itself may be huge
-        runs = math.prod(map(len, (self.algorithms, self.kappa, self.r_star, self.etas)))
-        runs *= max(self.seed_count, 0)
+        # the messages print parsed inputs, never a product past the int-to-str digit limit
+        settings = math.prod(map(len, (self.algorithms, self.kappa, self.r_star, self.etas)))
+        runs = settings * max(self.seed_count, 0)
         if not runs:
             raise SpecFileError("empty seed list")
         if runs * self.max_iters > MAX_GRID_ITERATIONS:
-            raise SpecFileError(f"{runs} runs x max_iters {self.max_iters} exceed the cap "
-                                f"of {MAX_GRID_ITERATIONS} iterations")
+            raise SpecFileError(f"{settings} settings x {self.seed_count} seeds x max_iters "
+                                f"{self.max_iters} exceed the cap of {MAX_GRID_ITERATIONS} iterations")
         if self.master_seed < 0 or self.master_seed + self.seed_count - 1 >= MAX_SEED:
             raise SpecFileError("every seed, master_seed + seed_count - 1 included, "
                                 "must lie in [0, 2**63)")

@@ -534,7 +534,10 @@ def criterion_determinism(level):
             digests.append(digest)
     same_names = sorted(digests[0]) == sorted(digests[1])
     mismatched = [k for k in digests[0] if digests[0][k] != digests[1].get(k)]
-    details = {"files": len(digests[0]), "mismatched": mismatched}
+    # sha256 of the per-file hashes by file name, as `sha256sum $(ls) | sha256sum` prints it
+    listing = "".join(f"{digests[0][name]}  {name}\n" for name in sorted(digests[0]))
+    details = {"files": len(digests[0]), "mismatched": mismatched,
+               "digest": hashlib.sha256(listing.encode()).hexdigest()}
     summary = f"{len(digests[0])} files, {len(mismatched)} byte mismatches"
     return same_names and not mismatched, summary, details
 

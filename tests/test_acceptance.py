@@ -2,7 +2,14 @@
 at the full level and reports its PASS/FAIL line; `rankmin verify --level
 full` runs the same suite from the command line."""
 
+import numpy as np
+
 from rankmin.verify import CRITERIA
+
+# The determinism criterion's digest of the full fig1 preset's 250 files,
+# taken with numpy 2.4.6 and OpenBLAS 0.3.31.188.0.  A change that moves
+# these bytes on purpose updates the pin and says which outputs moved.
+FIG1_DIGEST = "02de5cefe0a3cd6d078aad436f5510cc37453ac0a1c33993a90bafa23b1a2a3f"
 
 
 def run_criterion(cid: str):
@@ -48,4 +55,9 @@ def test_saddle_escape():
 
 
 def test_determinism():
-    run_criterion("determinism")
+    digest = run_criterion("determinism").details["digest"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert digest == FIG1_DIGEST, (
+        f"fig1 bytes moved: digest {digest}, pinned {FIG1_DIGEST} with numpy 2.4.6 and "
+        f"OpenBLAS 0.3.31.188.0; this run has numpy {np.__version__} and {blas['name']} "
+        f"{blas['version']}")

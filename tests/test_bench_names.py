@@ -4,12 +4,15 @@ bench/micro.py calls rankmin.<attr> chains, and bench/workloads.py builds
 its inputs and checks its passes through the harness, the solver
 parameters and the verify helpers.  A rename or deletion in the package
 would silently blind the tracer, break a micro row or fail a workload,
-so every such name must still resolve and a workload pass still run."""
+so every such name must still resolve and a workload pass still run, with
+the bytes its fingerprint pins."""
 
 import ast
 import importlib.util
 import os
 import sys
+
+import numpy as np
 
 import rankmin
 
@@ -58,6 +61,12 @@ def test_every_micro_attribute_chain_resolves():
     _assert_chains_resolve("micro.py", "rankmin", rankmin)
 
 
+# The fingerprint of EscapeWorkload(0)'s pass, taken with numpy 2.4.6 and
+# OpenBLAS 0.3.31.188.0.  A change that moves these bytes on purpose
+# updates the pin and says which outputs moved.
+ESCAPE_FINGERPRINT = "dfab3ebb19c951c85a6e0329222793b3853901da45d1af2a3f2dbc1c11ba02fa"
+
+
 def test_workloads_build_and_an_escape_pass_is_clean(tmp_path):
     # a grid pass takes seconds, so the names it reads are resolved and
     # its inputs built, and only the escape workload runs a pass
@@ -68,3 +77,8 @@ def test_workloads_build_and_an_escape_pass_is_clean(tmp_path):
     assert grid.operations == len(grid.cells) + 1
     result = workloads.EscapeWorkload(0).run_pass()
     assert result.failures == []
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert result.fingerprint == ESCAPE_FINGERPRINT, (
+        f"escape bytes moved: fingerprint {result.fingerprint}, pinned {ESCAPE_FINGERPRINT} "
+        f"with numpy 2.4.6 and OpenBLAS 0.3.31.188.0; this run has numpy {np.__version__} "
+        f"and {blas['name']} {blas['version']}")

@@ -241,9 +241,13 @@ def _forbid_operator_allocation(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
+# the last case's m*n*n has about 7,500 digits, past the 4,300 that int-to-str
+# allows, so the message prints the parsed inputs, not the product
 @pytest.mark.parametrize("old, new", [("n = 6", "n = 100000"),
-                                      ("kappa = 1", "kappa = 1\nm_factor = 100000000")],
-                         ids=("n", "m_factor"))
+                                      ("kappa = 1", "kappa = 1\nm_factor = 100000000"),
+                                      ("n = 6\nr = 2", "n = {0}\nr = {0}\nm_factor = {0}"
+                                                       .format(10 ** 1500))],
+                         ids=("n", "m_factor", "past_digit_limit"))
 def test_run_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new):
     _forbid_operator_allocation(monkeypatch)
     cfg = write(tmp_path / "grid.ini", CFG.replace(old, new))
@@ -253,10 +257,13 @@ def test_run_oversized_operators_is_one_line_usage_error(tmp_path, capsys, monke
     assert not (tmp_path / "o").exists()
 
 
+# the last case's 2 x (10**4300 - 1) runs pass the digit limit of int-to-str
 @pytest.mark.parametrize("old, new", [
     ("seed_count = 2", "seed_count = 1000000000"),
     ("max_iters = 30", "max_iters = 10000000"),
-], ids=("seed_count", "max_iters"))
+    ("projgd\neta = 0.4\n\n[run]\nseed_count = 2",
+     "projgd fgd\neta = 0.4\n\n[run]\nseed_count = " + "9" * 4300),
+], ids=("seed_count", "max_iters", "past_digit_limit"))
 def test_run_oversized_grid_is_one_line_usage_error(tmp_path, capsys, monkeypatch, old, new):
     # runs x max_iters is counted from the list lengths; neither the seed
     # tuple nor the grid is ever built
@@ -605,10 +612,11 @@ def test_probe_and_spec_file_share_each_instance_rule(tmp_path, capsys, monkeypa
 
 
 # edge values for the config-file property, per parser: typed (0, -1, nan,
-# inf, 1e308, 10**400) and, now and then, empty, repeated or of the wrong type;
-# a list value may also be empty or repeat a token
+# inf, 1e308, 10**400, and for integers 10**4000, whose products pass the
+# 4,300 digits that int-to-str allows) and, now and then, empty, repeated or
+# of the wrong type; a list value may also be empty or repeat a token
 _HUGE = "1" + "0" * 400
-_INTS = (("0", "1", "2", "3", "-1", _HUGE), ("", "1 1", "1e308", "nan", "x"))
+_INTS = (("0", "1", "2", "3", "-1", _HUGE, "1" + "0" * 4000), ("", "1 1", "1e308", "nan", "x"))
 _FLOATS = (("0", "1", "0.4", "2", "-1", "nan", "inf", "1e308", "1e400", _HUGE), ("", "1 1", "x"))
 _WORDS = ((*harness.ALGORITHMS, "csv", "svg", "json", "quadratic", "sensing", "x"), ("",))
 _EDGES = {int: _INTS, float: _FLOATS, str: _WORDS,

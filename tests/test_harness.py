@@ -125,7 +125,7 @@ def test_grid_cap_counts_runs_without_building_seeds(monkeypatch):
     cells = 2 * 2            # algorithms x etas; one kappa and one r_star
     at_cap = harness.MAX_GRID_ITERATIONS // (cells * 10)
     assert replace(spec, seed_count=at_cap).validate()
-    with pytest.raises(SpecFileError, match=f"{cells * (at_cap + 1)} runs x max_iters 10"):
+    with pytest.raises(SpecFileError, match=f"{cells} settings x {at_cap + 1} seeds x max_iters 10"):
         replace(spec, seed_count=at_cap + 1).validate()
     for empty in (replace(spec, seed_count=0), replace(spec, seed_count=-3)):
         with pytest.raises(SpecFileError, match="empty seed list"):
