@@ -19,7 +19,6 @@ from .geometry import (
     TangentVector,
     _fro,
     _lapack_eigh,
-    _lapack_svd,
     _lapack_svdvals,
     _Pullback,
     _truncate,
@@ -44,9 +43,13 @@ BRANCH_TERMINATE = "terminate"
 
 ALGORITHMS = ("projgd", "fgd", "scaledgd", "precgd", "pprojgd")
 
-# Gram matrices with sigma_min at or below this fraction of sigma_max are
-# treated as numerically singular: pseudo-inverse, and the run is flagged.
+# a Gram matrix with sigma_min at or below this fraction of sigma_max flags
+# the run as a Gram breakdown
 GRAM_BREAKDOWN_RATIO = 1e-12
+
+# the Gram step's pseudo-inverse counts eigenvalues of magnitude at or below
+# this fraction of the largest as zero (np.linalg.pinv's default rcond)
+_PINV_RCOND = 1e-15
 
 # cap on the inner steps of one tangent escape: 100x the budget at eta >= 0.01
 MAX_TANGENT_ITERS = 10 ** 6
@@ -186,46 +189,33 @@ def fgd_step(x: FactoredMatrix, f, eta: float) -> FactoredMatrix:
     return project_rank_r(_fgd_point(x, g, eta), x.rank)
 
 
-def _pinv(a: np.ndarray) -> np.ndarray:
-    """np.linalg.pinv(a) at its default cutoff, bit for bit: the same SVD
-    gufunc, singular values at or below 1e-15 sigma_max inverted to 0, and
-    the same product, without pinv's per-call dispatch."""
-    u, s, vt = _lapack_svd(a, signature="d->ddd")
-    if math.isnan(s[0]):
-        raise np.linalg.LinAlgError("SVD did not converge")
-    large = s > 1e-15 * s[0]
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return vt.T @ (s[:, None] * u.T)
-
-
-def _gram_apply_inverse(rhs: np.ndarray, gram: np.ndarray, shifted: np.ndarray,
-                        v: np.ndarray, mag: list, reg: float) -> np.ndarray:
-    """rhs @ (G + reg I)^{-1} for the Gram matrix G = F^T F = V diag(w) V^T,
+def _gram_apply_inverse(rhs: np.ndarray, shifted: np.ndarray, v: np.ndarray,
+                        mag: list) -> np.ndarray:
+    """rhs @ (G + reg I)^+ for the Gram matrix G = F^T F = V diag(w) V^T,
     given shifted = w + reg and mag = |w + reg| as Python floats (the
-    singular values of G + reg I, G being symmetric PSD).  A numerically
-    singular matrix falls back to the pseudo-inverse, which matches
-    np.linalg.pinv bit for bit."""
+    singular values of G + reg I, G being symmetric PSD).  Eigenvalues of
+    magnitude at or below _PINV_RCOND times the largest contribute 0, as in
+    np.linalg.pinv; the rest are inverted."""
     if not mag:
         return rhs
     # for a handful of values Python's min and max are cheaper than numpy's
-    top = max(mag)
-    if top <= 0.0 or min(mag) <= GRAM_BREAKDOWN_RATIO * top:
-        return rhs @ _pinv(gram + reg * np.eye(len(mag)) if reg != 0.0 else gram)
+    cutoff = _PINV_RCOND * max(mag)
+    if min(mag) <= cutoff:
+        shifted = np.where(np.greater(mag, cutoff), shifted, np.inf)
     return (rhs.dot(v) / shifted).dot(v.T)
 
 
 def _precgd_update(lf: np.ndarray, rf: np.ndarray, g: np.ndarray, eta: float,
                    reg: float, gram_eig):
     """The preconditioned step from the factors, the gradient g at L R^T and
-    the stacked Gram matrices and eigendecomposition that gram_condition
+    the stacked eigendecomposition of the Gram matrices that gram_condition
     returns."""
-    grams, w, v, mag = gram_eig
+    w, v, mag = gram_eig
     if reg != 0.0:
         w = w + reg
         mag = np.abs(w).tolist()
-    gl = _gram_apply_inverse(g.dot(rf), grams[1], w[1], v[1], mag[1], reg)
-    gr = _gram_apply_inverse(g.T.dot(lf), grams[0], w[0], v[0], mag[0], reg)
+    gl = _gram_apply_inverse(g.dot(rf), w[1], v[1], mag[1])
+    gr = _gram_apply_inverse(g.T.dot(lf), w[0], v[0], mag[0])
     return lf - eta * gl, rf - eta * gr
 
 
@@ -243,19 +233,19 @@ def precgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float, reg: float):
 
 def scaledgd_step(lf: np.ndarray, rf: np.ndarray, f, eta: float):
     """One scaled gradient step: the reg = 0 preconditioned step.  A singular
-    Gram matrix falls back to the pseudo-inverse (the driver records the
-    breakdown)."""
+    Gram matrix is pseudo-inverted from its eigendecomposition (the driver
+    records the breakdown)."""
     return precgd_step(lf, rf, f, eta, 0.0)
 
 
 def gram_condition(lf: np.ndarray, rf: np.ndarray):
-    """(max over both factors of cond(F^T F), (G, w, V, |w|)), where G[i] is
-    the Gram matrix L^T L (i = 0) or R^T R (i = 1), w[i] and V[i] are its
-    eigenvalues and eigenvectors, taken in one stacked eigh call, and |w|[i]
+    """(max over both factors of cond(F^T F), (w, V, |w|)), where w[i] and
+    V[i] are the eigenvalues and eigenvectors of the Gram matrix L^T L
+    (i = 0) or R^T R (i = 1), taken in one stacked eigh call, and |w|[i]
     lists their magnitudes as Python floats.  The condition number is inf
     when a Gram matrix is singular; the second item gives precgd_step the
     inverse of each Gram matrix plus any ridge, or its pseudo-inverse,
-    without forming or decomposing it again.  Raises LinAlgError when the
+    without decomposing it again.  Raises LinAlgError when the
     eigendecomposition does not converge."""
     grams = np.empty((2, lf.shape[1], lf.shape[1]))
     lf.T.dot(lf, out=grams[0])
@@ -269,7 +259,7 @@ def gram_condition(lf: np.ndarray, rf: np.ndarray):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             lo = min(ev)
             worst = max(worst, float("inf") if lo <= 0 else max(ev) / lo)
-    return worst, (grams, w, v, mag)
+    return worst, (w, v, mag)
 
 
 def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:

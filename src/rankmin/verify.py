@@ -518,28 +518,33 @@ def criterion_saddle_escape(level):
 # 8. determinism
 
 
+def _hash_files(directory: str, names) -> tuple:
+    """({name: sha256}, digest) for the named files, the digest being the
+    sha256 of their `<sha256>  <name>` lines in name order, as
+    `sha256sum $(ls) | sha256sum` prints it."""
+    hashes = {}
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as fh:
+            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+    listing = "".join(f"{hashes[name]}  {name}\n" for name in sorted(hashes))
+    return hashes, hashlib.sha256(listing.encode()).hexdigest()
+
+
 @criterion
 def criterion_determinism(level):
     spec = harness.preset_fig1()
     if level != "full":
         spec = replace(spec, seed_count=3, etas=(0.4,))
-    digests = []
+    hashed = []
     for jobs in (1, 2):     # the bytes must not depend on --jobs
         with tempfile.TemporaryDirectory() as d:
             res = harness.run_experiment(spec, out_dir=d, jobs=jobs)
-            digest = {}
-            for name in res.files:
-                with open(os.path.join(d, name), "rb") as fh:
-                    digest[name] = hashlib.sha256(fh.read()).hexdigest()
-            digests.append(digest)
-    same_names = sorted(digests[0]) == sorted(digests[1])
-    mismatched = [k for k in digests[0] if digests[0][k] != digests[1].get(k)]
-    # sha256 of the per-file hashes by file name, as `sha256sum $(ls) | sha256sum` prints it
-    listing = "".join(f"{digests[0][name]}  {name}\n" for name in sorted(digests[0]))
-    details = {"files": len(digests[0]), "mismatched": mismatched,
-               "digest": hashlib.sha256(listing.encode()).hexdigest()}
-    summary = f"{len(digests[0])} files, {len(mismatched)} byte mismatches"
-    return same_names and not mismatched, summary, details
+            hashed.append(_hash_files(d, res.files))
+    (first, digest), (second, _) = hashed
+    mismatched = [k for k in first if first[k] != second.get(k)]
+    details = {"files": len(first), "mismatched": mismatched, "digest": digest}
+    summary = f"{len(first)} files, {len(mismatched)} byte mismatches"
+    return sorted(first) == sorted(second) and not mismatched, summary, details
 
 
 # ---------------------------------------------------------------------------

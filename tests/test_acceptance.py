@@ -2,14 +2,27 @@
 at the full level and reports its PASS/FAIL line; `rankmin verify --level
 full` runs the same suite from the command line."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from rankmin.verify import CRITERIA
+from rankmin import harness
+from rankmin.verify import CRITERIA, _hash_files
 
-# The determinism criterion's digest of the full fig1 preset's 250 files,
-# taken with numpy 2.4.6 and OpenBLAS 0.3.31.188.0.  A change that moves
-# these bytes on purpose updates the pin and says which outputs moved.
-FIG1_DIGEST = "02de5cefe0a3cd6d078aad436f5510cc37453ac0a1c33993a90bafa23b1a2a3f"
+# Digests of written file sets (sha256 of the `<sha256>  <name>` lines in
+# name order), taken with numpy 2.4.6 and OpenBLAS 0.3.31.188.0: the
+# determinism criterion's full fig1 preset (250 files), and the fig2 PSD
+# preset at one seed (42 files).  A change that moves these bytes on purpose
+# updates the pin and says which outputs moved.
+FIG1_DIGEST = "cee6ca8681f0fc9c3da8b8709310300d2257639c95e0e639e927831ebdfc556d"
+FIG2_ONE_SEED_DIGEST = "f9d8e954acada60b9f7a39cc6ffc9f84b9814e8fbc91dafcab0ab3a0b712e075"
+
+
+def pin_message(what: str, digest: str, pinned: str) -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"{what} bytes moved: digest {digest}, pinned {pinned} with numpy 2.4.6 and "
+            f"OpenBLAS 0.3.31.188.0; this run has numpy {np.__version__} and {blas['name']} "
+            f"{blas['version']}")
 
 
 def run_criterion(cid: str):
@@ -56,8 +69,12 @@ def test_saddle_escape():
 
 def test_determinism():
     digest = run_criterion("determinism").details["digest"]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert digest == FIG1_DIGEST, (
-        f"fig1 bytes moved: digest {digest}, pinned {FIG1_DIGEST} with numpy 2.4.6 and "
-        f"OpenBLAS 0.3.31.188.0; this run has numpy {np.__version__} and {blas['name']} "
-        f"{blas['version']}")
+    assert digest == FIG1_DIGEST, pin_message("fig1", digest, FIG1_DIGEST)
+
+
+def test_fig2_one_seed_bytes_are_pinned(tmp_path):
+    res = harness.run_experiment(replace(harness.preset_fig2(), seed_count=1),
+                                 out_dir=str(tmp_path), jobs=1)
+    _, digest = _hash_files(str(tmp_path), res.files)
+    assert len(res.files) == 42
+    assert digest == FIG2_ONE_SEED_DIGEST, pin_message("fig2", digest, FIG2_ONE_SEED_DIGEST)

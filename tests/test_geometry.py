@@ -556,6 +556,46 @@ def test_exact_hessian_matches_finite_differences():
         assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+class _LogCoshObjective(Objective):
+    """f(X) = sum phi(X_ij - T_ij) with phi(t) = t^2/2 + beta log cosh t.
+    Unlike the shipped objectives it is not quadratic: its Hessian-vector
+    product z (1 + beta sech^2 t) depends on the point."""
+
+    def __init__(self, target, beta):
+        self.target, self.beta = target, beta
+
+    def value(self, x):
+        t = x - self.target
+        return float(np.sum(0.5 * t * t + self.beta * (np.logaddexp(t, -t) - math.log(2.0))))
+
+    def gradient(self, x):
+        t = x - self.target
+        return t + self.beta * np.tanh(t)
+
+    def hessian_vector(self, x, z):
+        return z * (1.0 + self.beta / np.cosh(x - self.target) ** 2)
+
+
+class _LogCoshHessianAtZero(_LogCoshObjective):
+    def hessian_vector(self, x, z):
+        return super().hessian_vector(np.zeros_like(x), z)
+
+
+def test_exact_hessian_is_taken_at_the_base_point():
+    # a rank-3 base 0.5-Gaussian away from a kappa = 5 target; the same
+    # bound as above, which the Hessian taken at X = 0 must fail
+    from rankmin.verify import _fd_pullback_hessian
+    for seed in range(3):
+        rng = make_rng(seed)
+        target = random_ground_truth(8, 3, 5.0, rng).dense()
+        base = project_rank_r(target + 0.5 * rng.standard_normal((8, 8)), 3)
+        for objective, passes in ((_LogCoshObjective, True), (_LogCoshHessianAtZero, False)):
+            f = objective(target, 1.9)
+            fd = _fd_pullback_hessian(f, base)
+            err = np.linalg.norm(pullback_hessian(f, base) - fd)
+            assert (err <= 1e-6 * np.linalg.norm(fd)) == passes, (seed, objective.__name__)
+
+
 def test_hessian_vector_on_a_stack_matches_single_calls():
     rng = make_rng(129)
     for f, base in _hessian_cases():
@@ -765,7 +805,7 @@ def _driver_dot_operands(rng):
             for r in range(1, 5):
                 v, root = vt[:r].T, np.sqrt(s[:r])
                 lf, rf = u[:, :r] * root, v * root
-                _, (_, (w_l, w_r), (v_l, v_r), _) = solvers.gram_condition(lf, rf)
+                _, ((w_l, w_r), (v_l, v_r), _) = solvers.gram_condition(lf, rf)
                 rhs = g.dot(rf)
                 yield from ((u[:, :r] * s[:r], v.T), (g, rf), (g.T, lf),
                             (lf - 0.4 * rhs, (rf - 0.4 * g.T.dot(lf)).T),
