@@ -24,11 +24,9 @@ import numpy as np
 
 from . import harness
 from .diagnostics import MAX_PROBE_EVALUATIONS, BudgetExceededError, landscape_probe
-from .harness import SpecFileError
-from .objectives import generate_sensing, quadratic_objective, random_ground_truth, sensing_objective
+from .harness import OUT_ENV, SpecFileError
+from .objectives import quadratic_objective, sensing_objective
 from .verify import verify_suite
-
-OUT_ENV = "RANKMIN_OUT"
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -46,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=None,
                         help="worker processes, 1 to the usable core count (default: all)")
         sp.add_argument("--format", dest="formats",
-                        help="comma list of outputs: csv,svg,json")
+                        help="outputs among csv, svg, json, as [output] formats lists them")
 
     sp = sub.add_parser("run", help="run an experiment grid from a config file")
     sp.add_argument("spec_file")
@@ -69,26 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_out(flag_out, spec_out, name: str):
-    if flag_out:
-        return flag_out
-    if spec_out:
-        return spec_out
-    root = os.environ.get(OUT_ENV)
-    if root:
-        return os.path.join(root, name)
-    return None
-
-
-def _apply_overrides(spec, args):
-    if args.seed is not None:
-        spec = replace(spec, master_seed=int(args.seed))
-    if args.formats:
-        fmts = tuple(s.strip() for s in args.formats.split(",") if s.strip())
-        spec = replace(spec, formats=fmts)
-    return spec
-
-
 def _cmd_grid(spec, args, default_name: str) -> int:
     # the CPUs this process may run on; an affinity mask (taskset) can narrow them
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -98,12 +76,13 @@ def _cmd_grid(spec, args, default_name: str) -> int:
         print(f"error: --jobs must lie in [1, {cores}], the usable core count "
               f"(got {args.jobs})", file=sys.stderr)
         return EXIT_USAGE
-    spec = _apply_overrides(spec, args)
-    out = _resolve_out(args.out, spec.out_dir, default_name)
-    if not out:
-        print("error: no output directory (use --out, the config file, or $%s)" % OUT_ENV,
-              file=sys.stderr)
-        return EXIT_USAGE
+    # each flag reads as its spec-file key
+    if args.seed is not None:
+        spec = replace(spec, master_seed=args.seed)
+    if args.formats is not None:
+        spec = replace(spec, formats=harness._parse_words(args.formats))
+    root = os.environ.get(OUT_ENV)
+    out = args.out or spec.out_dir or (root and os.path.join(root, default_name))
     jobs = args.jobs if args.jobs is not None else cores
     result = harness.run_experiment(spec, out_dir=out, jobs=jobs)
     print(f"wrote {len(result.files)} files to {result.out_dir}")
@@ -120,7 +99,9 @@ _PROBE_SCHEMA = {"probe": {key: harness._parse_bool if isinstance(v, bool) else 
                            for key, v in _PROBE_DEFAULTS.items()}}
 
 
-def parse_probe_file(path) -> dict:
+def parse_probe_file(path):
+    """The [probe] settings of a probe file, and its instance as the
+    validated one-cell grid that harness.cell_problem builds."""
     sections = harness.read_schema_text(harness.read_config_file(path), _PROBE_SCHEMA, str(path))
     cfg = dict(_PROBE_DEFAULTS, **sections.get("probe", {}))
     if cfg["objective"] not in ("quadratic", "sensing"):
@@ -136,10 +117,10 @@ def parse_probe_file(path) -> dict:
     if not (np.isfinite(cfg["gamma"]) and cfg["gamma"] >= 0):
         raise SpecFileError("gamma must be finite and >= 0")
     # the instance obeys the rules of a one-cell grid, with its messages
-    harness.ExperimentSpec(n=cfg["n"], r=cfg["r"], r_star=(cfg["r_star"],),
-                           kappa=(cfg["kappa"],), m_factor=cfg["m_factor"],
-                           master_seed=cfg["seed"], seed_count=1).validate()
-    return cfg
+    spec = harness.ExperimentSpec(n=cfg["n"], r=cfg["r"], r_star=(cfg["r_star"],),
+                                  kappa=(cfg["kappa"],), m_factor=cfg["m_factor"],
+                                  psd=cfg["psd"], master_seed=cfg["seed"], seed_count=1)
+    return cfg, spec.validate()
 
 
 def _num(x):
@@ -148,18 +129,12 @@ def _num(x):
 
 
 def _cmd_probe(args) -> int:
-    cfg = parse_probe_file(args.spec_file)
-    n, r = cfg["n"], cfg["r"]
-    if cfg["objective"] == "quadratic":
-        x_star = random_ground_truth(n, cfg["r_star"], cfg["kappa"], cfg["seed"])
-        f = quadratic_objective(x_star)
-    else:
-        problem = generate_sensing(n=n, r=r, r_star=cfg["r_star"], kappa=cfg["kappa"],
-                                   m=cfg["m_factor"] * n * r, seed=cfg["seed"],
-                                   symmetric_psd=cfg["psd"])
-        x_star = problem.ground_truth
-        f = sensing_objective(problem)
-    points = landscape_probe(f, n, r, seed=cfg["seed"], starts=cfg["starts"],
+    cfg, spec = parse_probe_file(args.spec_file)
+    problem = harness.cell_problem(spec, cfg["kappa"], cfg["r_star"], cfg["seed"])
+    # the quadratic's target is the cell's ground truth, drawn first from the seed
+    x_star = problem.ground_truth
+    f = quadratic_objective(x_star) if cfg["objective"] == "quadratic" else sensing_objective(problem)
+    points = landscape_probe(f, spec.n, spec.r, seed=cfg["seed"], starts=cfg["starts"],
                              iters=cfg["iters"], eps=cfg["eps"], gamma=cfg["gamma"])
     xsd = x_star.dense()
     xs_norm = float(np.linalg.norm(xsd))

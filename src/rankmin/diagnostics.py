@@ -88,11 +88,11 @@ def certify_second_order(x: FactoredMatrix, f, eps: float, gamma: float,
     """Measure first- and second-order stationarity of f at a rank-r point.
 
     Full-rank points get the tangent gradient norm and the smallest pullback
-    Hessian eigenvalue; rank-deficient points only get the ambient gradient
-    norm and certify as indeterminate."""
+    Hessian eigenvalue; rank-deficient points, the zero matrix included,
+    only get the ambient gradient norm and certify as indeterminate."""
     rank = x.rank if rank is None else int(rank)
     g = np.asarray(f.gradient(x.dense()), dtype=float)
-    if x.rank >= rank:
+    if 0 < rank <= x.rank:
         grad_norm = project_tangent(g, x).norm()
         min_eig, _ = pullback_hessian_min_eig(f, x)
     else:

@@ -135,8 +135,8 @@ class FactoredMatrix:
         return float(self.sigma[-1]) if self.rank else 0.0
 
     def sigma_r(self, r: int) -> float:
-        """r-th singular value under search rank r; zero when the point is rank deficient."""
-        return float(self.sigma[r - 1]) if self.rank >= r else 0.0
+        """r-th singular value under search rank r; zero when the point is rank deficient or r < 1."""
+        return float(self.sigma[r - 1]) if 0 < r <= self.rank else 0.0
 
     def balanced_factors(self):
         """(left, right) with left @ right.T == dense(): u*sqrt(sigma), v*sqrt(sigma)."""

@@ -40,6 +40,8 @@ MAX_GRID_ITERATIONS = 10 ** 7
 # seeds lie in [0, MAX_SEED): make_rng reduces a seed mod 2^64, so a wider
 # range would build one instance under two seeds
 MAX_SEED = 2 ** 63
+# the command line's output root when neither --out nor [output] directory is set
+OUT_ENV = "RANKMIN_OUT"
 
 
 class SpecFileError(ValueError):
@@ -314,15 +316,19 @@ def _grid(spec: ExperimentSpec):
     return tasks
 
 
+def cell_problem(spec: ExperimentSpec, kappa, r_star, seed):
+    """The sensing instance of the grid cell (kappa, r_star, seed): m =
+    m_factor * n * r measurements of a rank-r_star target, PSD if spec.psd."""
+    return generate_sensing(n=spec.n, r=spec.r, r_star=r_star, kappa=kappa,
+                            m=spec.m_factor * spec.n * spec.r, seed=seed,
+                            symmetric_psd=spec.psd)
+
+
 def run_cell(spec: ExperimentSpec, algo, kappa, r_star, eta, seed, rng=None):
-    """The SolverTrace of one grid cell: the spec's sensing instance for
+    """The SolverTrace of one grid cell: cell_problem's sensing instance for
     (kappa, r_star, seed), its spectral init, and one solver run at eta.
     rng feeds pprojgd's perturbations only."""
-    problem = generate_sensing(
-        n=spec.n, r=spec.r, r_star=r_star, kappa=kappa,
-        m=spec.m_factor * spec.n * spec.r, seed=seed,
-        symmetric_psd=spec.psd,
-    )
+    problem = cell_problem(spec, kappa, r_star, seed)
     cfg = SolverConfig(
         eta=eta, max_iters=spec.max_iters, tol_rel_err=spec.tol_rel_err,
         diverge_threshold=spec.diverge_threshold, pprojgd=spec.pprojgd,
@@ -367,7 +373,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
     spec.validate()
     out_dir = out_dir or spec.out_dir
     if not out_dir:
-        raise SpecFileError("no output directory (set [output] directory or pass --out)")
+        raise SpecFileError(f"no output directory (pass --out, set [output] directory, "
+                            f"or set ${OUT_ENV})")
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(spec,) + t for t in _grid(spec)]
     runs = {}                           # name -> (summary, rel_err column)

@@ -462,6 +462,8 @@ def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
     Overflow is not reported as a warning: a non-finite iterate stops the
     run as diverged.  Returns (final state, trace)."""
     rank = x0.rank if rank is None else int(rank)
+    if rank < 1:
+        raise ValueError(f"the search rank must be >= 1, got {rank}")
     builder = _TraceBuilder(algo, f, cfg, x_star)
     record, value_and_grad = builder.record, f.value_and_grad
     with np.errstate(over="ignore", invalid="ignore"):
@@ -488,7 +490,7 @@ def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):
 def run_solver(algo: str, f, x0: FactoredMatrix, cfg: SolverConfig,
                x_star=None, rng: Optional[np.random.Generator] = None) -> SolverTrace:
     """Run one solver from x0, whose rank is the search rank, to
-    termination and return its trace.
+    termination and return its trace.  A rank-0 x0 raises ValueError.
 
     x_star (optional) enables the f_gap / rel_err columns and the
     convergence/divergence stopping rules.  rng is only consumed by

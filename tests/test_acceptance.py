@@ -2,11 +2,13 @@
 at the full level and reports its PASS/FAIL line; `rankmin verify --level
 full` runs the same suite from the command line."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from rankmin import harness
+from rankmin import harness, verify
 from rankmin.verify import CRITERIA, _hash_files
 
 # Digests of written file sets (sha256 of the `<sha256>  <name>` lines in
@@ -37,6 +39,23 @@ def test_criteria_are_listed_in_verdict_order():
     assert list(CRITERIA) == ["trace_panels", "step_size_sweep", "local_rate", "global_window",
                               "lemma_suites", "geometry_oracles", "saddle_escape",
                               "determinism"]
+
+
+def test_verify_suite_prints_and_writes_the_verdict(monkeypatch, tmp_path, capsys):
+    # two stub criteria stand in for the registered eight
+    def stub(cid, passed):
+        return lambda level: verify.CriterionResult(cid, passed, f"{level} run", {"k": 1}, 0.5)
+    monkeypatch.setattr(verify, "CRITERIA", {"good": stub("good", True), "bad": stub("bad", False)})
+    out = tmp_path / "verdict.json"
+    verdict = verify.verify_suite(level="quick", out=str(out))
+    assert capsys.readouterr().out == "PASS good: quick run [0.5s]\nFAIL bad: quick run [0.5s]\n"
+    assert verdict["level"] == "quick" and verdict["all_passed"] is False
+    assert [c["cid"] for c in verdict["criteria"]] == ["good", "bad"]
+    assert json.loads(out.read_text()) == verdict
+    monkeypatch.setattr(verify, "CRITERIA", {"good": stub("good", True)})
+    assert verify.verify_suite(level="full")["all_passed"] is True
+    with pytest.raises(ValueError, match="level"):
+        verify.verify_suite(level="medium")
 
 
 def test_trace_panels():

@@ -73,7 +73,23 @@ def test_run_without_any_out_is_usage_error(tmp_path, monkeypatch, capsys):
     cfg = write(tmp_path / "grid.ini", CFG)
     monkeypatch.delenv(cli.OUT_ENV, raising=False)
     assert cli.main(["run", cfg, "--jobs", "1"]) == 2
-    assert "output directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the one line names all three sources
+    assert err.count("\n") == 1 and err.startswith("error: no output directory")
+    assert "--out" in err and "[output] directory" in err and "$RANKMIN_OUT" in err
+
+
+def test_output_directory_order(tmp_path, monkeypatch):
+    # --out, then [output] directory, then $RANKMIN_OUT/<name>
+    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "root"))
+    named = write(tmp_path / "named.ini", CFG + f"\n[output]\ndirectory = {tmp_path / 'spec'}\n")
+    unnamed = write(tmp_path / "grid.ini", CFG)
+    for argv, where in ((["run", named, "--out", str(tmp_path / "flag")], "flag"),
+                        (["run", named], "spec"), (["run", unnamed], "root/run")):
+        assert cli.main(argv + ["--jobs", "1", "--format", "json"]) == 0
+        found = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("manifest.json"))
+        assert found == [f"{where}/manifest.json"]
+        shutil.rmtree(tmp_path / where.split("/")[0])
 
 
 @pytest.mark.parametrize("verb", ["run", "preset"])
@@ -143,13 +159,28 @@ def test_run_empty_list_is_usage_error(tmp_path, capsys, old, name):
 
 
 def test_run_empty_format_flag_is_usage_error(tmp_path, capsys):
+    # an empty flag is read as the empty key formats =, not as no flag
     cfg = write(tmp_path / "grid.ini", CFG)
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1",
-                     "--format", ","]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "formats needs at least one value" in err
-    assert not (tmp_path / "o").exists()
+    for formats in (",", ""):
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1",
+                         "--format", formats]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: formats needs at least one value\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_format_flag_parses_as_the_formats_key(tmp_path):
+    # case and separators as [output] formats accepts them
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    assert cli.main(["run", write(tmp_path / "grid.ini", CFG), "--out", str(flag),
+                     "--jobs", "1", "--format", "CSV svg"]) == 0
+    cfg = write(tmp_path / "key.ini", CFG + "\n[output]\nformats = CSV svg\n")
+    assert cli.main(["run", cfg, "--out", str(key), "--jobs", "1"]) == 0
+    names = sorted(p.name for p in flag.iterdir())
+    assert names == sorted(p.name for p in key.iterdir())
+    assert "eta_sweep.csv" in names and "panel_k1_rs2.svg" in names
+    assert "manifest.json" not in names
+    assert all((flag / n).read_bytes() == (key / n).read_bytes() for n in names)
 
 
 @pytest.mark.parametrize("old, new, name", [("kappa = 1", "kappa = inf", "kappa"),
@@ -236,7 +267,7 @@ def _forbid_operator_allocation(monkeypatch):
     def fail(*args, **kwargs):
         pytest.fail("an oversized spec got past validation")
     for module, name in ((harness, "run_experiment"), (harness, "generate_sensing"),
-                         (objectives, "generate_sensing"), (cli, "generate_sensing"),
+                         (objectives, "generate_sensing"),
                          (cli, "landscape_probe"), (diagnostics, "landscape_probe")):
         monkeypatch.setattr(module, name, fail)
 

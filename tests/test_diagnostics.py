@@ -91,6 +91,15 @@ def test_certificate_rank_deficient_is_indeterminate():
         assert cert.classification == "indeterminate"
 
 
+def test_certificate_of_the_zero_matrix_is_indeterminate():
+    # search rank 0: no tangent space to measure, so nothing is certified
+    f = quadratic_objective(random_ground_truth(4, 2, 2.0, make_rng(16)))
+    cert = certify_second_order(FactoredMatrix.zero(4, 4), f, 1e-6, 0.0)
+    assert cert.classification == "indeterminate"
+    assert np.isnan(cert.grad_norm) and np.isnan(cert.min_eig) and cert.sigma_r == 0.0
+    assert cert.ambient_grad_norm == pytest.approx(1.0)
+
+
 def test_classify_certificate_rule_table():
     kw = dict(eps=1e-4, gamma=0.0, eig_tol=1e-7)
     assert classify_certificate(1e-5, 0.3, **kw) == "second-order-minimizer"
@@ -180,6 +189,12 @@ def test_descent_lemma_checks_gradient_rows_only():
     assert rep.worst_margin == 0.5 - 0.5 * (2.0 - 1.0) * 0.1 ** 2
     no_steps = check_descent_lemma(SolverTrace("pprojgd", tr.records[:1]), 1.0, 0.5)
     assert not no_steps.applicable
+    # a gradient row that raises f is a violation
+    rising = tr.records + [TraceRecord(4, 1.5, 0.0, 0.0, 0.1, 1.0, "gradient")]
+    bad = check_descent_lemma(SolverTrace("pprojgd", rising), 1.0, 0.5)
+    assert bad.applicable and not bad.passed
+    assert bad.steps_checked == 2 and bad.violations == 1
+    assert bad.worst_margin == (0.9 - 1.5) - 0.5 * (2.0 - 1.0) * 0.1 ** 2
 
 
 # -------------------------------------------------- projection lemma

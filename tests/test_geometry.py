@@ -186,6 +186,9 @@ def test_psd_clip_example():
     p = project_psd_rank_r(np.diag([2.0, 1.0, -5.0]), 2)
     assert np.allclose(p.dense(), np.diag([2.0, 1.0, 0.0]), atol=1e-14)
     assert np.array_equal(p.u, p.v)
+    # no positive eigenvalue: the empty factorization
+    p = project_psd_rank_r(-np.eye(4), 2)
+    assert p.rank == 0 and p.u.shape == (4, 0) and not p.dense().any()
 
 
 def test_psd_idempotent_on_feasible():

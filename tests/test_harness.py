@@ -348,6 +348,11 @@ def test_atomic_write_replaces_in_place(tmp_path):
     _atomic_write(str(path), "new\n")
     assert path.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+    # a write that raises leaves the old target and no .tmp_*.part file
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(path), "bad \udcff\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 # -------------------------------------------------- plotting

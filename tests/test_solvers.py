@@ -3,6 +3,7 @@ baselines, the perturbed solver's branch logic, and the tangent-descent
 boundary mechanics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,20 @@ def test_run_solver_rejects_zero_x_star():
     # iterate from a diverged one
     with pytest.raises(ValueError, match="x_star"):
         run_solver("projgd", quadratic_objective(x0), x0, cfg, x_star=np.full((5, 5), np.nan))
+
+
+@pytest.mark.parametrize("algo", solvers.ALGORITHMS)
+def test_run_solver_rejects_a_rank_zero_start(algo):
+    # the zero matrix, and the spectral init of zero observations, leave no
+    # search rank: one ValueError line, not an IndexError or a run
+    p = generate_sensing(n=5, r=2, r_star=2, kappa=2.0, seed=16)
+    zero_obs = replace(p, observations=np.zeros(p.m))
+    quad = quadratic_objective(random_ground_truth(5, 2, 2.0, make_rng(219)))
+    cfg = SolverConfig(eta=0.4, max_iters=3)
+    for f, x0 in ((quad, FactoredMatrix.zero(5, 5)),
+                  (sensing_objective(zero_obs), spectral_init(zero_obs))):
+        with pytest.raises(ValueError, match=r"^the search rank must be >= 1, got 0$"):
+            run_solver(algo, f, x0, cfg, rng=make_rng(0))
 
 
 def test_run_solver_monotone_quadratic_descent():
