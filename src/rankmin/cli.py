@@ -23,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .diagnostics import MAX_PROBE_EVALUATIONS, BudgetExceededError, landscape_probe
+from .diagnostics import (MAX_PROBE_EVALUATIONS, MAX_PROBE_N, MAX_PROBE_R, BudgetExceededError,
+                          landscape_probe)
 from .harness import OUT_ENV, SpecFileError
 from .objectives import quadratic_objective, sensing_objective
 from .verify import verify_suite
@@ -103,13 +104,16 @@ def parse_probe_file(path):
     """The [probe] settings of a probe file, and its instance as the
     validated one-cell grid that harness.cell_problem builds."""
     sections = harness.read_schema_text(harness.read_config_file(path), _PROBE_SCHEMA, str(path))
-    cfg = dict(_PROBE_DEFAULTS, **sections.get("probe", {}))
+    given = sections.get("probe", {})
+    cfg = dict(_PROBE_DEFAULTS, **given)
     if cfg["objective"] not in ("quadratic", "sensing"):
         raise SpecFileError("objective must be 'quadratic' or 'sensing'")
     if cfg["psd"] and cfg["objective"] == "quadratic":
         raise SpecFileError("psd = true needs objective = sensing (the quadratic has no PSD mode)")
-    if cfg["n"] > 4 or cfg["r"] > 2:
-        raise SpecFileError("the probe is for n <= 4, r <= 2 only")
+    if "m_factor" in given and cfg["objective"] == "quadratic":
+        raise SpecFileError("m_factor needs objective = sensing (the quadratic reads no operators)")
+    if cfg["n"] > MAX_PROBE_N or cfg["r"] > MAX_PROBE_R:
+        raise SpecFileError(f"the probe is for n <= {MAX_PROBE_N}, r <= {MAX_PROBE_R} only")
     if cfg["starts"] < 1 or cfg["iters"] < 1:
         raise SpecFileError("starts and iters must be >= 1")
     if not (np.isfinite(cfg["eps"]) and cfg["eps"] > 0):

@@ -3,9 +3,9 @@ per-step descent and projection inequalities, convergence-rate estimation,
 and a brute-force landscape probe for desk-size instances.
 
 The numeric bounds checked here (the 2/3 projection constant, the descent
-slack, the stationarity threshold) are module-level names on purpose: the
-verification suite reads them at call time, so a deliberately broken bound
-is caught by the mutation smoke test.
+slack, the derivative-bound kappa0, the stationarity threshold) are
+module-level names on purpose: the verification suite reads them at call
+time, so a deliberately broken bound is caught by the mutation smoke test.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .solvers import BRANCH_GRADIENT, SolverConfig, SolverTrace, _drive
 # rank-r projection loses at most 1/3 of the tangent displacement
 PROJECTION_RATIO_BOUND = 2.0 / 3.0
 PROJECTION_RATIO_SLACK = 1e-9
+# the derivative-bound lemma's curvature mismatch, kappa0 = L - 1 with (L + mu)/2 = 1
+DERIVATIVE_BOUND_KAPPA0 = 0.3
 # a descent-lemma margin below -DESCENT_SLACK * max(1, |f(X_t)|) is a violation
 DESCENT_SLACK = 1e-10
 # eigenvalues within this fraction of max(1, L) of zero count as zero
@@ -40,6 +42,9 @@ CLUSTER_RADIUS_SCALE = 10.0
 AMBIENT_STATIONARITY_FACTOR = 8.0 / 3.0
 # the landscape probe plans at most this many objective evaluations
 MAX_PROBE_EVALUATIONS = 10_000_000
+# the landscape probe's largest instance: n x n matrices of rank r
+MAX_PROBE_N = 4
+MAX_PROBE_R = 2
 
 CLASS_MINIMIZER = "second-order-minimizer"
 CLASS_SADDLE = "saddle"
@@ -149,7 +154,6 @@ class ProjectionReport:
     samples: int
     min_contraction_ratio: float   # min ||P_r(Y)-X|| / ||P_T(Y)-X||
     min_spectral_margin: float     # min of ||P_r(X+Z)-X|| - 0.5(||Z||_2 - sigma_r)
-    bound: float
     passed: bool
 
 
@@ -160,7 +164,6 @@ def check_projection_lemma(samples: int = 10000) -> ProjectionReport:
     spectral-norm lower bound ||P_r(X+Z) - X|| >= (||Z||_2 - sigma_r(X)) / 2."""
     n, r = 8, 3
     rng = make_rng(0, stream=11)
-    bound = PROJECTION_RATIO_BOUND
     min_ratio = math.inf
     min_margin = math.inf
     kept = 0
@@ -187,19 +190,19 @@ def check_projection_lemma(samples: int = 10000) -> ProjectionReport:
         spec_rhs = 0.5 * (float(np.linalg.norm(z, 2)) - x.sigma_r(r))
         min_margin = min(min_margin, num - spec_rhs)
         kept += 1
-    passed = (min_ratio >= bound - PROJECTION_RATIO_SLACK) and (min_margin >= -PROJECTION_RATIO_SLACK)
+    passed = ((min_ratio >= PROJECTION_RATIO_BOUND - PROJECTION_RATIO_SLACK)
+              and (min_margin >= -PROJECTION_RATIO_SLACK))
     return ProjectionReport(samples=kept, min_contraction_ratio=float(min_ratio),
-                            min_spectral_margin=float(min_margin), bound=bound, passed=passed)
+                            min_spectral_margin=float(min_margin), passed=passed)
 
 
-def check_derivative_bound_lemma(kappa0: float = 0.3, samples: int = 5000) -> float:
+def check_derivative_bound_lemma(samples: int = 5000) -> float:
     """Worst slack of ||grad f(X) - (X - X*)|| <= kappa0 ||X - X*|| over random
     8 x 8 quadratics f(X) = 0.5 <X - X*, D o (X - X*)> whose entrywise curvatures D
-    lie in [1 - kappa0, 1 + kappa0] (so (L + mu)/2 = 1 and kappa0 = L - 1).
+    lie in [1 - kappa0, 1 + kappa0], kappa0 = DERIVATIVE_BOUND_KAPPA0.
     Includes the extremal all-ones-times-(1 +- kappa0) instances where the
     bound is tight.  Negative return value means no violation."""
-    if not 0.0 <= kappa0 < 1.0:
-        raise ValueError("kappa0 must be in [0, 1)")
+    kappa0 = DERIVATIVE_BOUND_KAPPA0
     n = 8
     rng = make_rng(0, stream=13)
     worst = -math.inf
@@ -261,7 +264,7 @@ class StationaryPoint:
 
 def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: int = 3000,
                     eps: float = 1e-6, gamma: float = 0.0):
-    """Brute-force stationary-point census for tiny instances (n <= 4, r <= 2).
+    """Brute-force stationary-point census for n <= MAX_PROBE_N, r <= MAX_PROBE_R.
 
     Multi-start projected gradient with step 0.25/L (L from f's
     smoothness_constants, 1 when it has none) runs each start to a
@@ -276,17 +279,17 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: i
     The pass each driver run makes at its own start point is not counted;
     a run's last record gives the f value of its terminal point.  A plan
     above MAX_PROBE_EVALUATIONS raises BudgetExceededError before any run."""
-    if n > 4 or r > 2:
-        raise ValueError("landscape probe is for n <= 4, r <= 2 only")
+    if n > MAX_PROBE_N or r > MAX_PROBE_R:
+        raise ValueError(f"landscape probe is for n <= {MAX_PROBE_N}, r <= {MAX_PROBE_R} only")
     eta = 0.25 / max(_lipschitz(f), 1e-12)
-    planned = starts * (iters + 500 + 2 + 4)
-    if planned > MAX_PROBE_EVALUATIONS:
-        raise BudgetExceededError(f"planned {planned} objective evaluations exceed "
-                                  f"the budget of {MAX_PROBE_EVALUATIONS}")
     tol = 1e-12     # relative step-norm stop of the descent runs
     descent = SolverConfig(eta=eta, max_iters=iters, tol_step=tol)
     # refinement pass with a smaller step before certifying
     refine = SolverConfig(eta=eta / 4.0, max_iters=500, tol_step=0.1 * tol)
+    planned = starts * (iters + refine.max_iters + 2 + 4)
+    if planned > MAX_PROBE_EVALUATIONS:
+        raise BudgetExceededError(f"planned {planned} objective evaluations exceed "
+                                  f"the budget of {MAX_PROBE_EVALUATIONS}")
     rng = make_rng(seed, stream=13)
     scales = (0.1, 1.0, 10.0)
     terminals = []  # (terminal point, its f value)

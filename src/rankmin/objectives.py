@@ -41,7 +41,7 @@ class Objective:
     directly: value and gradient, which a subclass defines; value_and_grad,
     which defaults to the two separate calls; the Hessian-vector product
     that the second-order certificate needs; the symmetric_psd flag (False);
-    and restricted smoothness/convexity constants (L, mu, rho), None by
+    and the restricted smoothness and convexity constants (L, mu), None by
     default.
 
     in_frames(p, q), for square orthogonal p and q, returns an objective g
@@ -80,8 +80,7 @@ class Objective:
 class QuadraticObjective(Objective):
     """f(X) = 0.5 * ||X - target||_F^2 with gradient X - target.
 
-    The canonical well-conditioned objective: L = mu = 1, exactly quadratic
-    (rho = 0).
+    The canonical well-conditioned objective: L = mu = 1.
     """
 
     def __init__(self, target):
@@ -111,7 +110,7 @@ class QuadraticObjective(Objective):
         return z
 
     def smoothness_constants(self):
-        return (1.0, 1.0, 0.0)
+        return (1.0, 1.0)
 
 
 def quadratic_objective(x_star) -> QuadraticObjective:

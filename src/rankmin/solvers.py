@@ -41,8 +41,6 @@ BRANCH_GRADIENT = "gradient"
 BRANCH_TANGENT = "tangent-escape"
 BRANCH_TERMINATE = "terminate"
 
-ALGORITHMS = ("projgd", "fgd", "scaledgd", "precgd", "pprojgd")
-
 # a Gram matrix with sigma_min at or below this fraction of sigma_max flags
 # the run as a Gram breakdown
 GRAM_BREAKDOWN_RATIO = 1e-12
@@ -54,14 +52,11 @@ _PINV_RCOND = 1e-15
 # cap on the inner steps of one tangent escape: 100x the budget at eta >= 0.01
 MAX_TANGENT_ITERS = 10 ** 6
 
-CSV_COLUMNS = ("iter", "f_value", "f_gap", "rel_err", "step_norm", "sigma_r", "branch")
-
 
 class _ResolvedPprojgd(NamedTuple):
     epsilon: float
     epsilon_t: float
     eta_t: float
-    perturb_radius: float
     max_tangent_iters: int
 
 
@@ -86,7 +81,7 @@ class PprojgdParams:
         if j_max > MAX_TANGENT_ITERS:
             raise ValueError(f"max_tangent_iters exceeds the cap of {MAX_TANGENT_ITERS} "
                              "(it is ceil(1/(eta_t*sqrt(epsilon))))")
-        return _ResolvedPprojgd(eps, eps_t, eta_t, eps, math.ceil(j_max))
+        return _ResolvedPprojgd(eps, eps_t, eta_t, math.ceil(j_max))
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,9 @@ class TraceRecord(NamedTuple):
     branch: str
 
 
+CSV_COLUMNS = ("iter",) + TraceRecord._fields[1:]
+
+
 @dataclass
 class SolverTrace:
     algorithm: str
@@ -146,7 +144,7 @@ class SolverTrace:
     def column(self, name: str) -> np.ndarray:
         if name == "branch":
             raise ValueError("branch is not numeric")
-        i = 0 if name == "iter" else TraceRecord._fields.index(name)
+        i = CSV_COLUMNS.index(name)
         return np.array([rec[i] for rec in self.records], dtype=float)
 
     def iterations_to(self, rel_err: float) -> Optional[int]:
@@ -262,14 +260,14 @@ def gram_condition(lf: np.ndarray, rf: np.ndarray):
     return worst, (w, v, mag)
 
 
-def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> float:
-    """Smallest positive t with ||s - t g||_F = eps_t (quadratic in t).
-    Assumes ||s|| <= eps_t; returns 0 in the degenerate no-crossing case."""
-    a = g.inner(g)
+def _boundary_step_length(st: np.ndarray, gt: np.ndarray, eps_t: float) -> float:
+    """Smallest positive t with ||st - t gt||_F = eps_t, for frame arrays with
+    ||st|| <= eps_t; 0 in the degenerate no-crossing case."""
+    a = float(np.vdot(gt, gt))
     if a == 0.0:
         return 0.0
-    b = -2.0 * s.inner(g)
-    c = s.inner(s) - eps_t * eps_t
+    b = -2.0 * float(np.vdot(st, gt))
+    c = float(np.vdot(st, st)) - eps_t * eps_t
     disc = max(b * b - 4.0 * a * c, 0.0)
     sq = math.sqrt(disc)
     q = -0.5 * (b + sq) if b >= 0 else -0.5 * (b - sq)
@@ -280,16 +278,15 @@ def _boundary_step_length(s: TangentVector, g: TangentVector, eps_t: float) -> f
     return min(pos) if pos else 0.0
 
 
-def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: float,
+def tangent_space_steps(x: FactoredMatrix, f, radius: float, eta_t: float,
                         epsilon_t: float, max_iters: int,
                         rng: np.random.Generator) -> FactoredMatrix:
     """Randomized descent on the pullback f(Retr_x(S)) inside the eps_t ball.
 
-    Start from a uniform tangent perturbation of norm perturb_radius scaled
-    by eta_t; take gradient steps; the first step that would leave the ball
-    is shrunk to land exactly on the boundary and the retraction is returned
-    immediately.  If no step escapes within max_iters, the final in-ball
-    point is retracted.
+    Start from a uniform tangent perturbation of norm radius scaled by
+    eta_t and take gradient steps until one would leave the ball, which is
+    then shrunk to land exactly on the boundary, or until max_iters steps
+    stay inside; the end point is retracted once.
 
     On a symmetric PSD objective the perturbation is symmetrized (core
     symmetric, right = left^T) before it is scaled, so that with the
@@ -299,7 +296,7 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
         # a PSD point has u = v, so both frames are one array and the
         # symmetric part of the frame array is the symmetric perturbation
         s = TangentVector._wrap(0.5 * (s.st + s.st.T), x)
-    st = ((eta_t * perturb_radius / s.norm()) * s).st
+    st = ((eta_t * radius / s.norm()) * s).st
     # one kernel for the escape; the inner steps run on bare frame arrays
     pull = _Pullback(x, f)
     # every inner point has ||S_core||_F <= ||S||_F <= max(eps_t, ||S_0||_F),
@@ -308,12 +305,10 @@ def tangent_space_steps(x: FactoredMatrix, f, perturb_radius: float, eta_t: floa
     for _ in range(max_iters):
         gt = pull.grad(st, cleared)
         st_plus = st - eta_t * gt
-        if _fro(st_plus) <= epsilon_t:
-            st = st_plus
-        else:
-            s, grad = TangentVector._wrap(st, x), TangentVector._wrap(gt, x)
-            t = _boundary_step_length(s, grad, epsilon_t)
-            return retract(x, s - t * grad)
+        if _fro(st_plus) > epsilon_t:
+            st = st - _boundary_step_length(st, gt, epsilon_t) * gt
+            break
+        st = st_plus
     return retract(x, TangentVector._wrap(st, x))
 
 
@@ -330,9 +325,6 @@ class _TraceBuilder:
             if not 0.0 < self.xs_norm < math.inf:
                 raise ValueError(f"x_star has norm {self.xs_norm!r}: relative error is undefined")
             self.f_star = float(f.value(self.xs_dense))
-        else:
-            self.xs_norm = float("nan")
-            self.f_star = float("nan")
         self.trace = SolverTrace(algorithm=algorithm, records=[])
 
     def record(self, iteration, xd, fv, sigma_r, step_norm, branch):
@@ -438,7 +430,7 @@ def _perturbed_kernel(f, x0, cfg, rank, rng, trace):
         if x_plus is x or _fro(plus_d - xd) >= grad_floor:
             return x_plus, plus_d, sigma_r, branch
         if x.sigma_r(rank) > 2.0 * params.epsilon_t:
-            y = tangent_space_steps(x, f, params.perturb_radius, params.eta_t,
+            y = tangent_space_steps(x, f, params.epsilon, params.eta_t,
                                     params.epsilon_t, params.max_tangent_iters, rng)
             return y, y.dense(), y.sigma_r(rank), BRANCH_TANGENT
         return x, plus_d, x.sigma_r(rank), BRANCH_TERMINATE
@@ -453,6 +445,8 @@ _KERNELS = {
     "precgd": _preconditioned_kernel,
     "pprojgd": _perturbed_kernel,
 }
+
+ALGORITHMS = tuple(_KERNELS)
 
 
 def _drive(algo, f, x0, cfg, x_star=None, rank=None, rng=None):

@@ -28,10 +28,9 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, max_ticks: int = 8):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max_ticks
+def _ticks(lo: float, hi: float):
+    """Tick values across [lo, hi], lo < hi (render_panel widens a flat range)."""
+    raw = (hi - lo) / 8     # at most 8 tick steps per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:

@@ -64,7 +64,7 @@ def criterion(fn):
     return a timed CriterionResult."""
     cid = fn.__name__.removeprefix("criterion_")
 
-    def timed(level: str = "full") -> CriterionResult:
+    def timed(level: str) -> CriterionResult:
         t0 = time.perf_counter()
         passed, summary, details = fn(level)
         return CriterionResult(cid, passed, summary, _jsonable(details),
@@ -307,7 +307,7 @@ def criterion_lemma_suites(level):
 
     proj = check_projection_lemma(samples=10_000 if full else 1500)
 
-    deriv_worst = check_derivative_bound_lemma(kappa0=0.3, samples=5000 if full else 800)
+    deriv_worst = check_derivative_bound_lemma(samples=5000 if full else 800)
     deriv_ok = deriv_worst <= 1e-10
 
     # termination bound: engineered stops with sigma_r(X*) below 2 eps_t

@@ -559,6 +559,8 @@ def test_probe_unknown_key(tmp_path, capsys):
     (PROBE + "gamma = inf\n", "gamma"),
     (PROBE + "gamma = -1\n", "gamma"),
     (PROBE + "psd = true\n", "psd"),
+    (PROBE + "m_factor = 3\n", "m_factor needs objective = sensing"),
+    (PROBE + "m_factor = 65536\n", "m_factor needs objective = sensing"),
     (PROBE + "budget = 100\n", "budget"),
     (PROBE + "seed = 18446744073709551616\n", "seed"),
     (PROBE + "seed = -1\n", "seed"),
@@ -567,8 +569,11 @@ def test_probe_unknown_key(tmp_path, capsys):
 ], ids=["n5", "r3", "r_star_above_r", "r_star0", "starts0", "iters0", "no_section",
         "duplicate_key", "kappa_below_1", "kappa_inf", "m_factor0", "eps_nan", "eps_inf",
         "eps0", "eps_negative", "gamma_nan", "gamma_inf", "gamma_negative", "psd_quadratic",
-        "budget_key", "seed_2_64", "seed_negative", "not_utf8"])
-def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, text, needle):
+        "m_factor_quadratic", "m_factor_quadratic_at_cap", "budget_key", "seed_2_64",
+        "seed_negative", "not_utf8"])
+def test_probe_bad_file_is_one_line_usage_error(tmp_path, capsys, monkeypatch, text, needle):
+    # every rule rejects the file before any instance is drawn
+    _forbid_operator_allocation(monkeypatch)
     cfg = write(tmp_path / "probe.ini", text)
     assert cli.main(["probe", cfg]) == 2
     err = capsys.readouterr().err

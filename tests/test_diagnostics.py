@@ -204,7 +204,7 @@ def test_projection_lemma_sampler_passes():
     rep = check_projection_lemma(samples=1500)
     assert rep.passed
     assert rep.samples == 1500
-    assert rep.min_contraction_ratio >= rep.bound - 1e-9
+    assert rep.min_contraction_ratio >= diagnostics.PROJECTION_RATIO_BOUND - 1e-9
     assert rep.min_spectral_margin >= -1e-9
 
 
@@ -251,20 +251,16 @@ def test_stop_bound_mutation_is_caught(monkeypatch):
 # -------------------------------------------------- derivative bound lemma
 
 
-def test_derivative_bound_exact_at_zero_mismatch():
-    assert check_derivative_bound_lemma(kappa0=0.0, samples=200) == 0.0
+def test_derivative_bound_exact_at_zero_mismatch(monkeypatch):
+    # the checker reads kappa0 at call time
+    monkeypatch.setattr(diagnostics, "DERIVATIVE_BOUND_KAPPA0", 0.0)
+    assert check_derivative_bound_lemma(samples=200) == 0.0
 
 
 def test_derivative_bound_holds_and_is_tight():
-    worst = check_derivative_bound_lemma(kappa0=0.3, samples=2000)
+    assert diagnostics.DERIVATIVE_BOUND_KAPPA0 == 0.3
+    worst = check_derivative_bound_lemma(samples=2000)
     assert abs(worst) <= 1e-10
-
-
-def test_derivative_bound_rejects_bad_kappa0():
-    with pytest.raises(ValueError):
-        check_derivative_bound_lemma(kappa0=1.0)
-    with pytest.raises(ValueError):
-        check_derivative_bound_lemma(kappa0=-0.1)
 
 
 # -------------------------------------------------- rate estimation

@@ -113,6 +113,33 @@ def test_factored_matrix_rejects_bad_frames():
         FactoredMatrix(v, np.array([1.0, -0.1]), v)   # negative sigma
 
 
+_A = random_base(make_rng(130), 5, 2)
+_B = random_base(make_rng(131), 5, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FactoredMatrix(_A.u[:, 0], _A.sigma, _A.v), "u, v must be 2-d and sigma 1-d"),
+    (lambda: FactoredMatrix(_A.u, _A.sigma[:1], _A.v), "frame widths must match len(sigma)"),
+    (lambda: FactoredMatrix(_A.u, np.array([1.0, np.nan]), _A.v), "non-finite entries in factors"),
+    (lambda: project_rank_r(np.ones(4), 1), "projection input must be a matrix"),
+    (lambda: project_psd_rank_r(np.ones((3, 4)), 1), "PSD projection needs a square matrix"),
+    (lambda: TangentVector(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), _A),
+     "tangent block shapes do not match the base point"),
+    (lambda: TangentVector.from_coords(np.zeros(tangent_dim(_A) + 1), _A),
+     "coordinate vector has wrong length"),
+    (lambda: TangentVector.zero(_A) + TangentVector.zero(_B),
+     "tangent vectors live at different base points"),
+    (lambda: pullback_value_grad(quadratic_objective(_A), _B, TangentVector.zero(_A)),
+     "tangent vector does not live at this base point"),
+], ids=("vector_frame", "frame_width", "nonfinite_sigma", "vector_projection",
+        "nonsquare_psd_projection", "block_shapes", "coordinate_length", "foreign_sum",
+        "foreign_pullback"))
+def test_geometry_rejects_misfit_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_factored_matrix_dense_roundtrip():
     rng = make_rng(104)
     x = random_base(rng, 6, 3)

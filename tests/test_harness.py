@@ -395,6 +395,17 @@ def test_svgplot_rejects_bad_series():
         svgplot.render_panel("t", "x", "y", [{"label": "a", "x": [0, 1], "y": [0.0]}])
 
 
+@pytest.mark.parametrize("x, y, points", [
+    ([3.0], [5.0], "64.00,204.00"),
+    ([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], "64.00,204.00 344.00,204.00 624.00,204.00"),
+    ([1.0, 1.0], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+], ids=("one_point", "flat_y", "flat_x"))
+def test_svgplot_widens_a_flat_range(x, y, points):
+    # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1]
+    text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
+    assert f'<polyline points="{points}" ' in text
+
+
 def test_svgplot_is_deterministic():
     series = [{"label": "a", "x": [0, 1, 2], "y": [0.0, -3.0, -7.5]}]
     one = svgplot.render_panel("t", "x", "y", series)

@@ -75,7 +75,7 @@ def test_quadratic_finite_difference_gradient():
 
 def test_quadratic_constants():
     f = QuadraticObjective(np.zeros((3, 3)))
-    assert f.smoothness_constants() == (1.0, 1.0, 0.0)
+    assert f.smoothness_constants() == (1.0, 1.0)
 
 
 def test_ground_truth_spectrum():
@@ -121,6 +121,8 @@ def test_sensing_determinism_and_param_validation():
         generate_sensing(n=5, r=2, r_star=3, kappa=2.0)
     with pytest.raises(ValueError):
         generate_sensing(n=5, r=2, r_star=2, kappa=0.9)
+    with pytest.raises(ValueError, match="^m must be positive$"):
+        generate_sensing(n=5, r=2, r_star=2, kappa=2.0, m=0)
 
 
 @pytest.mark.parametrize("kappa", [float("inf"), float("nan")])

@@ -341,6 +341,11 @@ def test_run_solver_trace_invariants():
     assert np.all(np.diff(its) > 0)
     assert tr.records[0].branch == "init"
     assert math.isnan(tr.records[0].step_norm)
+    # every numeric CSV column reads by its header name, the last one not
+    for i, name in enumerate(CSV_COLUMNS[:-1]):
+        assert np.array_equal(tr.column(name), [rec[i] for rec in tr.records], equal_nan=True)
+    with pytest.raises(ValueError, match="^branch is not numeric$"):
+        tr.column("branch")
 
 
 def test_run_solver_rejects_unknown_algorithm():
@@ -403,19 +408,19 @@ def test_solver_config_rejects_non_integer_max_iters(bad):
     assert SolverConfig(eta=0.4, max_iters=np.int64(7)).max_iters == 7
 
 
-# (epsilon, eta) -> (epsilon, epsilon_t, eta_t, perturb_radius, max_tangent_iters),
-# as the parameters resolved when each of the last four could be set by hand
+# (epsilon, eta) -> (epsilon, epsilon_t, eta_t, max_tangent_iters), as the
+# parameters resolved when each of the last three could be set by hand
 _RESOLVED = {
-    (1e-4, 0.01): (1e-4, 0.01, 0.01, 1e-4, 10000),
-    (1e-4, 0.1): (1e-4, 0.01, 0.01, 1e-4, 10000),
-    (1e-4, 1 / 3): (1e-4, 0.01, 0.01, 1e-4, 10000),
-    (1e-4, 0.4): (1e-4, 0.01, 0.01, 1e-4, 10000),
-    (1e-4, 0.9): (1e-4, 0.01, 0.01, 1e-4, 10000),
-    (1e-2, 0.01): (1e-2, 0.1, 0.01, 1e-2, 1000),
-    (1e-2, 0.1): (1e-2, 0.1, 0.1, 1e-2, 100),
-    (1e-2, 1 / 3): (1e-2, 0.1, 0.1, 1e-2, 100),
-    (1e-2, 0.4): (1e-2, 0.1, 0.1, 1e-2, 100),
-    (1e-2, 0.9): (1e-2, 0.1, 0.1, 1e-2, 100),
+    (1e-4, 0.01): (1e-4, 0.01, 0.01, 10000),
+    (1e-4, 0.1): (1e-4, 0.01, 0.01, 10000),
+    (1e-4, 1 / 3): (1e-4, 0.01, 0.01, 10000),
+    (1e-4, 0.4): (1e-4, 0.01, 0.01, 10000),
+    (1e-4, 0.9): (1e-4, 0.01, 0.01, 10000),
+    (1e-2, 0.01): (1e-2, 0.1, 0.01, 1000),
+    (1e-2, 0.1): (1e-2, 0.1, 0.1, 100),
+    (1e-2, 1 / 3): (1e-2, 0.1, 0.1, 100),
+    (1e-2, 0.4): (1e-2, 0.1, 0.1, 100),
+    (1e-2, 0.9): (1e-2, 0.1, 0.1, 100),
 }
 
 
@@ -926,7 +931,7 @@ def reference_tangent_steps(x, f, perturb_radius, eta_t, epsilon_t, max_iters, r
         if s_plus.norm() <= epsilon_t:
             s = s_plus
         else:
-            t = _boundary_step_length(s, grad, epsilon_t)
+            t = _boundary_step_length(s.st, grad.st, epsilon_t)
             return retract(x, s - t * grad)
     return retract(x, s)
 
@@ -1025,7 +1030,7 @@ def test_boundary_root_find_matches_bisection():
         s = (0.8 * eps_t / s.norm()) * s
         g = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
         g = (-4.0 * eps_t / g.norm()) * g      # strong outward pull
-        eta_exact = _boundary_step_length(s, g, eps_t)
+        eta_exact = _boundary_step_length(s.st, g.st, eps_t)
         phi = lambda t: (s + (-t) * g).norm() - eps_t
         assert phi(0.0) < 0
         lo, hi = 0.0, 1.0
@@ -1039,3 +1044,5 @@ def test_boundary_root_find_matches_bisection():
                 hi = mid
         assert abs(eta_exact - 0.5 * (lo + hi)) < 1e-12
         assert abs((s + (-eta_exact) * g).norm() - eps_t) < 1e-12
+    # no pull, no crossing
+    assert _boundary_step_length(s.st, np.zeros_like(s.st), eps_t) == 0.0
