@@ -59,7 +59,7 @@ from .diagnostics import (
 )
 from .harness import (
     ExperimentSpec,
-    PACKAGE_VERSION,
+    PACKAGE_VERSION as __version__,
     PRESETS,
     SpecFileError,
     parse_spec_file,
@@ -70,66 +70,3 @@ from .harness import (
     spec_to_text,
 )
 from .verify import CriterionResult, verify_suite
-
-__version__ = PACKAGE_VERSION
-
-__all__ = [
-    "ALGORITHMS",
-    "BudgetExceededError",
-    "CriterionResult",
-    "DescentReport",
-    "ExperimentSpec",
-    "FactoredMatrix",
-    "Objective",
-    "PRESETS",
-    "PprojgdParams",
-    "ProjectionReport",
-    "QuadraticObjective",
-    "RankProjectionError",
-    "RetractionUndefinedError",
-    "SecondOrderCertificate",
-    "SensingObjective",
-    "SensingProblem",
-    "SolverConfig",
-    "SolverTrace",
-    "SpecFileError",
-    "StationaryPoint",
-    "TangentVector",
-    "TraceRecord",
-    "certify_second_order",
-    "check_derivative_bound_lemma",
-    "check_descent_lemma",
-    "check_projection_lemma",
-    "estimate_linear_rate",
-    "fgd_step",
-    "generate_sensing",
-    "haar_frame",
-    "landscape_probe",
-    "make_rng",
-    "parse_spec_file",
-    "parse_spec_text",
-    "pprojgd",
-    "project_psd_rank_r",
-    "project_rank_r",
-    "project_tangent",
-    "projgd_step",
-    "pullback_hessian",
-    "pullback_hessian_min_eig",
-    "pullback_value_grad",
-    "quadratic_objective",
-    "random_ground_truth",
-    "read_trace_csv",
-    "render_dir",
-    "retract",
-    "run_experiment",
-    "run_solver",
-    "scaledgd_step",
-    "sensing_objective",
-    "spec_to_text",
-    "spectral_init",
-    "swapped_direction_saddle",
-    "tangent_dim",
-    "tangent_space_steps",
-    "verify_suite",
-    "__version__",
-]

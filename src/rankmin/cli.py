@@ -162,8 +162,7 @@ def _cmd_probe(args) -> int:
     }
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        harness._atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

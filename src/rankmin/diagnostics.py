@@ -262,8 +262,8 @@ class StationaryPoint:
     cluster_size: int
 
 
-def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: int = 3000,
-                    eps: float = 1e-6, gamma: float = 0.0):
+def landscape_probe(f, n: int, r: int, *, seed: int, starts: int, iters: int,
+                    eps: float, gamma: float):
     """Brute-force stationary-point census for n <= MAX_PROBE_N, r <= MAX_PROBE_R.
 
     Multi-start projected gradient with step 0.25/L (L from f's
@@ -271,7 +271,9 @@ def landscape_probe(f, n: int, r: int, seed: int = 0, starts: int = 64, iters: i
     step-norm fixed point, terminal points are clustered, and each cluster
     representative is refined and certified.  Both runs go through the
     solver driver, with a relative step-norm stop (tol_step).  Returns
-    StationaryPoint records sorted by objective value.
+    StationaryPoint records sorted by objective value.  seed, starts,
+    iters, eps and gamma take their defaults from cli._PROBE_DEFAULTS,
+    the [probe] table of a probe file.
 
     The planned objective evaluations are, per start, iters descent steps,
     500 refinement steps and a certificate: the exact Hessian's gradient

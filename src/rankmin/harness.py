@@ -18,7 +18,6 @@ import configparser
 import json
 import math
 import os
-import tempfile
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -351,8 +350,10 @@ def _execute_one(args):
 
 
 def _atomic_write(path, data: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp_{os.urandom(8).hex()}.part")
+    # created 0666 less the umask, as open() creates a file; mkstemp's is 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
@@ -451,8 +452,16 @@ def _render_svgs(spec, out_dir, by_run) -> list:
     """Panels from by_run, a {_run_key: rel_err column} map over the grid."""
     written = []
     seeds = spec.resolved_seeds()
+
+    def write(name, title, xlabel, series):
+        svg = svgplot.render_panel(title=title, xlabel=xlabel,
+                                   ylabel="log10 relative error", series=series)
+        _atomic_write(os.path.join(out_dir, name), svg)
+        written.append(name)
+
     for kappa in spec.kappa:
         for r_star in spec.r_star:
+            cell = f"kappa={_fmt(kappa)} r*={r_star}"
             series = []
             for algo in spec.algorithms:
                 for eta in spec.etas:
@@ -466,13 +475,7 @@ def _render_svgs(spec, out_dir, by_run) -> list:
                     if len(seeds) > 1:
                         entry["band"] = (_log_clip(lo).tolist(), _log_clip(hi).tolist())
                     series.append(entry)
-            name = f"panel_k{_fmt(kappa)}_rs{r_star}.svg"
-            svg = svgplot.render_panel(
-                title=f"kappa={_fmt(kappa)} r*={r_star}",
-                xlabel="iteration", ylabel="log10 relative error",
-                series=series)
-            _atomic_write(os.path.join(out_dir, name), svg)
-            written.append(name)
+            write(f"panel_k{_fmt(kappa)}_rs{r_star}.svg", cell, "iteration", series)
             if len(spec.etas) >= 2:
                 series = []
                 for algo in spec.algorithms:
@@ -485,13 +488,8 @@ def _render_svgs(spec, out_dir, by_run) -> list:
                         "x": [float(e) for e in spec.etas],
                         "y": _log_clip(finals).tolist(),
                     })
-                name = f"sweep_k{_fmt(kappa)}_rs{r_star}.svg"
-                svg = svgplot.render_panel(
-                    title=f"final error vs step size (kappa={_fmt(kappa)} r*={r_star})",
-                    xlabel="eta", ylabel="log10 relative error",
-                    series=series)
-                _atomic_write(os.path.join(out_dir, name), svg)
-                written.append(name)
+                write(f"sweep_k{_fmt(kappa)}_rs{r_star}.svg",
+                      f"final error vs step size ({cell})", "eta", series)
     return written
 
 

@@ -142,16 +142,11 @@ class SensingProblem:
     taken once at construction: one ndarray.dot matrix-vector product each,
     bit-identical to the tensor contraction and to @, with less call
     overhead.  They are the objective's only operator passes.
-    The tuple (n, r, r_star, kappa, m, seed, symmetric_psd) regenerates the
-    instance exactly; the tensors are kept for convenience.
     """
 
     n: int
     r: int
-    r_star: int
-    kappa: float
     m: int
-    seed: int
     symmetric_psd: bool
     operators: np.ndarray
     observations: np.ndarray
@@ -184,8 +179,7 @@ def generate_sensing(n: int, r: int, r_star: int, kappa: float, m: int | None = 
     operators.flags.writeable = False
     observations.flags.writeable = False
     return SensingProblem(
-        n=n, r=r, r_star=r_star, kappa=float(kappa), m=m, seed=int(seed),
-        symmetric_psd=bool(symmetric_psd), operators=operators,
+        n=n, r=r, m=m, symmetric_psd=bool(symmetric_psd), operators=operators,
         observations=observations, ground_truth=x_star,
     )
 

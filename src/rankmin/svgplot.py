@@ -45,6 +45,13 @@ def _ticks(lo: float, hi: float):
     return out
 
 
+def _flat_width(v: float) -> float:
+    """How far render_panel widens a flat range at v: 1, or |v| / 2^40 once
+    that is larger, so each tick step spans many ulps of v (v + 1 rounds
+    back to v from 2^53 on, and _ticks cannot advance by less than an ulp)."""
+    return max(1.0, abs(v) * 2.0 ** -40)
+
+
 def _tick_label(v: float) -> str:
     if v == int(v):
         return str(int(v))
@@ -67,9 +74,10 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + _flat_width(x0)
     if y1 == y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
+        w = _flat_width(y0)
+        y0, y1 = y0 - w, y1 + w
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 

@@ -39,7 +39,7 @@ from .geometry import (
     tangent_dim,
 )
 from .objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
-from .solvers import PprojgdParams, SolverConfig, pprojgd, run_solver
+from .solvers import STATUS_SECOND_ORDER, PprojgdParams, SolverConfig, pprojgd, run_solver
 
 SUCCESS_REL = 1e-14     # sweep classification: run converged
 STALL_REL = 1e-1        # no-recovery level (spectral init starts near 3e-1)
@@ -302,7 +302,7 @@ def criterion_lemma_suites(level):
         cfg = SolverConfig(eta=eta, max_iters=1000 if full else 300, tol_rel_err=1e-15)
         tr = run_solver("projgd", f, x0, cfg, x_star=x_star)
         rep = check_descent_lemma(tr, 1.0, eta)
-        descent_ok = descent_ok and rep.applicable and rep.violations == 0
+        descent_ok = descent_ok and rep.passed
         descent_worst = min(descent_worst, rep.worst_margin)
 
     proj = check_projection_lemma(samples=10_000 if full else 1500)
@@ -322,7 +322,7 @@ def criterion_lemma_suites(level):
         _, fq, x_end, tr = _corridor_stop(900, s, eta)
         gnorm = float(np.linalg.norm(fq.gradient(x_end.dense()), 2))
         stop_worst = max(stop_worst, gnorm)
-        if tr.status != "second-order-stop" or gnorm > stop_bound:
+        if tr.status != STATUS_SECOND_ORDER or gnorm > stop_bound:
             stop_ok = False
 
     elapsed = time.perf_counter() - t0
@@ -502,7 +502,7 @@ def criterion_saddle_escape(level):
         xs, _, x_end, trq = _corridor_stop(700, s, eta)
         dist = float(np.linalg.norm(x_end.dense() - xs.dense()))
         cor_worst = max(cor_worst, dist)
-        if trq.status != "second-order-stop" or dist > 2.0 * params.epsilon + 1e-8:
+        if trq.status != STATUS_SECOND_ORDER or dist > 2.0 * params.epsilon + 1e-8:
             cor_ok = False
 
     details = {"escapes": escapes, "needed": need, "margin": margin,
@@ -580,7 +580,5 @@ def verify_suite(level: str = "quick", out=None) -> dict:
         "criteria": [asdict(r) for r in results],
     }
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(verdict, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        harness._atomic_write(out, json.dumps(verdict, indent=1, sort_keys=True) + "\n")
     return verdict

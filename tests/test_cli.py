@@ -19,6 +19,7 @@ import rankmin.cli as cli
 import rankmin.diagnostics as diagnostics
 import rankmin.harness as harness
 import rankmin.objectives as objectives
+import rankmin.verify as verify
 
 CFG = """
 [problem]
@@ -493,6 +494,26 @@ def test_verify_exit_codes(monkeypatch, tmp_path):
     assert cli.main(["verify"]) == 0
     monkeypatch.setattr(cli, "verify_suite", lambda level, out: {"all_passed": False})
     assert cli.main(["verify", "--level", "full", "--out", str(tmp_path / "v.json")]) == 1
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=("umask022", "umask077"))
+def test_written_files_take_their_mode_from_the_umask(tmp_path, monkeypatch, umask, mode):
+    # 0666 less the umask, as open() creates a file
+    monkeypatch.setattr(verify, "CRITERIA", {})
+    cfg = write(tmp_path / "grid.ini", CFG)
+    probe = write(tmp_path / "probe.ini", PROBE.replace("starts = 18", "starts = 1"))
+    old = os.umask(umask)
+    try:
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "grid"), "--jobs", "1"]) == 0
+        assert cli.main(["verify", "--out", str(tmp_path / "verdict.json")]) == 0
+        assert cli.main(["probe", probe, "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(old)
+    grid = sorted((tmp_path / "grid").iterdir())
+    assert {p.suffix for p in grid} == {".csv", ".svg", ".json"}
+    for path in grid + [tmp_path / "verdict.json", tmp_path / "report.json"]:
+        assert path.stat().st_mode & 0o777 == mode, path.name
 
 
 def test_probe_report(tmp_path):

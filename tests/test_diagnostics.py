@@ -302,7 +302,7 @@ def test_probe_finds_truncated_target():
     rng = make_rng(12)
     target = random_ground_truth(3, 3, 3.0, rng)
     f = quadratic_objective(target)
-    points = landscape_probe(f, 3, 1, seed=0, starts=30, iters=2000)
+    points = landscape_probe(f, 3, 1, seed=0, starts=30, iters=2000, eps=1e-6, gamma=0.0)
     s = np.linalg.svd(target.dense(), compute_uv=False)
     best = points[0]
     assert best.f_value == pytest.approx(0.5 * float(np.sum(s[1:] ** 2)), abs=1e-8)
@@ -314,7 +314,7 @@ def test_probe_finds_truncated_target():
 def test_probe_exact_rank_reaches_zero_loss():
     target = random_ground_truth(3, 1, 1.0, make_rng(13))
     f = quadratic_objective(target)
-    points = landscape_probe(f, 3, 1, seed=1, starts=12, iters=2000)
+    points = landscape_probe(f, 3, 1, seed=1, starts=12, iters=2000, eps=1e-6, gamma=0.0)
     assert points[0].f_value <= 1e-12
     td = target.dense()
     assert np.linalg.norm(points[0].x.dense() - td) / np.linalg.norm(td) <= 1e-5
@@ -377,7 +377,7 @@ def test_probe_matches_hand_loops(instance):
     else:
         r_star = 3 if instance == "quadratic r* > r" else 2
         f = quadratic_objective(random_ground_truth(n, r_star, 3.0, make_rng(seed)))
-    points = landscape_probe(f, n, r, seed=seed, starts=12, iters=1500)
+    points = landscape_probe(f, n, r, seed=seed, starts=12, iters=1500, eps=1e-6, gamma=0.0)
     expected = _hand_probe(f, n, r, seed, starts=12, iters=1500)
     assert len(points) == len(expected)
     for pt, (x, fx, count, label) in zip(points, expected):
@@ -390,16 +390,18 @@ def test_probe_matches_hand_loops(instance):
 
 def test_probe_size_limits():
     f = quadratic_objective(random_ground_truth(5, 2, 1.0, make_rng(14)))
+    census = dict(seed=0, starts=64, iters=3000, eps=1e-6, gamma=0.0)
     with pytest.raises(ValueError):
-        landscape_probe(f, 5, 2)
+        landscape_probe(f, 5, 2, **census)
     with pytest.raises(ValueError):
-        landscape_probe(f, 4, 3)
+        landscape_probe(f, 4, 3, **census)
 
 
 def test_probe_budget_guard():
     # raised from the plan, before any run: 2900 x (3000 + 506) > 10^7
     f = quadratic_objective(random_ground_truth(3, 1, 1.0, make_rng(15)))
     with pytest.raises(BudgetExceededError):
-        landscape_probe(f, 3, 1, starts=2900, iters=3000)
+        landscape_probe(f, 3, 1, seed=0, starts=2900, iters=3000, eps=1e-6, gamma=0.0)
     with pytest.raises(BudgetExceededError):
-        landscape_probe(f, 3, 1, starts=1, iters=diagnostics.MAX_PROBE_EVALUATIONS)
+        landscape_probe(f, 3, 1, seed=0, starts=1, iters=diagnostics.MAX_PROBE_EVALUATIONS,
+                        eps=1e-6, gamma=0.0)

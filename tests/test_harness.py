@@ -4,6 +4,7 @@ layout, byte determinism, and the SVG renderer's structural guarantees."""
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +268,15 @@ def test_manifest_is_self_describing(tmp_path):
         assert np.isfinite(s["final_rel_err"])
 
 
+def test_package_version_matches_pyproject():
+    # the manifest records PACKAGE_VERSION; the build records pyproject's
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == harness.PACKAGE_VERSION
+
+
 def test_eta_sweep_table(tmp_path):
     run_experiment(tiny_spec(), out_dir=str(tmp_path))
     lines = (tmp_path / "eta_sweep.csv").read_text().strip().split("\n")
@@ -399,9 +409,12 @@ def test_svgplot_rejects_bad_series():
     ([3.0], [5.0], "64.00,204.00"),
     ([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], "64.00,204.00 344.00,204.00 624.00,204.00"),
     ([1.0, 1.0], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
-], ids=("one_point", "flat_y", "flat_x"))
+    ([1e17], [5.0], "64.00,204.00"),
+    ([0.0, 1.0], [1e17, 1e17], "64.00,204.00 624.00,204.00"),
+], ids=("one_point", "flat_y", "flat_x", "flat_huge_x", "flat_huge_y"))
 def test_svgplot_widens_a_flat_range(x, y, points):
-    # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1]
+    # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1];
+    # at 1e17, where x + 1 rounds back to x, the unit is |x| / 2^40 instead
     text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
     assert f'<polyline points="{points}" ' in text
 
