@@ -50,7 +50,6 @@ from .diagnostics import (
     SecondOrderCertificate,
     StationaryPoint,
     certify_second_order,
-    check_derivative_bound_lemma,
     check_descent_lemma,
     check_projection_lemma,
     estimate_linear_rate,

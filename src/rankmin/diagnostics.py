@@ -3,9 +3,9 @@ per-step descent and projection inequalities, convergence-rate estimation,
 and a brute-force landscape probe for desk-size instances.
 
 The numeric bounds checked here (the 2/3 projection constant, the descent
-slack, the derivative-bound kappa0, the stationarity threshold) are
-module-level names on purpose: the verification suite reads them at call
-time, so a deliberately broken bound is caught by the mutation smoke test.
+slack, the stationarity threshold) are module-level names on purpose: the
+verification suite reads them at call time, so a deliberately broken bound
+is caught by the mutation smoke test.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .solvers import BRANCH_GRADIENT, SolverConfig, SolverTrace, _drive
 # rank-r projection loses at most 1/3 of the tangent displacement
 PROJECTION_RATIO_BOUND = 2.0 / 3.0
 PROJECTION_RATIO_SLACK = 1e-9
-# the derivative-bound lemma's curvature mismatch, kappa0 = L - 1 with (L + mu)/2 = 1
-DERIVATIVE_BOUND_KAPPA0 = 0.3
 # a descent-lemma margin below -DESCENT_SLACK * max(1, |f(X_t)|) is a violation
 DESCENT_SLACK = 1e-10
 # eigenvalues within this fraction of max(1, L) of zero count as zero
@@ -194,31 +192,6 @@ def check_projection_lemma(samples: int = 10000) -> ProjectionReport:
               and (min_margin >= -PROJECTION_RATIO_SLACK))
     return ProjectionReport(samples=kept, min_contraction_ratio=float(min_ratio),
                             min_spectral_margin=float(min_margin), passed=passed)
-
-
-def check_derivative_bound_lemma(samples: int = 5000) -> float:
-    """Worst slack of ||grad f(X) - (X - X*)|| <= kappa0 ||X - X*|| over random
-    8 x 8 quadratics f(X) = 0.5 <X - X*, D o (X - X*)> whose entrywise curvatures D
-    lie in [1 - kappa0, 1 + kappa0], kappa0 = DERIVATIVE_BOUND_KAPPA0.
-    Includes the extremal all-ones-times-(1 +- kappa0) instances where the
-    bound is tight.  Negative return value means no violation."""
-    kappa0 = DERIVATIVE_BOUND_KAPPA0
-    n = 8
-    rng = make_rng(0, stream=13)
-    worst = -math.inf
-    for k in range(samples):
-        if k == 0:
-            d = np.full((n, n), 1.0 + kappa0)
-        elif k == 1:
-            d = np.full((n, n), 1.0 - kappa0)
-        else:
-            d = 1.0 + kappa0 * rng.uniform(-1.0, 1.0, size=(n, n))
-        delta = rng.standard_normal((n, n))
-        grad = d * delta
-        lhs = float(np.linalg.norm(grad - delta))
-        rhs = kappa0 * float(np.linalg.norm(delta))
-        worst = max(worst, lhs - rhs)
-    return float(worst)
 
 
 def estimate_linear_rate(trace: SolverTrace, window: int = 50, column: str = "f_gap") -> float:

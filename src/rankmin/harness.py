@@ -462,10 +462,12 @@ def _render_svgs(spec, out_dir, by_run) -> list:
     for kappa in spec.kappa:
         for r_star in spec.r_star:
             cell = f"kappa={_fmt(kappa)} r*={r_star}"
-            series = []
+            panel, sweep = [], []
             for algo in spec.algorithms:
+                finals = []
                 for eta in spec.etas:
                     traces = [by_run[(algo, kappa, r_star, eta, s)] for s in seeds]
+                    # each seed is held at its last value, so med[-1] is their median final error
                     med, lo, hi = _median_band(traces)
                     entry = {
                         "label": f"{algo} eta={_fmt(eta)}",
@@ -474,22 +476,14 @@ def _render_svgs(spec, out_dir, by_run) -> list:
                     }
                     if len(seeds) > 1:
                         entry["band"] = (_log_clip(lo).tolist(), _log_clip(hi).tolist())
-                    series.append(entry)
-            write(f"panel_k{_fmt(kappa)}_rs{r_star}.svg", cell, "iteration", series)
+                    panel.append(entry)
+                    finals.append(med[-1])
+                sweep.append({"label": algo, "x": [float(e) for e in spec.etas],
+                              "y": _log_clip(finals).tolist()})
+            write(f"panel_k{_fmt(kappa)}_rs{r_star}.svg", cell, "iteration", panel)
             if len(spec.etas) >= 2:
-                series = []
-                for algo in spec.algorithms:
-                    finals = []
-                    for eta in spec.etas:
-                        per_seed = [by_run[(algo, kappa, r_star, eta, s)][-1] for s in seeds]
-                        finals.append(float(np.median(per_seed)))
-                    series.append({
-                        "label": algo,
-                        "x": [float(e) for e in spec.etas],
-                        "y": _log_clip(finals).tolist(),
-                    })
                 write(f"sweep_k{_fmt(kappa)}_rs{r_star}.svg",
-                      f"final error vs step size ({cell})", "eta", series)
+                      f"final error vs step size ({cell})", "eta", sweep)
     return written
 
 

@@ -29,27 +29,30 @@ def _esc(s: str) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    """Tick values across [lo, hi], lo < hi (render_panel widens a flat range)."""
+    """Tick values inside [lo, hi], a range that _widening left wide enough."""
     raw = (hi - lo) / 8     # at most 8 tick steps per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
             step = mag * mult
             break
-    first = math.ceil(lo / step) * step
     out = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        out.append(0.0 if abs(t) < step * 1e-6 else t)
+    t = math.ceil(lo / step) * step
+    for _ in range(11):     # at most 9 ticks in range, plus a rounding neighbour each side
+        v = 0.0 if abs(t) < step * 1e-6 else t
+        if lo <= v <= hi:
+            out.append(v)
         t += step
     return out
 
 
-def _flat_width(v: float) -> float:
-    """How far render_panel widens a flat range at v: 1, or |v| / 2^40 once
-    that is larger, so each tick step spans many ulps of v (v + 1 rounds
-    back to v from 2^53 on, and _ticks cannot advance by less than an ulp)."""
-    return max(1.0, abs(v) * 2.0 ** -40)
+def _widening(lo: float, hi: float) -> float:
+    """How far render_panel widens [lo, hi]: not at all while it spans 2^-40 of
+    its larger endpoint magnitude v (at least 2^-1000, so subnormal widths count
+    too); else by 1, or by v / 2^40 once larger, so that every tick step spans
+    many ulps of v (v + 1 rounds back to v from 2^53 on)."""
+    v = max(abs(lo), abs(hi), 2.0 ** -1000)
+    return 0.0 if hi - lo >= v * 2.0 ** -40 else max(1.0, v * 2.0 ** -40)
 
 
 def _tick_label(v: float) -> str:
@@ -73,11 +76,9 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
             ys += list(band[0]) + list(band[1])
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + _flat_width(x0)
-    if y1 == y0:
-        w = _flat_width(y0)
-        y0, y1 = y0 - w, y1 + w
+    x1 += _widening(x0, x1)     # above only on x, on both sides on y
+    w = _widening(y0, y1)
+    y0, y1 = y0 - w, y1 + w
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
@@ -101,16 +102,12 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     out.append(f'<rect x="{_f(ML)}" y="{_f(MT)}" width="{_f(pw)}" height="{_f(ph)}" '
                'fill="none" stroke="#000000" stroke-width="1"/>')
     for t in _ticks(x0, x1):
-        if t < x0 or t > x1:
-            continue
         xp = px(t)
         out.append(f'<line x1="{_f(xp)}" y1="{_f(MT + ph)}" x2="{_f(xp)}" '
                    f'y2="{_f(MT + ph + 4)}" stroke="#000000" stroke-width="1"/>')
         out.append(f'<text x="{_f(xp)}" y="{_f(MT + ph + 16)}" font-family="monospace" '
                    f'font-size="10" text-anchor="middle">{_tick_label(t)}</text>')
     for t in _ticks(y0, y1):
-        if t < y0 or t > y1:
-            continue
         yp = py(t)
         out.append(f'<line x1="{_f(ML - 4)}" y1="{_f(yp)}" x2="{_f(ML)}" '
                    f'y2="{_f(yp)}" stroke="#000000" stroke-width="1"/>')

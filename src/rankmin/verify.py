@@ -23,7 +23,6 @@ import numpy as np
 
 from . import diagnostics, harness
 from .diagnostics import (
-    check_derivative_bound_lemma,
     check_descent_lemma,
     check_projection_lemma,
     estimate_linear_rate,
@@ -38,7 +37,7 @@ from .geometry import (
     TangentVector,
     tangent_dim,
 )
-from .objectives import haar_frame, make_rng, quadratic_objective, random_ground_truth
+from .objectives import Objective, haar_frame, make_rng, quadratic_objective, random_ground_truth
 from .solvers import STATUS_SECOND_ORDER, PprojgdParams, SolverConfig, pprojgd, run_solver
 
 SUCCESS_REL = 1e-14     # sweep classification: run converged
@@ -307,9 +306,6 @@ def criterion_lemma_suites(level):
 
     proj = check_projection_lemma(samples=10_000 if full else 1500)
 
-    deriv_worst = check_derivative_bound_lemma(samples=5000 if full else 800)
-    deriv_ok = deriv_worst <= 1e-10
-
     # termination bound: engineered stops with sigma_r(X*) below 2 eps_t
     stop_ok = True
     stop_worst = -math.inf
@@ -326,18 +322,17 @@ def criterion_lemma_suites(level):
             stop_ok = False
 
     elapsed = time.perf_counter() - t0
-    passed = descent_ok and proj.passed and deriv_ok and stop_ok and elapsed < 60.0
+    passed = descent_ok and proj.passed and stop_ok and elapsed < 60.0
     details = {
         "descent_ok": descent_ok, "descent_worst_slack": descent_worst,
         "projection_min_ratio": proj.min_contraction_ratio,
         "projection_min_margin": proj.min_spectral_margin,
         "projection_samples": proj.samples,
-        "derivative_bound_worst": deriv_worst,
         "stop_bound": stop_bound, "stop_worst_grad": stop_worst,
         "elapsed": elapsed,
     }
     summary = (f"descent ok={descent_ok}; projection ratio {proj.min_contraction_ratio:.4f} "
-               f"margin {proj.min_spectral_margin:.2e}; derivative slack {deriv_worst:.1e}; "
+               f"margin {proj.min_spectral_margin:.2e}; "
                f"stop grad {stop_worst:.2e} <= {stop_bound:.2e}; {elapsed:.1f}s")
     return passed, summary, details
 
@@ -363,6 +358,26 @@ def _fd_pullback_hessian(f, base: FactoredMatrix) -> np.ndarray:
         e[j] = 0.0
         hess[:, j] = (gp.coords() - gm.coords()) / (2.0 * h)
     return hess
+
+
+class _LogCoshObjective(Objective):
+    """f(X) = sum phi(X_ij - T_ij) with phi(t) = t^2/2 + beta log cosh t.
+    Unlike the shipped objectives it is not quadratic: its Hessian-vector
+    product z (1 + beta sech^2 t) depends on the point."""
+
+    def __init__(self, target, beta):
+        self.target, self.beta = target, beta
+
+    def value(self, x):
+        t = x - self.target
+        return float(np.sum(0.5 * t * t + self.beta * (np.logaddexp(t, -t) - math.log(2.0))))
+
+    def gradient(self, x):
+        t = x - self.target
+        return t + self.beta * np.tanh(t)
+
+    def hessian_vector(self, x, z):
+        return z * (1.0 + self.beta / np.cosh(x - self.target) ** 2)
 
 
 @criterion
@@ -429,17 +444,26 @@ def criterion_geometry_oracles(level):
         h_norm = max(np.linalg.norm(h), 1e-12)
         sym_worst = max(sym_worst, float(np.linalg.norm(h - h.T) / h_norm))
         hess_worst = max(hess_worst, float(np.linalg.norm(pullback_hessian(f, base) - h) / h_norm))
+    # the same bound where the Hessian depends on the point: a rank-3 base
+    # 0.5-Gaussian off a log-cosh minimizer, drawn from its own stream
+    lrng = make_rng(42, stream=4)
+    target = random_ground_truth(8, 3, 5.0, lrng).dense()
+    base = project_rank_r(target + 0.5 * lrng.standard_normal((8, 8)), 3)
+    f = _LogCoshObjective(target, 1.9)
+    h = _fd_pullback_hessian(f, base)
+    logcosh = float(np.linalg.norm(pullback_hessian(f, base) - h) / np.linalg.norm(h))
     sym_ok = sym_worst < 1e-4
-    hess_ok = hess_worst <= 1e-6
+    hess_ok = hess_worst <= 1e-6 and logcosh <= 1e-6
 
     elapsed = time.perf_counter() - t0
     passed = ey_ok and retr_ok and fd_ok and sym_ok and hess_ok and elapsed < 60.0
     details = {"eckart_young_ok": ey_ok, "retraction_worst": retr_worst,
                "fd_gradient_worst_rel": fd_worst, "hessian_asymmetry_worst": sym_worst,
-               "hessian_fd_worst_rel": hess_worst, "elapsed": elapsed}
+               "hessian_fd_worst_rel": hess_worst, "hessian_fd_logcosh_rel": logcosh,
+               "elapsed": elapsed}
     summary = (f"candidate dominance={ey_ok}; retraction {retr_worst:.1e}; "
                f"fd gradient {fd_worst:.1e}; hessian asymmetry {sym_worst:.1e}; "
-               f"exact vs fd hessian {hess_worst:.1e}; {elapsed:.1f}s")
+               f"exact vs fd hessian {hess_worst:.1e}, log-cosh {logcosh:.1e}; {elapsed:.1f}s")
     return passed, summary, details
 
 

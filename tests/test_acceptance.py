@@ -1,6 +1,7 @@
 """End-to-end acceptance checks.  Each test runs one verification criterion
 at the full level and reports its PASS/FAIL line; `rankmin verify --level
-full` runs the same suite from the command line."""
+full` runs the same suite from the command line.  One more test runs the
+whole suite at the quick level, the command line's default."""
 
 import json
 from dataclasses import replace
@@ -56,6 +57,11 @@ def test_verify_suite_prints_and_writes_the_verdict(monkeypatch, tmp_path, capsy
     assert verify.verify_suite(level="full")["all_passed"] is True
     with pytest.raises(ValueError, match="level"):
         verify.verify_suite(level="medium")
+
+
+def test_verify_suite_passes_at_the_quick_level():
+    # quick runs 3 seeds where full runs 10, through branches no full run takes
+    assert verify.verify_suite("quick")["all_passed"]
 
 
 def test_trace_panels():

@@ -5,6 +5,7 @@ import configparser
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -725,6 +726,46 @@ def test_any_config_file_exits_with_at_most_one_error_line(tmp_path, monkeypatch
         code = cli.main([verb, cfg, "--out", str(tmp_path / "o")])
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+_ONE_CELL = """
+[problem]
+n = 3
+r = 1
+r_star = 1
+kappa = 1
+m_factor = 3
+
+[solvers]
+algorithms = projgd
+eta = {etas}
+
+[run]
+seed_count = 1
+max_iters = {iters}
+
+[output]
+formats = csv svg
+"""
+_ETAS = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(eta=_ETAS, data=st.data(), iters=st.integers(1, 5))
+def test_any_step_sizes_draw_their_panels(tmp_path, eta, data, iters):
+    # a real one-cell run: a sweep axis over two adjacent floats, or a trace
+    # whose error moves by an ulp, gives a range too narrow to tick unwidened
+    other = data.draw(st.one_of(st.none(), _ETAS, st.just(math.nextafter(eta, math.inf))))
+    etas = list(dict.fromkeys(e for e in (eta, other) if e is not None))
+    cfg = write(tmp_path / "grid.ini",
+                _ONE_CELL.format(etas=" ".join(map(repr, etas)), iters=iters))
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    svgs = sorted(p.name for p in out.iterdir() if p.suffix == ".svg")
+    assert svgs == ["panel_k1_rs1.svg"] + (["sweep_k1_rs1.svg"] if len(etas) == 2 else [])
 
 
 # values a run entry of the manifest may hold after a bad edit; json writes

@@ -9,7 +9,6 @@ import rankmin.diagnostics as diagnostics
 from rankmin.diagnostics import (
     BudgetExceededError,
     certify_second_order,
-    check_derivative_bound_lemma,
     check_descent_lemma,
     check_projection_lemma,
     classify_certificate,
@@ -246,21 +245,6 @@ def test_stop_bound_mutation_is_caught(monkeypatch):
     result = criterion_lemma_suites("quick")
     assert not result.passed
     assert result.details["stop_worst_grad"] > result.details["stop_bound"]
-
-
-# -------------------------------------------------- derivative bound lemma
-
-
-def test_derivative_bound_exact_at_zero_mismatch(monkeypatch):
-    # the checker reads kappa0 at call time
-    monkeypatch.setattr(diagnostics, "DERIVATIVE_BOUND_KAPPA0", 0.0)
-    assert check_derivative_bound_lemma(samples=200) == 0.0
-
-
-def test_derivative_bound_holds_and_is_tight():
-    assert diagnostics.DERIVATIVE_BOUND_KAPPA0 == 0.3
-    worst = check_derivative_bound_lemma(samples=2000)
-    assert abs(worst) <= 1e-10
 
 
 # -------------------------------------------------- rate estimation

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import rankmin.geometry as geometry
 import rankmin.solvers as solvers
+import rankmin.verify as verify
 from rankmin.geometry import (
     RETRACTION_CORE_FLOOR,
     SINGULAR_VALUE_DROP,
@@ -579,34 +580,13 @@ def _hessian_cases():
 
 
 def test_exact_hessian_matches_finite_differences():
-    from rankmin.verify import _fd_pullback_hessian
     for f, base in _hessian_cases():
         exact = pullback_hessian(f, base)
-        fd = _fd_pullback_hessian(f, base)
+        fd = verify._fd_pullback_hessian(f, base)
         assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
-class _LogCoshObjective(Objective):
-    """f(X) = sum phi(X_ij - T_ij) with phi(t) = t^2/2 + beta log cosh t.
-    Unlike the shipped objectives it is not quadratic: its Hessian-vector
-    product z (1 + beta sech^2 t) depends on the point."""
-
-    def __init__(self, target, beta):
-        self.target, self.beta = target, beta
-
-    def value(self, x):
-        t = x - self.target
-        return float(np.sum(0.5 * t * t + self.beta * (np.logaddexp(t, -t) - math.log(2.0))))
-
-    def gradient(self, x):
-        t = x - self.target
-        return t + self.beta * np.tanh(t)
-
-    def hessian_vector(self, x, z):
-        return z * (1.0 + self.beta / np.cosh(x - self.target) ** 2)
-
-
-class _LogCoshHessianAtZero(_LogCoshObjective):
+class _LogCoshHessianAtZero(verify._LogCoshObjective):
     def hessian_vector(self, x, z):
         return super().hessian_vector(np.zeros_like(x), z)
 
@@ -614,16 +594,25 @@ class _LogCoshHessianAtZero(_LogCoshObjective):
 def test_exact_hessian_is_taken_at_the_base_point():
     # a rank-3 base 0.5-Gaussian away from a kappa = 5 target; the same
     # bound as above, which the Hessian taken at X = 0 must fail
-    from rankmin.verify import _fd_pullback_hessian
     for seed in range(3):
         rng = make_rng(seed)
         target = random_ground_truth(8, 3, 5.0, rng).dense()
         base = project_rank_r(target + 0.5 * rng.standard_normal((8, 8)), 3)
-        for objective, passes in ((_LogCoshObjective, True), (_LogCoshHessianAtZero, False)):
+        for objective, passes in ((verify._LogCoshObjective, True), (_LogCoshHessianAtZero, False)):
             f = objective(target, 1.9)
-            fd = _fd_pullback_hessian(f, base)
+            fd = verify._fd_pullback_hessian(f, base)
             err = np.linalg.norm(pullback_hessian(f, base) - fd)
             assert (err <= 1e-6 * np.linalg.norm(fd)) == passes, (seed, objective.__name__)
+
+
+def test_hessian_at_zero_mutation_is_caught(monkeypatch):
+    # the oracle criterion's log-cosh instance sees a Hessian taken at X = 0,
+    # which its quadratic instances cannot
+    result = verify.criterion_geometry_oracles("quick")
+    assert result.passed and result.details["hessian_fd_logcosh_rel"] <= 1e-6
+    monkeypatch.setattr(verify, "_LogCoshObjective", _LogCoshHessianAtZero)
+    result = verify.criterion_geometry_oracles("quick")
+    assert not result.passed and result.details["hessian_fd_logcosh_rel"] > 1e-6
 
 
 def test_hessian_vector_on_a_stack_matches_single_calls():

@@ -411,12 +411,39 @@ def test_svgplot_rejects_bad_series():
     ([1.0, 1.0], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
     ([1e17], [5.0], "64.00,204.00"),
     ([0.0, 1.0], [1e17, 1e17], "64.00,204.00 624.00,204.00"),
-], ids=("one_point", "flat_y", "flat_x", "flat_huge_x", "flat_huge_y"))
+    ([1.0, math.nextafter(1.0, 2.0)], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+    ([1e17, 1e17 + 16], [5.0, 5.0], "64.00,204.00 64.10,204.00"),
+    ([5e-324, 1e-323], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+    ([0.0, 1.0], [0.6710510603938392, 0.6710510603938393], "64.00,204.00 624.00,204.00"),
+    ([0.0, 1.0], [0.0, 5e-324], "64.00,204.00 624.00,204.00"),
+], ids=("one_point", "flat_y", "flat_x", "flat_huge_x", "flat_huge_y", "near_flat_x",
+        "near_flat_huge_x", "subnormal_x", "near_flat_y", "subnormal_y"))
 def test_svgplot_widens_a_flat_range(x, y, points):
     # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1];
-    # at 1e17, where x + 1 rounds back to x, the unit is |x| / 2^40 instead
+    # at 1e17, where x + 1 rounds back to x, the unit is |x| / 2^40 instead.
+    # A range under 2^-40 of its larger endpoint magnitude (at least
+    # 2^-1000) is widened as a flat one, so that every tick step advances
     text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
     assert f'<polyline points="{points}" ' in text
+
+
+@st.composite
+def _axis_ends(draw):
+    """Two endpoints within [-1e300, 1e300], subnormals included: two draws,
+    or a draw and itself or a float neighbour."""
+    a = draw(st.floats(-1e300, 1e300))
+    b = draw(st.one_of(st.floats(-1e300, 1e300), st.just(math.nextafter(a, math.inf)),
+                       st.just(math.nextafter(a, -math.inf)), st.just(a)))
+    return [a, b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_axis_ends(), y=_axis_ends())
+def test_svgplot_draws_at_most_ten_ticks_per_axis(x, y):
+    text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
+    # x ticks hang below the frame, y ticks stick out left of it
+    assert 1 <= text.count(f'y2="{svgplot.HEIGHT - svgplot.MB + 4:.2f}"') <= 10
+    assert 1 <= text.count(f'<line x1="{svgplot.ML - 4:.2f}"') <= 10
 
 
 def test_svgplot_is_deterministic():
