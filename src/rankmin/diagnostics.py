@@ -53,10 +53,6 @@ class BudgetExceededError(RuntimeError):
     """Landscape probe would exceed MAX_PROBE_EVALUATIONS."""
 
 
-def _dense(x) -> np.ndarray:
-    return x.dense() if isinstance(x, FactoredMatrix) else np.asarray(x, dtype=float)
-
-
 def _lipschitz(f) -> float:
     """The L of f's smoothness_constants, or 1 when f has none."""
     consts = f.smoothness_constants()
@@ -217,7 +213,7 @@ def swapped_direction_saddle(target, r: int) -> FactoredMatrix:
     the r-th.  It is exactly invariant under projected gradient steps with
     eta * sigma_r(target) < sigma_{r+1}(target), and it is a strict saddle of
     the rank-r problem."""
-    td = _dense(target)
+    td = target.dense() if isinstance(target, FactoredMatrix) else np.asarray(target, dtype=float)
     u, s, vt = np.linalg.svd(td, full_matrices=False)
     # same relative cutoff as project_rank_r, so a numerically rank-r target
     # cannot smuggle roundoff modes in as real ones
@@ -282,16 +278,11 @@ def landscape_probe(f, n: int, r: int, *, seed: int, starts: int, iters: int,
     radius = CLUSTER_RADIUS_SCALE * math.sqrt(tol)
     clusters = []  # (representative FactoredMatrix, f value, count)
     for x, fx in terminals:
-        placed = False
         for idx, (rep, frep, count) in enumerate(clusters):
             if np.linalg.norm(rep.dense() - x.dense()) <= radius * max(1.0, rep.frobenius_norm()):
-                if fx < frep:
-                    clusters[idx] = (x, fx, count + 1)
-                else:
-                    clusters[idx] = (rep, frep, count + 1)
-                placed = True
+                clusters[idx] = (x, fx, count + 1) if fx < frep else (rep, frep, count + 1)
                 break
-        if not placed:
+        else:
             clusters.append((x, fx, 1))
     points = []
     for rep, frep, count in clusters:

@@ -139,16 +139,12 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_floats(s):
-    return tuple(float(tok) for tok in s.replace(",", " ").split())
+def _parse_list(parse_token):
+    """Parser of a list value: spaces or commas separate its items."""
+    return lambda s: tuple(parse_token(tok) for tok in s.replace(",", " ").split())
 
 
-def _parse_ints(s):
-    return tuple(int(tok) for tok in s.replace(",", " ").split())
-
-
-def _parse_words(s):
-    return tuple(tok.strip().lower() for tok in s.replace(",", " ").split())
+_parse_ints, _parse_floats, _parse_words = map(_parse_list, (int, float, str.lower))
 
 
 _SCHEMA = {

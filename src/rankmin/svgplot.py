@@ -76,7 +76,8 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
             ys += list(band[0]) + list(band[1])
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    x1 += _widening(x0, x1)     # above only on x, on both sides on y
+    w = _widening(x0, x1)   # above on x, or below where x1 + w overflows; both sides on y
+    x0, x1 = (x0, x1 + w) if math.isfinite(x1 + w) else (x0 - w, x1)
     w = _widening(y0, y1)
     y0, y1 = y0 - w, y1 + w
     pad = 0.04 * (y1 - y0)

@@ -471,19 +471,6 @@ def criterion_geometry_oracles(level):
 # 7. saddle escape
 
 
-def _escape_instance():
-    # identity frames keep every projected-descent iterate exactly diagonal,
-    # so the saddle is a bit-exact fixed point: roundoff never seeds the
-    # unstable mode and the unperturbed solver genuinely cannot leave
-    n, r = 8, 3
-    eye = np.eye(n)
-    target = FactoredMatrix(eye[:, :4], np.array([1.0, 0.9, 0.6, 0.3]),
-                            eye[:, :4], validate=False)
-    saddle = swapped_direction_saddle(target, r)
-    x_star = project_rank_r(target.dense(), r)
-    return target, saddle, x_star
-
-
 def escape_margin(f_saddle: float, epsilon: float, epsilon_t: float) -> float:
     """Progress quantum sqrt(eps^3 / rho_T) / 50 with rho_T = 2 M / eps_t^2
     and M = sqrt(2 f(saddle)) (a valid gradient bound on the sublevel set of
@@ -496,7 +483,14 @@ def escape_margin(f_saddle: float, epsilon: float, epsilon_t: float) -> float:
 @criterion
 def criterion_saddle_escape(level):
     seeds = range(50) if level == "full" else range(10)
-    target, saddle, x_star = _escape_instance()
+    # identity frames keep every projected-descent iterate exactly diagonal,
+    # so the saddle is a bit-exact fixed point: roundoff never seeds the
+    # unstable mode and the unperturbed solver genuinely cannot leave
+    eye = np.eye(8)
+    target = FactoredMatrix(eye[:, :4], np.array([1.0, 0.9, 0.6, 0.3]),
+                            eye[:, :4], validate=False)
+    saddle = swapped_direction_saddle(target, 3)
+    x_star = project_rank_r(target.dense(), saddle.rank)
     f = quadratic_objective(target)
     eta = 1.0 / 3.0
     params = PprojgdParams().resolve(eta)

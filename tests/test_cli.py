@@ -3,6 +3,7 @@ and the documented exit codes (0 ok, 1 failed check, 2 usage, 3 I/O)."""
 
 import configparser
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,6 +22,7 @@ import rankmin.diagnostics as diagnostics
 import rankmin.harness as harness
 import rankmin.objectives as objectives
 import rankmin.verify as verify
+from test_acceptance import pin_message
 
 CFG = """
 [problem]
@@ -48,6 +50,11 @@ kappa = 1
 starts = 18
 iters = 1500
 """
+
+
+# sha256 of the two probe reports below, so a change to the census shows
+PROBE_DIGEST = "0d62641832fef9d451d582bd1828a80083563e75a5956d9d63a677cc8e397946"
+SENSING_PROBE_DIGEST = "0ef9434cb2b23c8873203d4cdd997c801cc8f1bdc6cc969da9a56ea40e66f055"
 
 
 def write(path, text):
@@ -528,6 +535,8 @@ def test_probe_report(tmp_path):
     best = pts[0]
     assert best["classification"] == "second-order-minimizer"
     assert best["rel_err_to_truth"] < 1e-6
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PROBE_DIGEST, pin_message("quadratic probe report", digest, PROBE_DIGEST)
 
 
 def test_probe_report_on_sensing(tmp_path):
@@ -545,6 +554,9 @@ def test_probe_report_on_sensing(tmp_path):
     best = pts[0]
     assert best["classification"] == "second-order-minimizer"
     assert best["rel_err_to_truth"] < 1e-6
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SENSING_PROBE_DIGEST, pin_message("sensing probe report", digest,
+                                                       SENSING_PROBE_DIGEST)
 
 
 def test_probe_stdout_default(tmp_path, capsys):
@@ -766,6 +778,17 @@ def test_any_step_sizes_draw_their_panels(tmp_path, eta, data, iters):
         assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
     svgs = sorted(p.name for p in out.iterdir() if p.suffix == ".svg")
     assert svgs == ["panel_k1_rs1.svg"] + (["sweep_k1_rs1.svg"] if len(etas) == 2 else [])
+
+
+def test_step_sizes_at_the_top_of_the_floats_draw_their_panels(tmp_path):
+    # the sweep's near-flat x range cannot widen above the largest float
+    cfg = write(tmp_path / "grid.ini", _ONE_CELL.format(
+        etas="1.7976931348623155e308 1.7976931348623157e308", iters=5))
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    svgs = sorted(p.name for p in out.iterdir() if p.suffix == ".svg")
+    assert svgs == ["panel_k1_rs1.svg", "sweep_k1_rs1.svg"]
 
 
 # values a run entry of the manifest may hold after a bad edit; json writes

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,22 @@ def test_run_failing_mid_grid_leaves_no_manifest(tmp_path, monkeypatch):
         render_dir(str(tmp_path))
 
 
+def test_each_cell_runs_through_the_harness_binding_of_run_solver(tmp_path, monkeypatch):
+    # the benchmark times a host-speed slice before each call of
+    # harness.run_solver, looked up by name; a cell that ran its solver
+    # another way would leave norm_wall_s unscaled, with no error
+    run_solver, calls = harness.run_solver, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_solver", counting)
+    spec = tiny_spec()
+    run_experiment(spec, out_dir=str(tmp_path), jobs=1)
+    assert calls == [algo for _, algo, *_ in harness._grid(spec)]
+
+
 def test_run_experiment_needs_output_dir():
     with pytest.raises(SpecFileError, match="output directory"):
         run_experiment(tiny_spec())
@@ -405,6 +422,9 @@ def test_svgplot_rejects_bad_series():
         svgplot.render_panel("t", "x", "y", [{"label": "a", "x": [0, 1], "y": [0.0]}])
 
 
+_MAX = sys.float_info.max
+
+
 @pytest.mark.parametrize("x, y, points", [
     ([3.0], [5.0], "64.00,204.00"),
     ([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], "64.00,204.00 344.00,204.00 624.00,204.00"),
@@ -416,13 +436,17 @@ def test_svgplot_rejects_bad_series():
     ([5e-324, 1e-323], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
     ([0.0, 1.0], [0.6710510603938392, 0.6710510603938393], "64.00,204.00 624.00,204.00"),
     ([0.0, 1.0], [0.0, 5e-324], "64.00,204.00 624.00,204.00"),
+    ([_MAX], [5.0], "624.00,204.00"),
+    ([math.nextafter(_MAX, 0.0), _MAX], [0.0, 4.0], "623.93,361.41 624.00,46.59"),
 ], ids=("one_point", "flat_y", "flat_x", "flat_huge_x", "flat_huge_y", "near_flat_x",
-        "near_flat_huge_x", "subnormal_x", "near_flat_y", "subnormal_y"))
+        "near_flat_huge_x", "subnormal_x", "near_flat_y", "subnormal_y", "flat_max_x",
+        "near_flat_max_x"))
 def test_svgplot_widens_a_flat_range(x, y, points):
     # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1];
     # at 1e17, where x + 1 rounds back to x, the unit is |x| / 2^40 instead.
     # A range under 2^-40 of its larger endpoint magnitude (at least
-    # 2^-1000) is widened as a flat one, so that every tick step advances
+    # 2^-1000) is widened as a flat one, so that every tick step advances.
+    # Where widening x above would overflow, x widens below instead
     text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
     assert f'<polyline points="{points}" ' in text
 
