@@ -430,8 +430,17 @@ def _median_band(traces):
     for i, t in enumerate(traces):
         grid[i, :len(t)] = t
         grid[i, len(t):] = t[-1]
-    med = np.median(grid, axis=0)
-    return med, grid.min(axis=0), grid.max(axis=0)
+    return _median(grid), grid.min(axis=0), grid.max(axis=0)
+
+
+def _median(values):
+    """np.median(values, axis=0), bit for bit, by sorting: np.median's NaN
+    check imports numpy.ma. A column whose sorted last entry is NaN has it
+    as its median."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=0)
+    mid = len(ordered) // 2
+    med = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    return np.where(np.isnan(ordered[-1]), ordered[-1], med)
 
 
 def _log_clip(vals):
@@ -467,15 +476,14 @@ def _render_svgs(spec, out_dir, by_run) -> list:
                     med, lo, hi = _median_band(traces)
                     entry = {
                         "label": f"{algo} eta={_fmt(eta)}",
-                        "x": list(range(len(med))),
-                        "y": _log_clip(med).tolist(),
+                        "x": np.arange(len(med)),
+                        "y": _log_clip(med),
                     }
                     if len(seeds) > 1:
-                        entry["band"] = (_log_clip(lo).tolist(), _log_clip(hi).tolist())
+                        entry["band"] = (_log_clip(lo), _log_clip(hi))
                     panel.append(entry)
                     finals.append(med[-1])
-                sweep.append({"label": algo, "x": [float(e) for e in spec.etas],
-                              "y": _log_clip(finals).tolist()})
+                sweep.append({"label": algo, "x": spec.etas, "y": _log_clip(finals)})
             write(f"panel_k{_fmt(kappa)}_rs{r_star}.svg", cell, "iteration", panel)
             if len(spec.etas) >= 2:
                 write(f"sweep_k{_fmt(kappa)}_rs{r_star}.svg",

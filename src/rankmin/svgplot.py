@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 640.0, 420.0
 ML, MR, MT, MB = 64.0, 16.0, 34.0, 46.0   # margins: left/right/top/bottom
 
@@ -62,26 +64,33 @@ def _tick_label(v: float) -> str:
 
 
 def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
-    """series: list of {label, x, y, band?: (lo, hi)}; coordinates are taken
-    as-is (callers do their own log10). Returns the SVG text."""
-    if not series:
+    """series: list of {label, x, y, band?: (lo, hi)}, each a list or a float
+    array; coordinates are taken as-is (callers do their own log10). Returns
+    the SVG text."""
+    if len(series) == 0:
         raise ValueError("no series to plot")
-    xs = [v for s in series for v in s["x"]]
-    ys = [v for s in series for v in s["y"]]
     for s in series:
-        if len(s["x"]) != len(s["y"]) or not s["x"]:
+        if len(s["x"]) != len(s["y"]) or len(s["x"]) == 0:
             raise ValueError(f"series {s.get('label')!r}: x/y length mismatch or empty")
-        band = s.get("band")
-        if band is not None:
-            ys += list(band[0]) + list(band[1])
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs = [np.asarray(s["x"], dtype=float) for s in series]
+    ys = [np.asarray(s["y"], dtype=float) for s in series]
+    bands = [None if s.get("band") is None else np.asarray(s["band"], dtype=float)
+             for s in series]
+    every_x = np.concatenate(xs)
+    every_y = np.concatenate(ys + [b.ravel() for b in bands if b is not None])
+    x0, x1 = float(every_x.min()), float(every_x.max())
+    y0, y1 = float(every_y.min()), float(every_y.max())
     w = _widening(x0, x1)   # above on x, or below where x1 + w overflows; both sides on y
     x0, x1 = (x0, x1 + w) if math.isfinite(x1 + w) else (x0 - w, x1)
     w = _widening(y0, y1)
     y0, y1 = y0 - w, y1 + w
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
+    # with both widths finite, every pixel computed below is finite: no RuntimeWarning
+    for axis, data, width in (("x", every_x, x1 - x0), ("y", every_y, y1 - y0)):
+        if not math.isfinite(width):
+            raise ValueError(f"{axis} range [{float(data.min())!r}, {float(data.max())!r}] "
+                             "has no finite width to draw")
 
     pw, ph = WIDTH - ML - MR, HEIGHT - MT - MB
 
@@ -90,6 +99,9 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
 
     def py(y):
         return MT + (y1 - y) / (y1 - y0) * ph
+
+    def points(x, y):
+        return " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -121,21 +133,14 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
                f'{_esc(ylabel)}</text>')
 
     # bands first so every polyline draws on top
-    for i, s in enumerate(series):
-        band = s.get("band")
-        if band is None:
-            continue
-        color = PALETTE[i % len(PALETTE)]
-        lo, hi = band
-        pts = [f"{_f(px(x))},{_f(py(v))}" for x, v in zip(s["x"], hi)]
-        pts += [f"{_f(px(x))},{_f(py(v))}" for x, v in zip(reversed(s["x"]), reversed(lo))]
-        out.append(f'<polygon points="{" ".join(pts)}" fill="{color}" '
-                   'fill-opacity="0.15" stroke="none"/>')
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_f(px(x))},{_f(py(y))}" for x, y in zip(s["x"], s["y"]))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   'stroke-width="1.5"/>')
+    for i, (x, band) in enumerate(zip(xs, bands)):
+        if band is not None:
+            lo, hi = band
+            out.append(f'<polygon points="{points(x, hi)} {points(x[::-1], lo[::-1])}" '
+                       f'fill="{PALETTE[i % len(PALETTE)]}" fill-opacity="0.15" stroke="none"/>')
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        out.append(f'<polyline points="{points(x, y)}" fill="none" '
+                   f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.5"/>')
 
     # legend, top-right inside the frame
     for i, s in enumerate(series):

@@ -95,7 +95,7 @@ def criterion_trace_panels(level):
         return [_iters_to(harness.run_cell(spec, algo, kappa, r_star, eta, s), tol)
                 for s in seeds]
 
-    proj_med = {(kappa, r_star): float(np.median(iters("projgd", kappa, r_star)))
+    proj_med = {(kappa, r_star): float(harness._median(iters("projgd", kappa, r_star)))
                 for kappa in spec.kappa for r_star in spec.r_star}
     pass_a = all(math.isfinite(v) for v in proj_med.values())
 
@@ -105,14 +105,14 @@ def criterion_trace_panels(level):
         ratios[r_star] = max(meds) / min(meds) if all(map(math.isfinite, meds)) else math.inf
     pass_b = all(v < 2.0 for v in ratios.values())
 
-    fgd_hard_med = float(np.median(iters("fgd", hard_kappa, spec.r)))
+    fgd_hard_med = float(harness._median(iters("fgd", hard_kappa, spec.r)))
     pass_c = (not math.isfinite(fgd_hard_med)
               or fgd_hard_med > 3.0 * proj_med[(hard_kappa, spec.r)])
 
     # a tolerance no run reaches, so each run lasts long enough to measure its stall rate
     stall_spec = replace(spec, tol_rel_err=1e-16)
     stall_rates = {
-        kappa: float(np.median([estimate_linear_rate(
+        kappa: float(harness._median([estimate_linear_rate(
             harness.run_cell(stall_spec, "fgd", kappa, low_rank, eta, s), window=50)
             for s in seeds]))
         for kappa in spec.kappa}
@@ -168,7 +168,7 @@ def criterion_step_size_sweep(level):
     for eta in etas:
         if not WITNESS_WINDOW[0] < eta < WITNESS_WINDOW[1]:
             continue
-        med = {a: float(np.median([finals[(a, s, eta)] for s in seeds])) for a in algos}
+        med = {a: float(harness._median([finals[(a, s, eta)] for s in seeds])) for a in algos}
         # baselines count as failed when they never recover (final error at or
         # above the init level); the abort threshold is reported for context
         if med["projgd"] < SUCCESS_REL and all(med[a] > STALL_REL for a in baselines):

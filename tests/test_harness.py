@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -415,6 +416,39 @@ def test_render_dir_requires_manifest(tmp_path):
         render_dir(str(tmp_path))
 
 
+# relative errors: finite and non-negative, or inf and NaN where a run diverged
+_REL_ERRS = st.lists(st.one_of(st.floats(0.0, 1e6), st.just(math.inf), st.just(math.nan)),
+                     min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces=st.lists(_REL_ERRS, min_size=1, max_size=6))
+def test_median_band_matches_np_median_of_the_held_grid(traces):
+    med, lo, hi = harness._median_band(traces)
+    tmax = max(map(len, traces))
+    grid = np.array([t + t[-1:] * (tmax - len(t)) for t in traces])
+    assert med.tobytes() == np.median(grid, axis=0).tobytes()
+    assert lo.tobytes() == grid.min(axis=0).tobytes()
+    assert hi.tobytes() == grid.max(axis=0).tobytes()
+    # verify takes the median of one list of values through the same helper
+    assert harness._median(traces[0]).tobytes() == np.median(traces[0]).tobytes()
+
+
+def test_a_grid_run_never_imports_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma on their first call, which
+    # costs a grid run about 17 ms and over 1 MB; the panels sort instead
+    one_cell = TINY.replace("projgd fgd", "projgd").replace("0.4 0.6", "0.4")
+    code = ("import sys\nfrom rankmin import harness\n"
+            f"spec = harness.parse_spec_text({one_cell!r})\n"
+            f"res = harness.run_experiment(spec, out_dir={str(tmp_path)!r}, jobs=1)\n"
+            "print(sorted({f.rsplit('.', 1)[1] for f in res.files}), 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['csv', 'json', 'svg'] False\n"
+
+
 def test_svgplot_rejects_bad_series():
     with pytest.raises(ValueError):
         svgplot.render_panel("t", "x", "y", [])
@@ -425,30 +459,52 @@ def test_svgplot_rejects_bad_series():
 _MAX = sys.float_info.max
 
 
-@pytest.mark.parametrize("x, y, points", [
-    ([3.0], [5.0], "64.00,204.00"),
-    ([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], "64.00,204.00 344.00,204.00 624.00,204.00"),
-    ([1.0, 1.0], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
-    ([1e17], [5.0], "64.00,204.00"),
-    ([0.0, 1.0], [1e17, 1e17], "64.00,204.00 624.00,204.00"),
-    ([1.0, math.nextafter(1.0, 2.0)], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
-    ([1e17, 1e17 + 16], [5.0, 5.0], "64.00,204.00 64.10,204.00"),
-    ([5e-324, 1e-323], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
-    ([0.0, 1.0], [0.6710510603938392, 0.6710510603938393], "64.00,204.00 624.00,204.00"),
-    ([0.0, 1.0], [0.0, 5e-324], "64.00,204.00 624.00,204.00"),
-    ([_MAX], [5.0], "624.00,204.00"),
-    ([math.nextafter(_MAX, 0.0), _MAX], [0.0, 4.0], "623.93,361.41 624.00,46.59"),
-], ids=("one_point", "flat_y", "flat_x", "flat_huge_x", "flat_huge_y", "near_flat_x",
-        "near_flat_huge_x", "subnormal_x", "near_flat_y", "subnormal_y", "flat_max_x",
-        "near_flat_max_x"))
-def test_svgplot_widens_a_flat_range(x, y, points):
+_FLAT_RANGES = {
+    "one_point": ([3.0], [5.0], "64.00,204.00"),
+    "flat_y": ([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], "64.00,204.00 344.00,204.00 624.00,204.00"),
+    "flat_x": ([1.0, 1.0], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+    "flat_huge_x": ([1e17], [5.0], "64.00,204.00"),
+    "flat_huge_y": ([0.0, 1.0], [1e17, 1e17], "64.00,204.00 624.00,204.00"),
+    "near_flat_x": ([1.0, math.nextafter(1.0, 2.0)], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+    "near_flat_huge_x": ([1e17, 1e17 + 16], [5.0, 5.0], "64.00,204.00 64.10,204.00"),
+    "subnormal_x": ([5e-324, 1e-323], [0.0, 4.0], "64.00,361.41 64.00,46.59"),
+    "near_flat_y": ([0.0, 1.0], [0.6710510603938392, 0.6710510603938393],
+                    "64.00,204.00 624.00,204.00"),
+    "subnormal_y": ([0.0, 1.0], [0.0, 5e-324], "64.00,204.00 624.00,204.00"),
+    "flat_max_x": ([_MAX], [5.0], "624.00,204.00"),
+    "near_flat_max_x": ([math.nextafter(_MAX, 0.0), _MAX], [0.0, 4.0],
+                        "623.93,361.41 624.00,46.59"),
+}
+
+
+# each range as plain lists and as the float arrays the harness passes
+@pytest.mark.parametrize("x, y, points, as_input", [
+    pytest.param(*case, as_input, id=name + suffix)
+    for as_input, suffix in ((list, ""), (np.asarray, "_array"))
+    for name, case in _FLAT_RANGES.items()])
+def test_svgplot_widens_a_flat_range(x, y, points, as_input):
     # a flat x range becomes [x, x + 1], a flat y range [y - 1, y + 1];
     # at 1e17, where x + 1 rounds back to x, the unit is |x| / 2^40 instead.
     # A range under 2^-40 of its larger endpoint magnitude (at least
     # 2^-1000) is widened as a flat one, so that every tick step advances.
     # Where widening x above would overflow, x widens below instead
-    text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
+    text = svgplot.render_panel("t", "x", "y",
+                                [{"label": "a", "x": as_input(x), "y": as_input(y)}])
     assert f'<polyline points="{points}" ' in text
+
+
+@pytest.mark.parametrize("x, y, axis", [
+    ([-_MAX, _MAX], [0.0, 1.0], "x"),
+    ([0.0, 1.0], [-_MAX, _MAX], "y"),
+    ([0.0, 1.0], [_MAX, _MAX], "y"),
+], ids=("widest_x", "widest_y", "flat_max_y"))
+def test_svgplot_rejects_a_range_with_no_finite_width(x, y, axis):
+    # the flat y range widens on both sides, so its top overflows
+    data = x if axis == "x" else y
+    with pytest.raises(ValueError) as err:
+        svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
+    assert str(err.value) == (f"{axis} range [{min(data)!r}, {max(data)!r}] "
+                              "has no finite width to draw")
 
 
 @st.composite
