@@ -246,24 +246,11 @@ class TangentVector:
     """Element of the tangent space at a rank-k base point, stored as the
     n1 x n2 array st = [[core, right], [left, 0]] in the base's full frames
     (see the module docstring).  core, left and right are views into st.
-
-    Supports the small amount of vector arithmetic the tangent-descent loop
-    needs, each one array operation; operands must share the same base
-    object.
+    Arithmetic on tangent vectors is done on coords(), and the result is
+    wrapped again with from_coords.
     """
 
     __slots__ = ("st", "base")
-
-    def __init__(self, core, left, right, base: FactoredMatrix):
-        k = base.rank
-        n1, n2 = base.shape
-        core = np.asarray(core, dtype=float)
-        left = np.asarray(left, dtype=float)
-        right = np.asarray(right, dtype=float)
-        if core.shape != (k, k) or left.shape != (n1 - k, k) or right.shape != (k, n2 - k):
-            raise ValueError("tangent block shapes do not match the base point")
-        self.st = np.block([[core, right], [left, np.zeros((n1 - k, n2 - k))]])
-        self.base = base
 
     @classmethod
     def _wrap(cls, st, base: FactoredMatrix) -> "TangentVector":
@@ -296,31 +283,6 @@ class TangentVector:
         st = np.zeros(base.shape)
         st.ravel()[rows] = x
         return cls._wrap(st, base)
-
-    @classmethod
-    def zero(cls, base: FactoredMatrix) -> "TangentVector":
-        return cls._wrap(np.zeros(base.shape), base)
-
-    def _match(self, other):
-        if self.base is not other.base:
-            raise ValueError("tangent vectors live at different base points")
-
-    def __add__(self, other):
-        self._match(other)
-        return TangentVector._wrap(self.st + other.st, self.base)
-
-    def __sub__(self, other):
-        self._match(other)
-        return TangentVector._wrap(self.st - other.st, self.base)
-
-    def __mul__(self, a):
-        return TangentVector._wrap(float(a) * self.st, self.base)
-
-    __rmul__ = __mul__
-
-    def inner(self, other) -> float:
-        self._match(other)
-        return float(np.vdot(self.st, other.st))
 
 
 def _coordinates(base: FactoredMatrix) -> np.ndarray:

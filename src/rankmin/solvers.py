@@ -296,7 +296,7 @@ def tangent_space_steps(x: FactoredMatrix, f, radius: float, eta_t: float,
         # a PSD point has u = v, so both frames are one array and the
         # symmetric part of the frame array is the symmetric perturbation
         s = TangentVector._wrap(0.5 * (s.st + s.st.T), x)
-    st = ((eta_t * radius / s.norm()) * s).st
+    st = (eta_t * radius / s.norm()) * s.st
     # one kernel for the escape; the inner steps run on bare frame arrays
     pull = _Pullback(x, f)
     # every inner point has ||S_core||_F <= ||S||_F <= max(eps_t, ||S_0||_F),

@@ -76,6 +76,9 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     ys = [np.asarray(s["y"], dtype=float) for s in series]
     bands = [None if s.get("band") is None else np.asarray(s["band"], dtype=float)
              for s in series]
+    for s, x, band in zip(series, xs, bands):
+        if band is not None and band.shape != (2, x.size):
+            raise ValueError(f"series {s.get('label')!r}: band is not two rows of len(x) values")
     every_x = np.concatenate(xs)
     every_y = np.concatenate(ys + [b.ravel() for b in bands if b is not None])
     x0, x1 = float(every_x.min()), float(every_x.max())

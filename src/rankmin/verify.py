@@ -419,17 +419,15 @@ def criterion_geometry_oracles(level):
     for _ in range(8 if full else 3):
         base = rand_base()
         f = quadratic_objective(random_ground_truth(n, r, 2.0, rng))
-        s = TangentVector.from_coords(
-            0.1 * rng.standard_normal(tangent_dim(base)), base)
-        _, grad = pullback_value_grad(f, base, s)
+        x = 0.1 * rng.standard_normal(tangent_dim(base))
+        _, grad = pullback_value_grad(f, base, TangentVector.from_coords(x, base))
         for _ in range(20 if full else 6):
             d = rng.standard_normal(tangent_dim(base))
             d /= np.linalg.norm(d)
-            dv = TangentVector.from_coords(d, base)
             h = 1e-5
-            num = (pullback_value_grad(f, base, s + h * dv)[0]
-                   - pullback_value_grad(f, base, s - h * dv)[0]) / (2 * h)
-            ana = grad.inner(dv)
+            num = (pullback_value_grad(f, base, TangentVector.from_coords(x + h * d, base))[0]
+                   - pullback_value_grad(f, base, TangentVector.from_coords(x - h * d, base))[0]) / (2 * h)
+            ana = float(np.vdot(grad.st, TangentVector.from_coords(d, base).st))
             fd_worst = max(fd_worst, abs(num - ana) / max(abs(num), 1e-12))
     fd_ok = fd_worst < 1e-5
 

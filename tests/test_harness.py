@@ -271,12 +271,14 @@ def test_manifest_is_self_describing(tmp_path):
 
 
 def test_package_version_matches_pyproject():
-    # the manifest records PACKAGE_VERSION; the build records pyproject's
+    # the manifest records PACKAGE_VERSION, the package exposes it as
+    # __version__, and the build records pyproject's
     with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"),
               encoding="utf-8") as fh:
         text = fh.read()
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
-    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == harness.PACKAGE_VERSION
+    version = re.search(r'^version = "([^"]*)"$', project, re.M).group(1)
+    assert version == rankmin.__version__ == harness.PACKAGE_VERSION
 
 
 def test_eta_sweep_table(tmp_path):
@@ -454,6 +456,21 @@ def test_svgplot_rejects_bad_series():
         svgplot.render_panel("t", "x", "y", [])
     with pytest.raises(ValueError):
         svgplot.render_panel("t", "x", "y", [{"label": "a", "x": [0, 1], "y": [0.0]}])
+
+
+@pytest.mark.parametrize("band", [
+    ([0, 1], [1, 2]),
+    ([0, 1, 2, 3], [1, 2, 3, 4]),
+    ([0, 1, 2],),
+    ([[0, 1, 2]], [[1, 2, 3]]),
+], ids=("short_rows", "long_rows", "one_row", "rows_of_rows"))
+def test_svgplot_rejects_a_band_that_is_not_two_rows_of_len_x(band):
+    # unchecked, a short band drew a truncated polygon, a long one was cut
+    # by zip to pair with the wrong x, and the others raised from unpacking
+    # or from formatting
+    series = [{"label": "a", "x": [0, 1, 2], "y": [0, 1, 2], "band": band}]
+    with pytest.raises(ValueError, match=r"^series 'a': band is not two rows of len\(x\) values$"):
+        svgplot.render_panel("t", "x", "y", series)
 
 
 _MAX = sys.float_info.max

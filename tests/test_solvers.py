@@ -30,6 +30,7 @@ from rankmin.objectives import (
     sensing_objective,
     spectral_init,
 )
+from test_geometry import tangent_from_blocks
 import rankmin.geometry as geometry
 import rankmin.solvers as solvers
 from rankmin.solvers import (
@@ -893,7 +894,7 @@ def test_tangent_steps_one_pullback_call_per_inner_step(monkeypatch):
     # block (so W = Sigma throughout), from a negligible start; each step
     # moves 0.01, steps 1-4 stay inside eps_t = 0.045 and step 5 leaves
     calls.clear()
-    g = TangentVector(np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), x)
+    g = tangent_from_blocks(x, np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)))
     f = CountingGradient(LinearPull(g.dense(), 1.0 / g.norm()))
     y = tangent_space_steps(x, f, 1e-9, 0.01, 0.045, 100, make_rng(7, stream=6))
     assert len(calls) == f.calls == 5
@@ -917,23 +918,24 @@ def test_escape_completes_each_frame_once(monkeypatch, psd, frames):
 
 def reference_tangent_steps(x, f, perturb_radius, eta_t, epsilon_t, max_iters, rng):
     """The escape built only from the public pullback_value_grad, retract
-    and TangentVector arithmetic, one pullback per inner step: the oracle
+    and tangent coordinates, one pullback per inner step: the oracle
     tangent_space_steps must match byte for byte."""
     s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
     if getattr(f, "symmetric_psd", False):
         k = x.rank
         sym = 0.5 * (s.st + s.st.T)
-        s = TangentVector(sym[:k, :k], sym[k:, :k], sym[:k, k:], x)
-    s = (eta_t * perturb_radius / s.norm()) * s
+        s = tangent_from_blocks(x, sym[:k, :k], sym[k:, :k], sym[:k, k:])
+    c = (eta_t * perturb_radius / s.norm()) * s.coords()
     for _ in range(max_iters):
+        s = TangentVector.from_coords(c, x)
         _, grad = pullback_value_grad(f, x, s)
-        s_plus = s - eta_t * grad
-        if s_plus.norm() <= epsilon_t:
-            s = s_plus
+        c_plus = c - eta_t * grad.coords()
+        if TangentVector.from_coords(c_plus, x).norm() <= epsilon_t:
+            c = c_plus
         else:
             t = _boundary_step_length(s.st, grad.st, epsilon_t)
-            return retract(x, s - t * grad)
-    return retract(x, s)
+            return retract(x, TangentVector.from_coords(c - t * grad.coords(), x))
+    return retract(x, TangentVector.from_coords(c, x))
 
 
 def _same_bytes(a, b):
@@ -957,7 +959,7 @@ def _escape_cases():
     yield "psd boundary", x, f, 1e-2, 0.1, 0.05, 500, "boundary"
     x = random_ground_truth(7, 3, 2.0, rng)
     yield "flat budget", x, ZeroGradient(), 1e-4, 0.01, 0.01, 7, "budget"
-    g = TangentVector(np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), x)
+    g = tangent_from_blocks(x, np.zeros((3, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 4)))
     yield "pull boundary", x, LinearPull(g.dense(), 1.0 / g.norm()), 1e-9, 0.01, 0.045, 100, "boundary"
 
 
@@ -1026,12 +1028,13 @@ def test_boundary_root_find_matches_bisection():
     x = random_ground_truth(6, 2, 2.0, rng)
     eps_t = 0.3
     for _ in range(20):
-        s = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
-        s = (0.8 * eps_t / s.norm()) * s
-        g = TangentVector.from_coords(rng.standard_normal(tangent_dim(x)), x)
-        g = (-4.0 * eps_t / g.norm()) * g      # strong outward pull
+        a = rng.standard_normal(tangent_dim(x))
+        a *= 0.8 * eps_t / np.linalg.norm(a)
+        b = rng.standard_normal(tangent_dim(x))
+        b *= -4.0 * eps_t / np.linalg.norm(b)      # strong outward pull
+        s, g = (TangentVector.from_coords(v, x) for v in (a, b))
         eta_exact = _boundary_step_length(s.st, g.st, eps_t)
-        phi = lambda t: (s + (-t) * g).norm() - eps_t
+        phi = lambda t: np.linalg.norm(a - t * b) - eps_t
         assert phi(0.0) < 0
         lo, hi = 0.0, 1.0
         while phi(hi) < 0:
@@ -1043,6 +1046,6 @@ def test_boundary_root_find_matches_bisection():
             else:
                 hi = mid
         assert abs(eta_exact - 0.5 * (lo + hi)) < 1e-12
-        assert abs((s + (-eta_exact) * g).norm() - eps_t) < 1e-12
+        assert abs(phi(eta_exact)) < 1e-12
     # no pull, no crossing
     assert _boundary_step_length(s.st, np.zeros_like(s.st), eps_t) == 0.0
