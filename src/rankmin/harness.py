@@ -6,10 +6,12 @@ are reproducible run-by-run no matter how the grid is scheduled; worker count
 changes wall time only, never bytes. All files are written by the parent
 process via temp-file + rename. Each run's CSV is written as the run
 arrives, in grid order, and only its summary and rel_err column are kept,
-so memory holds one run's CSV text plus every run's rel_err column. Once
-all runs are done come eta_sweep.csv, the SVG panels and, last, the
+so memory holds one run's CSV text plus every run's rel_err column; a run
+forms its CSV text only for the csv format and its column only for svg.
+Once all runs are done come eta_sweep.csv, the SVG panels and, last, the
 manifest, which marks a complete directory: a grid that fails part-way
-leaves the CSVs written so far and no manifest.
+leaves the CSVs written so far and no manifest. A panel's text is held
+once, as svgplot.render_panel's lines, and written line by line.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ class ExperimentSpec:
         bad = set(self.formats) - {"csv", "svg", "json"}
         if bad:
             raise SpecFileError(f"unknown formats: {sorted(bad)}")
+        # spec_to_text could not write an empty directory back
+        if self.out_dir == "":
+            raise SpecFileError("[output] directory is empty: leave the key out or name a directory")
         return self
 
 
@@ -233,7 +238,7 @@ def spec_to_text(spec: ExperimentSpec) -> str:
         else:
             values = {key: getattr(spec, _FIELD_RENAMES.get(key, key)) for key in keys}
         lines.append(f"[{section}]")
-        lines += [f"{key} = {_fmt_value(v)}" for key, v in values.items() if v not in (None, "")]
+        lines += [f"{key} = {_fmt_value(v)}" for key, v in values.items() if v is not None]
         lines.append("")
     return "\n".join(lines)
 
@@ -341,18 +346,30 @@ def _execute_one(args):
         "seed": seed, "status": trace.status,
         "final_rel_err": last.rel_err, "iterations": last.iteration,
     }
-    return (run_filename(algo, kappa, r_star, eta, seed), trace.csv_text(), summary,
-            trace.column("rel_err"))
+    # only what the requested formats write: the CSV text, and the column the panels draw
+    return (run_filename(algo, kappa, r_star, eta, seed),
+            trace.csv_text() if "csv" in spec.formats else None, summary,
+            trace.column("rel_err") if "svg" in spec.formats else None)
 
 
-def _atomic_write(path, data: str):
+def _atomic_write(path, data):
+    """Write data, a str or a list of lines, to path through a temp file and
+    a rename. A list is written as "\n".join(lines) + "\n", line by line, so
+    that its text is never held joined."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp_{os.urandom(8).hex()}.part")
     # created 0666 less the umask, as open() creates a file; mkstemp's is 0600
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                for i, line in enumerate(data):
+                    if i:
+                        fh.write("\n")
+                    fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -374,7 +391,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1) -> RunResu
                             f"or set ${OUT_ENV})")
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(spec,) + t for t in _grid(spec)]
-    runs = {}                           # name -> (summary, rel_err column)
+    runs = {}                           # name -> (summary, rel_err column or None)
     if jobs > 1:
         # imported only here: it costs every single-process import of rankmin
         from concurrent.futures import ProcessPoolExecutor
@@ -459,9 +476,9 @@ def _render_svgs(spec, out_dir, by_run) -> list:
     seeds = spec.resolved_seeds()
 
     def write(name, title, xlabel, series):
-        svg = svgplot.render_panel(title=title, xlabel=xlabel,
-                                   ylabel="log10 relative error", series=series)
-        _atomic_write(os.path.join(out_dir, name), svg)
+        lines = svgplot.render_panel(title=title, xlabel=xlabel,
+                                     ylabel="log10 relative error", series=series)
+        _atomic_write(os.path.join(out_dir, name), lines)
         written.append(name)
 
     for kappa in spec.kappa:
@@ -474,13 +491,14 @@ def _render_svgs(spec, out_dir, by_run) -> list:
                     traces = [by_run[(algo, kappa, r_star, eta, s)] for s in seeds]
                     # each seed is held at its last value, so med[-1] is their median final error
                     med, lo, hi = _median_band(traces)
+                    # float arrays, the band one array of two rows: render_panel copies none
                     entry = {
                         "label": f"{algo} eta={_fmt(eta)}",
-                        "x": np.arange(len(med)),
+                        "x": np.arange(len(med), dtype=float),
                         "y": _log_clip(med),
                     }
                     if len(seeds) > 1:
-                        entry["band"] = (_log_clip(lo), _log_clip(hi))
+                        entry["band"] = _log_clip(np.stack((lo, hi)))
                     panel.append(entry)
                     finals.append(med[-1])
                 sweep.append({"label": algo, "x": spec.etas, "y": _log_clip(finals)})

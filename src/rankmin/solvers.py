@@ -155,9 +155,9 @@ class SolverTrace:
         return None
 
     def csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend("%d,%s,%s,%s,%s,%s,%s" % rec for rec in self.records)
-        return "\n".join(lines) + "\n"
+        rows = [",".join(CSV_COLUMNS) + "\n"]
+        rows.extend("%d,%s,%s,%s,%s,%s,%s\n" % rec for rec in self.records)
+        return "".join(rows)
 
 
 def projgd_step(x: FactoredMatrix, f, eta: float, rank: Optional[int] = None) -> FactoredMatrix:

@@ -3,7 +3,10 @@
 Constraints the harness relies on: byte-stable output (no timestamps,
 no ids, fixed float formatting), exactly one <polyline> per data series,
 optional min/max envelope drawn as a <polygon>. Matplotlib can't promise
-any of that across versions, hence this ~150-line renderer.
+any of that across versions, hence this ~150-line renderer. A panel comes
+back as its list of lines, which harness._atomic_write writes one at a
+time, so its text is never also held joined; the axis ranges come from
+each series' own min and max, with no array of every plotted point.
 """
 
 from __future__ import annotations
@@ -63,10 +66,11 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
+def render_panel(title: str, xlabel: str, ylabel: str, series) -> list:
     """series: list of {label, x, y, band?: (lo, hi)}, each a list or a float
     array; coordinates are taken as-is (callers do their own log10). Returns
-    the SVG text."""
+    the SVG text as its lines, without line ends: the file is
+    "\n".join(lines) + "\n", which harness._atomic_write writes line by line."""
     if len(series) == 0:
         raise ValueError("no series to plot")
     for s in series:
@@ -79,10 +83,11 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     for s, x, band in zip(series, xs, bands):
         if band is not None and band.shape != (2, x.size):
             raise ValueError(f"series {s.get('label')!r}: band is not two rows of len(x) values")
-    every_x = np.concatenate(xs)
-    every_y = np.concatenate(ys + [b.ravel() for b in bands if b is not None])
-    x0, x1 = float(every_x.min()), float(every_x.max())
-    y0, y1 = float(every_y.min()), float(every_y.max())
+    # np.min and np.max of the per-series ends, like those of all points, propagate NaN
+    ends_y = ys + [b for b in bands if b is not None]
+    data_x = float(np.min([x.min() for x in xs])), float(np.max([x.max() for x in xs]))
+    data_y = float(np.min([y.min() for y in ends_y])), float(np.max([y.max() for y in ends_y]))
+    (x0, x1), (y0, y1) = data_x, data_y
     w = _widening(x0, x1)   # above on x, or below where x1 + w overflows; both sides on y
     x0, x1 = (x0, x1 + w) if math.isfinite(x1 + w) else (x0 - w, x1)
     w = _widening(y0, y1)
@@ -90,10 +95,9 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
     # with both widths finite, every pixel computed below is finite: no RuntimeWarning
-    for axis, data, width in (("x", every_x, x1 - x0), ("y", every_y, y1 - y0)):
+    for axis, (lo, hi), width in (("x", data_x, x1 - x0), ("y", data_y, y1 - y0)):
         if not math.isfinite(width):
-            raise ValueError(f"{axis} range [{float(data.min())!r}, {float(data.max())!r}] "
-                             "has no finite width to draw")
+            raise ValueError(f"{axis} range [{lo!r}, {hi!r}] has no finite width to draw")
 
     pw, ph = WIDTH - ML - MR, HEIGHT - MT - MB
 
@@ -155,4 +159,4 @@ def render_panel(title: str, xlabel: str, ylabel: str, series) -> str:
         out.append(f'<text x="{_f(xr - 22)}" y="{_f(yp)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{_esc(str(s["label"]))}</text>')
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out

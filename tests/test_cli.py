@@ -101,6 +101,16 @@ def test_output_directory_order(tmp_path, monkeypatch):
         shutil.rmtree(tmp_path / where.split("/")[0])
 
 
+def test_run_empty_output_directory_is_one_line_usage_error(tmp_path, capsys):
+    # with --out given, the empty key used to pass, and the manifest's config
+    # then read back with no directory
+    cfg = write(tmp_path / "grid.ini", CFG + "\n[output]\ndirectory =\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: [output] directory is empty")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("verb", ["run", "preset"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_one_line_usage_error(tmp_path, capsys, monkeypatch, verb, jobs):

@@ -1,12 +1,14 @@
 """Experiment-harness tests: config parsing, grid execution, artifact
 layout, byte determinism, and the SVG renderer's structural guarantees."""
 
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from rankmin.harness import (
     spec_to_text,
 )
 from rankmin.objectives import make_rng
-from rankmin.solvers import CSV_COLUMNS, PprojgdParams
+from rankmin.solvers import CSV_COLUMNS, PprojgdParams, SolverTrace
 
 TINY = """
 [problem]
@@ -65,6 +67,18 @@ def tiny_spec():
 def test_parse_round_trip():
     spec = tiny_spec()
     assert parse_spec_text(spec_to_text(spec)) == spec
+
+
+def test_empty_output_directory_is_rejected():
+    # parsed as out_dir="", it was dropped by spec_to_text, so the manifest's
+    # config read back with no directory
+    with pytest.raises(SpecFileError, match=r"^\[output\] directory is empty"):
+        parse_spec_text("[output]\ndirectory =\n")
+    with pytest.raises(SpecFileError, match=r"^\[output\] directory is empty"):
+        replace(tiny_spec(), out_dir="").validate()
+    named = parse_spec_text("[output]\ndirectory = results/fig1\n")
+    assert named.out_dir == "results/fig1"
+    assert parse_spec_text(spec_to_text(named)) == named
 
 
 def test_parse_empty_text_gives_defaults():
@@ -166,6 +180,7 @@ def _specs(draw):
         tol_rel_err=draw(st.floats(-1e3, 1e3)),
         diverge_threshold=draw(_positive),
         formats=tuple(draw(st.lists(st.sampled_from(("csv", "svg", "json")), min_size=1, max_size=3))),
+        out_dir=draw(st.one_of(st.none(), st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True))),
     )
     # valid specs stay within the grid-size cap
     runs = math.prod(map(len, (spec.r_star, spec.kappa, spec.algorithms, spec.etas,
@@ -372,6 +387,22 @@ def test_csv_only_format(tmp_path):
     assert "manifest.json" not in res.files
 
 
+# sha256 of the manifest of TINY with formats = json
+JSON_ONLY_MANIFEST_DIGEST = "11cbd1117f93c4cee0b2993e7d4b31d8ae9dfbb5757459ccdd6c4b8a66b98db3"
+
+
+def test_json_only_grid_forms_no_csv_text_or_rel_err_column(tmp_path, monkeypatch):
+    def unwritten(*args):
+        raise AssertionError("formed text or a column that no requested format writes")
+
+    monkeypatch.setattr(SolverTrace, "csv_text", unwritten)
+    monkeypatch.setattr(SolverTrace, "column", unwritten)
+    res = run_experiment(replace(tiny_spec(), formats=("json",)), out_dir=str(tmp_path))
+    assert res.files == ["manifest.json"]
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == JSON_ONLY_MANIFEST_DIGEST
+
+
 def test_atomic_write_replaces_in_place(tmp_path):
     path = tmp_path / "out.txt"
     _atomic_write(str(path), "old\n")
@@ -382,6 +413,16 @@ def test_atomic_write_replaces_in_place(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         _atomic_write(str(path), "bad \udcff\n")
     assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # a list of lines is written as "\n".join(lines) + "\n"
+    for lines in ([], [""], ["one"], ["a", "", "b c"]):
+        _atomic_write(str(path), lines)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # and one that fails in the middle of the list leaves the old target too
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(path), ["first", "bad \udcff", "last"])
+    assert path.read_bytes() == b"a\n\nb c\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
@@ -399,6 +440,28 @@ def test_panel_svg_structure(tmp_path):
     sweep = (tmp_path / "sweep_k1_rs2.svg").read_text()
     assert sweep.count("<polyline") == 2
     assert sweep.count("<polygon") == 0
+
+
+def test_writing_a_trace_panel_holds_its_text_once(tmp_path):
+    # a fig1-sized trace panel: 3 algorithms x 2 step sizes of 10 seeds each,
+    # so 6 series of 1001 points with min/max bands
+    spec = replace(PRESETS["fig1"](), kappa=(1.0,), r_star=(4,))
+    rng = np.random.default_rng(0)
+    by_run = {(algo, 1.0, 4, eta, seed): np.logspace(0, -14, 1001 - seed) * rng.uniform(0.5, 2.0)
+              for algo in spec.algorithms for eta in spec.etas for seed in spec.resolved_seeds()}
+    tracemalloc.start()
+    try:
+        harness._render_svgs(spec, str(tmp_path), by_run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "panel_k1_rs4.svg").stat().st_size
+    assert size > 150_000
+    # float64 x, y and the band's two rows of each series
+    series_bytes = 6 * 1001 * 4 * 8
+    # the text held as lines and written line by line is about 1x the file;
+    # held also as a join, its copy and the encoded bytes it was 4x and more
+    assert peak - series_bytes < 2 * size, (peak, size)
 
 
 def test_render_dir_replays_svgs_byte_identically(tmp_path):
@@ -449,6 +512,11 @@ def test_a_grid_run_never_imports_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['csv', 'json', 'svg'] False\n"
+
+
+def _panel_text(*args):
+    """The file text of a panel: render_panel returns its lines."""
+    return "\n".join(svgplot.render_panel(*args)) + "\n"
 
 
 def test_svgplot_rejects_bad_series():
@@ -505,8 +573,7 @@ def test_svgplot_widens_a_flat_range(x, y, points, as_input):
     # A range under 2^-40 of its larger endpoint magnitude (at least
     # 2^-1000) is widened as a flat one, so that every tick step advances.
     # Where widening x above would overflow, x widens below instead
-    text = svgplot.render_panel("t", "x", "y",
-                                [{"label": "a", "x": as_input(x), "y": as_input(y)}])
+    text = _panel_text("t", "x", "y", [{"label": "a", "x": as_input(x), "y": as_input(y)}])
     assert f'<polyline points="{points}" ' in text
 
 
@@ -537,7 +604,7 @@ def _axis_ends(draw):
 @settings(max_examples=300, deadline=None)
 @given(x=_axis_ends(), y=_axis_ends())
 def test_svgplot_draws_at_most_ten_ticks_per_axis(x, y):
-    text = svgplot.render_panel("t", "x", "y", [{"label": "a", "x": x, "y": y}])
+    text = _panel_text("t", "x", "y", [{"label": "a", "x": x, "y": y}])
     # x ticks hang below the frame, y ticks stick out left of it
     assert 1 <= text.count(f'y2="{svgplot.HEIGHT - svgplot.MB + 4:.2f}"') <= 10
     assert 1 <= text.count(f'<line x1="{svgplot.ML - 4:.2f}"') <= 10
@@ -545,7 +612,7 @@ def test_svgplot_draws_at_most_ten_ticks_per_axis(x, y):
 
 def test_svgplot_is_deterministic():
     series = [{"label": "a", "x": [0, 1, 2], "y": [0.0, -3.0, -7.5]}]
-    one = svgplot.render_panel("t", "x", "y", series)
-    two = svgplot.render_panel("t", "x", "y", series)
+    one = _panel_text("t", "x", "y", series)
+    two = _panel_text("t", "x", "y", series)
     assert one == two
     assert one.count("<polyline") == 1
